@@ -8,7 +8,7 @@ seeds included, produce byte-identical report files regardless of the
 parallelism setting.
 
 Exit status: 0 on success, 2 on config or validation problems, 1 on runtime
-failures (enumeration caps, failed verdicts).
+failures (enumeration caps, a solver that does not converge, failed verdicts).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .estimators import (
     window_mle_estimator,
 )
 from .quality import MCConfig, quality_inf, quality_report_dict, quality_report_rows
-from .util import EnumerationLimitError, number_repr
+from .util import ConvergenceError, EnumerationLimitError, number_repr
 
 __all__ = ["main", "build_estimator", "build_circle_estimator"]
 
@@ -186,10 +186,10 @@ def _run_quality(args) -> int:
     print(f"delta={float(cfg.delta):g}  n={cfg.n}  trials={cfg.mc.trials}  seed={cfg.mc.seed}")
     print(f"{'theta':>12}  {'quality':>10}  {'ci':>9}  exact")
     for t in report.per_theta:
-        print(f"{t.theta:>12.6g}  {t.q:>10.6f}  {t.ci_half_width:>9.6f}  {t.exact}")
+        print(f"{float(t.theta):>12.6g}  {float(t.q):>10.6f}  {t.ci_half_width:>9.6f}  {t.exact}")
     q, argmin = report.worst_case
     certainty = "infimum" if report.infimum_certified else "grid minimum (upper bound)"
-    print(f"worst case: {q:.6f} at theta={argmin:g} ({certainty})")
+    print(f"worst case: {float(q):.6f} at theta={float(argmin):g} ({certainty})")
 
     doc = quality_report_dict(report)
     doc["estimator"] = e.label
@@ -631,6 +631,9 @@ def main(argv=None) -> int:
         return 2
     except EnumerationLimitError as exc:
         print(f"enumeration limit: {exc}", file=sys.stderr)
+        return 1
+    except ConvergenceError as exc:
+        print(f"no convergence: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

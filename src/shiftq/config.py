@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .compact_circle import CircleDensity
 from .distributions import (
@@ -23,7 +22,7 @@ from .distributions import (
     Uniform,
 )
 from .quality import MCConfig
-from .util import number_repr, parse_number
+from .util import number_doc, parse_number
 
 __all__ = [
     "ConfigError",
@@ -222,8 +221,8 @@ def _build_estimator_spec(spec, path: str, errs: _Collector, kinds) -> Estimator
     return EstimatorSpec(kind=kind)
 
 
-def _check_rational_mixing(cfg_doc, distribution, delta, errs: _Collector):
-    """Atoms either go all-exact (locations and delta rational) or all-float."""
+def _check_rational_mixing(distribution, delta, theta_grid, errs: _Collector):
+    """Atoms either go all-exact (locations, delta and shifts rational) or all-float."""
     from numbers import Rational
 
     if not isinstance(distribution, FiniteAtoms):
@@ -235,6 +234,11 @@ def _check_rational_mixing(cfg_doc, distribution, delta, errs: _Collector):
             "delta",
             "rational and float values are mixed; give every atom location and delta "
             "as 'p/q' strings for exact arithmetic, or none of them",
+        )
+    elif all(exact_flags) and any(not isinstance(t, Rational) for t in theta_grid or ()):
+        errs.add(
+            "theta_grid",
+            "float shifts next to rational atoms and delta; give the shifts as 'p/q' strings",
         )
 
 
@@ -320,7 +324,7 @@ def parse_config(text: str, default_command: str = "quality") -> ExperimentConfi
         errs.add("output.path", "expected a string path")
         path = None
 
-    _check_rational_mixing(doc, distribution, delta, errs)
+    _check_rational_mixing(distribution, delta, theta_grid, errs)
 
     if errs.errors:
         raise ConfigError(errs.errors)
@@ -353,20 +357,14 @@ def _distribution_doc(d: Distribution) -> dict:
     if isinstance(d, FiniteAtoms):
         return {
             "family": "atoms",
-            "points": [[_number_doc(z), _number_doc(m)] for z, m in d.atoms],
+            "points": [[number_doc(z), number_doc(m)] for z, m in d.atoms],
         }
     raise TypeError(f"cannot serialize distribution {d!r}")
 
 
-def _number_doc(value):
-    if isinstance(value, Fraction):
-        return number_repr(value)
-    return value
-
-
 def _estimator_doc(spec: EstimatorSpec) -> dict:
     if spec.kind == "constant":
-        return {"kind": spec.kind, "value": _number_doc(spec.value)}
+        return {"kind": spec.kind, "value": number_doc(spec.value)}
     if spec.kind == "biased_mean":
         return {"kind": spec.kind, "bias": spec.bias}
     if spec.kind == "warped":
@@ -391,10 +389,10 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
     if cfg.estimator is not None:
         doc["estimator"] = _estimator_doc(cfg.estimator)
     if cfg.delta is not None:
-        doc["delta"] = _number_doc(cfg.delta)
+        doc["delta"] = number_doc(cfg.delta)
     doc["n"] = cfg.n
     if cfg.theta_grid is not None:
-        doc["theta_grid"] = [_number_doc(t) for t in cfg.theta_grid]
+        doc["theta_grid"] = [number_doc(t) for t in cfg.theta_grid]
     doc["k"] = cfg.k
     doc["radius"] = cfg.radius
     doc["anchor_grid"] = cfg.anchor_grid

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms, classify
-from .util import BISECT_TOL, MATCH_ATOL, is_exact
+from .util import BISECT_TOL, MATCH_ATOL, ConvergenceError, is_exact
 
 __all__ = [
     "Estimator",
@@ -139,14 +139,37 @@ def mean_estimator(d: Distribution) -> Estimator:
     )
 
 
+# Rows solved together by _window_center_batch. One block's (rows, n)
+# temporaries stay in the CPU cache, so a step neither streams through memory
+# nor maps fresh pages; timed from 1 024 to 32 768 rows on Gaussian,
+# piecewise and uniform laws (see CHANGES.md).
+WINDOW_BLOCK_ROWS = 8192
+# Steps a block may take; rows still open after that raise ConvergenceError.
+WINDOW_MAX_STEPS = 200
+
+
 def _window_center_batch(d: ContinuousDistribution, delta: float, x0: np.ndarray) -> np.ndarray:
     """Centers t maximizing the window integral of prod_i f(x0_i + t).
 
     x0 has first column zero. The derivative of the window integral changes
-    sign where the log product density at t+delta and t-delta cross, which is
-    monotone for strictly log-concave laws and single-crossing for unimodal
-    one-sample inputs, so bisection applies. Ties (flat stretches) resolve to
-    the lowest root.
+    sign where g(t) = sum log f(x0 + t + delta) - sum log f(x0 + t - delta)
+    crosses zero, which is monotone for strictly log-concave laws and
+    single-crossing for unimodal one-sample inputs, so a bracketed root
+    solve applies: g > 0 moves the lower end, anything else (NaN included)
+    the upper end, so flat stretches resolve to the lowest root.
+
+    Each step takes the Illinois false-position point of the bracket, held
+    at least half the stopping width inside it, and falls back to the
+    midpoint when an end value is not finite or the bracket did not halve
+    over the last two steps. On a strictly log-concave law g is smooth and
+    monotone, so false position closes the bracket in a handful of steps;
+    for the Gaussian g is exactly linear and the first point is the root.
+    The stopping width is BISECT_TOL, or four float spacings of the bracket
+    ends where those are coarser. Each row stops on its own width and only
+    open rows are evaluated, so a row's result does not depend on the other
+    rows of the batch; rows are solved in blocks of WINDOW_BLOCK_ROWS so the
+    temporaries of a step stay in cache. A block still open after
+    WINDOW_MAX_STEPS steps raises ConvergenceError.
     """
     slo, shi = d.support()
     xmin = x0.min(axis=1)
@@ -161,26 +184,84 @@ def _window_center_batch(d: ContinuousDistribution, delta: float, x0: np.ndarray
     lo = np.maximum(mlo - xmax - 2.0 * delta, pos_lo - delta)
     hi = np.minimum(mhi - xmin + 2.0 * delta, pos_hi + delta)
 
-    full_cover = np.zeros(x0.shape[0], dtype=bool)
     if math.isfinite(width):
         full_cover = 2.0 * delta >= (pos_hi - pos_lo)
         # Any center whose window contains the whole positive stretch is optimal.
         lo = np.where(full_cover, 0.5 * (pos_lo + pos_hi), lo)
         hi = np.where(full_cover, 0.5 * (pos_lo + pos_hi), hi)
+    tol = np.maximum(BISECT_TOL, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    center = 0.5 * (lo + hi)
 
-    def log_product(t):
-        return d.logpdf(x0 + t[:, None]).sum(axis=1)
+    def crossing(x, t):
+        upper = d.logpdf(x + (t + delta)[:, None]).sum(axis=1)
+        return upper - d.logpdf(x + (t - delta)[:, None]).sum(axis=1)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for _ in range(200):
-            if np.max(hi - lo) <= BISECT_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            g = log_product(mid + delta) - log_product(mid - delta)
-            move_lo = g > 0  # NaN (both sides zero-density) falls through to hi
-            lo = np.where(move_lo, mid, lo)
-            hi = np.where(move_lo, hi, mid)
-    return 0.5 * (lo + hi)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for start in range(0, len(center), WINDOW_BLOCK_ROWS):
+            rows = slice(start, start + WINDOW_BLOCK_ROWS)
+            still_open = _solve_block(
+                crossing, x0[rows], lo[rows], hi[rows], tol[rows], center[rows]
+            )
+            if still_open:
+                raise ConvergenceError(
+                    f"window search on {type(d).__name__} left {still_open} rows open "
+                    f"after {WINDOW_MAX_STEPS} steps"
+                )
+    return center
+
+
+def _solve_block(crossing, x, lo, hi, tol, out) -> int:
+    """Narrow each row's bracket to its tolerance; write the midpoints into out.
+
+    Returns the number of rows still open after WINDOW_MAX_STEPS steps.
+    """
+    idx = np.flatnonzero(hi - lo > tol)
+    x, lo, hi, tol = x[idx], lo[idx], hi[idx], tol[idx]
+    # Later steps keep g(lo) > 0 and g(hi) <= 0 or NaN; an initial end value
+    # of the wrong sign is stored as unusable, like a non-finite one.
+    glo = crossing(x, lo)
+    glo = np.where(glo > 0, glo, np.inf)
+    ghi = crossing(x, hi)
+    ghi = np.where(ghi <= 0, ghi, np.nan)
+    width1 = width2 = np.full(len(idx), np.inf)  # bracket widths before the last two steps
+    side = None  # per row: +1 / -1 after a false-position step moved lo / hi, else 0; None: all 0
+    for step in range(WINDOW_MAX_STEPS + 1):
+        width = hi - lo
+        done = width <= tol
+        if done.any():
+            out[idx[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            idx, x, lo, hi, tol, glo, ghi, width, width1, width2 = (
+                a[keep] for a in (idx, x, lo, hi, tol, glo, ghi, width, width1, width2)
+            )
+            side = None if side is None else side[keep]
+        if not len(idx) or step == WINDOW_MAX_STEPS:
+            break
+        t = 0.5 * (lo + hi)
+        secant = None
+        if glo.min() < np.inf:
+            secant = (glo < np.inf) & (ghi > -np.inf) & (width <= 0.5 * width2)
+            if secant.any():
+                point = lo + width * (glo / (glo - ghi))
+                t = np.where(secant, np.clip(point, lo + 0.5 * tol, hi - 0.5 * tol), t)
+            else:
+                secant = None
+        g = crossing(x, t)
+        up = g > 0
+        if secant is None:
+            glo = np.where(up, g, glo)
+            ghi = np.where(up, ghi, g)
+            side = None
+        else:
+            # Illinois: an end kept by two false-position steps in a row has its value halved.
+            last, side = side, secant * np.where(up, 1, -1)
+            scale = 1.0 if last is None else np.where(side * last > 0, 0.5, 1.0)
+            glo = np.where(up, g, scale * glo)
+            ghi = np.where(up, scale * ghi, g)
+        lo = np.where(up, t, lo)
+        hi = np.where(up, hi, t)
+        width2, width1 = width1, width
+    return len(idx)
 
 
 def window_mle_estimator(d: ContinuousDistribution, delta: float) -> Estimator:
@@ -192,6 +273,13 @@ def window_mle_estimator(d: ContinuousDistribution, delta: float) -> Estimator:
     shift-equivariant estimator at threshold delta; for laws that are only
     unimodal the same search is exposed but its optimality beyond one sample
     is unverified.
+
+    The best center is the root of the difference of the log product density
+    at the two window edges, found by bracketed Illinois false-position steps
+    with a midpoint fallback (see _window_center_batch). That difference is
+    smooth and monotone on strictly log-concave laws, so a batch row settles
+    in a handful of steps (two after the bracket ends for the Gaussian, where
+    it is linear); flat or truncated stretches fall back to bisection.
     """
     traits = classify(d)
     if not (traits.log_concave_strict or traits.unimodal):

@@ -17,6 +17,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +25,13 @@ from scipy.special import ndtri
 
 from .distributions import Distribution, FiniteAtoms, ShiftedDistribution
 from .estimators import SHIFT_INVARIANT, Estimator, RandomizedEstimator
-from .util import EnumerationLimitError, within_threshold, within_threshold_array
+from .util import (
+    EnumerationLimitError,
+    is_exact,
+    number_doc,
+    within_threshold,
+    within_threshold_array,
+)
 
 __all__ = [
     "MCConfig",
@@ -68,8 +75,10 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class ThetaQuality:
-    theta: float
-    q: float
+    """Quality at one shift; theta and q are Fractions when both are exact."""
+
+    theta: float | Fraction
+    q: float | Fraction
     ci_half_width: float
     exact: bool
 
@@ -86,7 +95,7 @@ class QualityReport:
 
     delta: float
     per_theta: tuple[ThetaQuality, ...]
-    worst_case: tuple[float, float]  # (q, argmin theta)
+    worst_case: tuple  # (q, argmin theta), Fractions when the rows are exact
     infimum_certified: bool
 
 
@@ -205,8 +214,17 @@ def exact_quality_discrete(
     return total
 
 
-def default_theta_grid(delta, n: int, k: int = 10) -> tuple[float, ...]:
-    """41 shifts spread over +-10*delta*n plus the averaging points 2*delta*i."""
+def default_theta_grid(delta, n: int, k: int = 10) -> tuple:
+    """41 shifts spread over +-10*delta*n plus the averaging points 2*delta*i.
+
+    A Fraction delta gives the same points as Fractions, so an exact law is
+    evaluated exactly over its default grid.
+    """
+    if isinstance(delta, Fraction):
+        span = 10 * delta * n
+        grid = {span * Fraction(i - 20, 20) for i in range(41)}
+        grid.update(2 * delta * i for i in range(1, k + 1))
+        return tuple(sorted(grid))
     delta_f = float(delta)
     span = 10.0 * delta_f * n
     grid = set(np.linspace(-span, span, 41).tolist())
@@ -236,27 +254,31 @@ def quality_inf(
         raise ValueError("theta_grid must be nonempty")
     invariant = e.invariance_claim == SHIFT_INVARIANT
     if invariant and not any(float(t) == 0.0 for t in thetas):
-        thetas.insert(0, 0.0)
+        thetas.insert(0, 0)  # an int, so a rational law stays exact at this shift
 
     discrete = isinstance(d, FiniteAtoms)
     entries = []
     for theta in thetas:
         if discrete:
             q = exact_quality_discrete(e, d, theta, delta, n=n, closed_interval=closed_interval)
-            entries.append(ThetaQuality(float(theta), float(q), 0.0, True))
+            if is_exact(theta, q):
+                entries.append(ThetaQuality(Fraction(theta), Fraction(q), 0.0, True))
+            else:
+                entries.append(ThetaQuality(float(theta), float(q), 0.0, True))
         else:
             q, ci = quality_at(e, d, theta, delta, mc, n=n, closed_interval=closed_interval)
             entries.append(ThetaQuality(float(theta), q, ci, False))
 
     if invariant:
-        base = next(t for t in entries if t.theta == 0.0)
+        base = next(t for t in entries if t.theta == 0)
         for t in entries:
             if abs(t.q - base.q) > 3.0 * (t.ci_half_width + base.ci_half_width):
                 raise RuntimeError(
                     f"{e.label} claims shift invariance but quality moved from "
-                    f"{base.q:.6g} at shift 0 to {t.q:.6g} at shift {t.theta:g}"
+                    f"{float(base.q):.6g} at shift 0 to {float(t.q):.6g} "
+                    f"at shift {float(t.theta):g}"
                 )
-        worst = (base.q, 0.0)
+        worst = (base.q, Fraction(0) if isinstance(base.theta, Fraction) else 0.0)
     else:
         best = min(entries, key=lambda t: t.q)
         worst = (best.q, best.theta)
@@ -310,12 +332,21 @@ def quality_report_rows(report: QualityReport) -> list[tuple]:
 
 
 def quality_report_dict(report: QualityReport) -> dict:
+    """JSON-ready form; exact values are written as 'p/q' strings."""
     return {
         "delta": report.delta,
         "per_theta": [
-            {"theta": t.theta, "q": t.q, "ci_half_width": t.ci_half_width, "exact": t.exact}
+            {
+                "theta": number_doc(t.theta),
+                "q": number_doc(t.q),
+                "ci_half_width": t.ci_half_width,
+                "exact": t.exact,
+            }
             for t in report.per_theta
         ],
-        "worst_case": {"q": report.worst_case[0], "theta": report.worst_case[1]},
+        "worst_case": {
+            "q": number_doc(report.worst_case[0]),
+            "theta": number_doc(report.worst_case[1]),
+        },
         "infimum_certified": report.infimum_certified,
     }

@@ -19,6 +19,10 @@ class EnumerationLimitError(RuntimeError):
     """An exact enumeration would exceed its declared size cap."""
 
 
+class ConvergenceError(RuntimeError):
+    """An iterative solve reached its step cap with some rows unresolved."""
+
+
 def is_exact(*values) -> bool:
     """True when every value is an int or Fraction, so == is trustworthy."""
     return all(isinstance(v, Rational) for v in values)
@@ -44,6 +48,11 @@ def number_repr(value) -> str:
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
+
+
+def number_doc(value):
+    """JSON-ready value: Fractions as 'p/q' strings, anything else unchanged."""
+    return number_repr(value) if isinstance(value, Fraction) else value
 
 
 def within_threshold(distance, threshold, closed: bool = False) -> bool:

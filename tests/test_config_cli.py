@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from shiftq import ConfigError, Gaussian, parse_config, serialize_config
+from shiftq import ConfigError, Gaussian, estimators, parse_config, serialize_config
 from shiftq.cli import main
 from shiftq.config import EstimatorSpec
 
@@ -75,6 +75,19 @@ def test_rational_float_mixing_is_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_config(doc)
     assert any("mixed" in msg for _, msg in exc.value.errors)
+
+
+def test_float_shift_grid_next_to_rational_atoms_is_rejected(tmp_path):
+    doc = {
+        "distribution": {"family": "atoms", "points": [["0", "1/2"], ["1", "1/2"]]},
+        "estimator": {"kind": "discrete_mle"},
+        "delta": "1/4",
+        "theta_grid": [0.1, 0.2],
+    }
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert [path for path, _ in exc.value.errors] == ["theta_grid"]
+    assert main(["quality", "--config", write(tmp_path, "grid.json", json.dumps(doc))]) == 2
 
 
 def test_round_trip_preserves_the_config():
@@ -296,3 +309,36 @@ def test_cli_paper_suite_passes(tmp_path):
     doc = json.load(open(out))
     assert doc["all_passed"] is True
     assert len(doc["scenarios"]) >= 8
+
+
+def test_cli_exact_quality_report_stays_rational(tmp_path):
+    doc = {
+        "distribution": {"family": "atoms", "points": [["0", "1/2"], ["1", "1/2"]]},
+        "estimator": {"kind": "discrete_mle"},
+        "delta": "1",
+        "theta_grid": ["0", "1/3"],
+    }
+    cfg = write(tmp_path, "exact.json", json.dumps(doc))
+    out_csv, out_json = str(tmp_path / "q.csv"), str(tmp_path / "q.json")
+    assert main(["quality", "--config", cfg, "--out", out_csv, "--format", "csv"]) == 0
+    assert main(["quality", "--config", cfg, "--out", out_json]) == 0
+    rows = [(r["theta"], r["q"], r["is_worst_case"]) for r in csv.DictReader(open(out_csv))]
+    assert rows == [("0/1", "1/1", "true"), ("1/3", "1/1", "false")]
+    report = json.load(open(out_json))
+    assert [(t["theta"], t["q"]) for t in report["per_theta"]] == [("0/1", "1/1"), ("1/3", "1/1")]
+    assert report["worst_case"] == {"q": "1/1", "theta": "0/1"}
+
+
+def test_cli_window_search_without_convergence_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(estimators, "WINDOW_MAX_STEPS", 1)
+    doc = {
+        "distribution": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},
+        "estimator": {"kind": "window_mle"},
+        "delta": 0.5,
+        "n": 4,
+        "theta_grid": [0.0],
+        "mc": {"trials": 1000, "seed": 3},
+    }
+    assert main(["quality", "--config", write(tmp_path, "w.json", json.dumps(doc))]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("no convergence: window search on Gaussian")

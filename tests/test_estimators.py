@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftq import (
+    ConvergenceError,
     Exponential,
     FiniteAtoms,
     Gaussian,
@@ -20,7 +21,9 @@ from shiftq import (
     mixture,
     window_mle_estimator,
 )
-from shiftq.estimators import SHIFT_INVARIANT
+from shiftq import estimators
+from shiftq.estimators import SHIFT_INVARIANT, _window_center_batch
+from shiftq.util import BISECT_TOL
 
 
 def test_window_center_on_standard_gaussian_pair():
@@ -73,6 +76,117 @@ def test_window_batch_agrees_with_scalar_path():
     batch = e.evaluate_batch(x)
     rowwise = [e.evaluate(tuple(row)) for row in x]
     assert np.allclose(batch, rowwise, atol=1e-9)
+
+
+def _normalized(knots):
+    mass = sum(0.5 * (f0 + f1) * (x1 - x0) for (x0, f0), (x1, f1) in zip(knots, knots[1:]))
+    return PiecewiseDensity(knots=tuple((x, f / mass) for x, f in knots))
+
+
+UNIMODAL = _normalized(
+    [(0.0, 0.0), (0.662, 0.142), (1.256, 0.986), (1.692, 0.409), (2.106, 0.313), (3.156, 0.0)]
+)
+LOG_CONCAVE = _normalized([(0.0, 0.2), (1.0, 0.6), (2.0, 0.5), (3.0, 0.1)])
+FLAT_TOP = PiecewiseDensity(knots=((0.0, 0.0), (1.0, 0.5), (2.0, 0.5), (3.0, 0.0)))
+
+
+def _anchored_rows(d, n, rows=40, seed=11):
+    x = np.asarray(d.ppf(np.random.default_rng(seed).random((rows, n))), dtype=float)
+    return x - x[:, :1]
+
+
+def _bisection_center(d, delta, row):
+    """Plain bisection on one anchored row: the reference for the window kernel."""
+    slo, shi = d.support()
+    pos_lo, pos_hi = slo - min(row), shi - max(row)
+    if 2.0 * delta >= pos_hi - pos_lo:  # every optimal window covers the positive stretch
+        return 0.5 * (pos_lo + pos_hi)
+    mlo, mhi = d.mode_interval()
+    lo = max(mlo - max(row) - 2.0 * delta, pos_lo - delta)
+    hi = min(mhi - min(row) + 2.0 * delta, pos_hi + delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while hi - lo > BISECT_TOL / 4:
+            mid = 0.5 * (lo + hi)
+            if d.logpdf(row + mid + delta).sum() - d.logpdf(row + mid - delta).sum() > 0:
+                lo = mid
+            else:
+                hi = mid
+    return 0.5 * (lo + hi)
+
+
+@given(
+    st.floats(min_value=-5, max_value=5),
+    st.floats(min_value=0.5, max_value=3),
+    st.floats(min_value=0.1, max_value=2),
+    st.lists(st.floats(min_value=-3, max_value=3), min_size=0, max_size=7),
+)
+def test_window_center_on_gaussian_is_the_recentred_mean(mu, sigma, delta, rest):
+    x0 = np.array([[0.0] + [sigma * v for v in rest]])
+    center = _window_center_batch(Gaussian(mu, sigma), delta, x0)[0]
+    assert abs(center - (mu - x0.mean())) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "d, delta, n, lowest_root",
+    [
+        (UNIMODAL, 0.365, 1, None),
+        (FLAT_TOP, 0.25, 1, lambda row: 1.25),
+        (LOG_CONCAVE, 0.3, 3, None),
+        (Uniform(0.0, 1.0), 0.1, 1, lambda row: 0.1),
+        (Uniform(0.0, 1.0), 0.1, 3, lambda row: 0.1 - row.min()),
+    ],
+)
+def test_window_center_matches_plain_bisection(d, delta, n, lowest_root):
+    x0 = _anchored_rows(d, n)
+    centers = _window_center_batch(d, delta, x0)
+    for row, center in zip(x0, centers):
+        assert abs(center - _bisection_center(d, delta, row)) <= 2 * BISECT_TOL
+        # On a flat stretch the center is the lowest optimal one, unless the
+        # window covers the whole positive stretch and takes its midpoint.
+        if lowest_root is not None and 2 * delta < d.support()[1] - d.support()[0] - np.ptp(row):
+            assert abs(center - lowest_root(row)) <= 2 * BISECT_TOL
+
+
+def test_window_center_needs_few_log_product_evaluations():
+    rows = []
+
+    class CountingGaussian(Gaussian):
+        def logpdf(self, x):
+            rows.append(len(x))
+            return super().logpdf(x)
+
+    d = CountingGaussian(0.3, 1.2)
+    x = np.random.default_rng(4).normal(0.3, 1.2, size=(4096, 4))
+    window_mle_estimator(d, 0.45).evaluate_batch(x)
+    # Bisection to BISECT_TOL takes about 74 per row.
+    assert sum(rows) <= 10 * len(x)
+
+
+@pytest.mark.parametrize(
+    "d, n",
+    [(Gaussian(0.5, 2.0), 3), (LOG_CONCAVE, 3), (UNIMODAL, 1), (Uniform(0.0, 1.0), 3)],
+)
+def test_window_center_of_a_row_does_not_depend_on_its_block(monkeypatch, d, n):
+    x0 = _anchored_rows(d, n, rows=50)
+    whole = _window_center_batch(d, 0.3, x0)
+    monkeypatch.setattr(estimators, "WINDOW_BLOCK_ROWS", 7)
+    blocked = _window_center_batch(d, 0.3, x0)
+    single = np.concatenate([_window_center_batch(d, 0.3, x0[i : i + 1]) for i in range(len(x0))])
+    assert np.array_equal(whole, blocked) and np.array_equal(whole, single)
+
+
+def test_window_center_far_from_zero_stops_at_float_resolution():
+    # Near 1e6 adjacent floats are 1.2e-10 apart, wider than BISECT_TOL.
+    e = window_mle_estimator(Gaussian(1e6, 1.0), 0.5)
+    assert e.evaluate((1e6 + 0.3, 1e6 - 0.2)) == pytest.approx(0.05, abs=1e-6)
+
+
+def test_window_search_that_hits_its_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(estimators, "WINDOW_MAX_STEPS", 1)
+    e = window_mle_estimator(Gaussian(0.0, 1.0), 0.5)
+    x = np.random.default_rng(2).normal(size=(30, 4))
+    with pytest.raises(ConvergenceError, match=r"Gaussian left \d+ rows open"):
+        e.evaluate_batch(x)
 
 
 def test_min_shift_evaluate():

@@ -180,6 +180,15 @@ def test_default_theta_grid_covers_both_signs():
     assert len(grid) >= 41
 
 
+def test_default_theta_grid_is_rational_for_a_rational_delta():
+    grid = default_theta_grid(Fraction(1, 3), 2)
+    assert all(isinstance(t, Fraction) for t in grid)
+    # The averaging points 2*delta*i all lie on the 41-point grid here.
+    assert len(grid) == 41 and grid[0] == Fraction(-20, 3) and Fraction(0) in grid
+    float_grid = set(np.linspace(-5.0, 5.0, 41).tolist()) | {0.5 * i for i in range(1, 11)}
+    assert default_theta_grid(0.25, 2) == tuple(sorted(float_grid))
+
+
 def test_averaged_performance_dominates_minimum(example_atoms, mc_fast):
     e = discrete_one_sample_estimator(example_atoms, Fraction(3, 4))
     out = averaged_performance_bound(e, example_atoms, Fraction(3, 4), 5, mc_fast, n=1)
