@@ -43,6 +43,8 @@ IDENTITY = ""
 
 _BALL_CAP = 1_000_000
 
+_TREE_KINDS = ("truncation", "left_translate", "right_translate", "table")
+
 
 def _check_word(w: str) -> str:
     for ch in w:
@@ -67,17 +69,22 @@ def reduce_word(letters: str) -> str:
     return "".join(out)
 
 
+def _mul(u: str, v: str) -> str:
+    """Product of two words already known to be reduced; the result is reduced.
+
+    Only the seam can cancel: the tail of u against the head of v, for as
+    long as they mirror each other.
+    """
+    k = 0
+    n = min(len(u), len(v))
+    while k < n and u[-1 - k] == v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:]
+
+
 def multiply(u: str, v: str) -> str:
     """Concatenate two reduced words and cancel across the seam."""
-    _check_word(u)
-    _check_word(v)
-    out = list(u)
-    for ch in v:
-        if out and out[-1] == ch:
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _mul(_check_word(u), _check_word(v))
 
 
 def inverse(u: str) -> str:
@@ -87,7 +94,7 @@ def inverse(u: str) -> str:
 
 def distance(u: str, v: str) -> int:
     """Graph distance on the tree: length of u^-1 v."""
-    return len(multiply(inverse(u), v))
+    return len(_mul(inverse(u), _check_word(v)))
 
 
 def ball(radius: int) -> list[str]:
@@ -151,34 +158,44 @@ class TreeEstimator:
     table: Mapping[str, str] | None = None
     default: str = IDENTITY
 
+    def __post_init__(self):
+        if self.kind not in _TREE_KINDS:
+            raise ValueError(f"unknown tree estimator kind {self.kind!r}; expected one of {_TREE_KINDS}")
+        if self.kind == "table" and self.table is None:
+            raise ValueError("a table estimator needs a table")
+        _check_word(self.word)
+        _check_word(self.default)
+
 
 def truncation_estimator() -> TreeEstimator:
     return TreeEstimator(kind="truncation")
 
 
 def left_translate_estimator(word: str) -> TreeEstimator:
-    return TreeEstimator(kind="left_translate", word=_check_word(word))
+    return TreeEstimator(kind="left_translate", word=word)
 
 
 def right_translate_estimator(word: str) -> TreeEstimator:
-    return TreeEstimator(kind="right_translate", word=_check_word(word))
+    return TreeEstimator(kind="right_translate", word=word)
 
 
 def table_estimator(table: Mapping[str, str], default: str = IDENTITY) -> TreeEstimator:
-    return TreeEstimator(kind="table", table=dict(table), default=_check_word(default))
+    return TreeEstimator(kind="table", table=dict(table), default=default)
 
 
-def evaluate_tree_estimator(e: TreeEstimator, x: str) -> str:
-    _check_word(x)
+def _evaluate(e: TreeEstimator, x: str) -> str:
+    """The rule's guess at a reduced word x; the rule was checked when built."""
     if e.kind == "truncation":
         return x[:-1] if x else "a"
     if e.kind == "left_translate":
-        return multiply(x, e.word)
+        return _mul(x, e.word)
     if e.kind == "right_translate":
-        return multiply(e.word, x)
-    if e.kind == "table":
-        return e.table.get(x, e.default)
-    raise ValueError(f"unknown tree estimator kind {e.kind!r}")
+        return _mul(e.word, x)
+    return e.table.get(x, e.default)
+
+
+def evaluate_tree_estimator(e: TreeEstimator, x: str) -> str:
+    return _evaluate(e, _check_word(x))
 
 
 def exact_quality_tree(e: TreeEstimator, mu: TreeDistribution, theta: str, delta: Fraction) -> Fraction:
@@ -193,7 +210,7 @@ def exact_quality_tree(e: TreeEstimator, mu: TreeDistribution, theta: str, delta
     _check_word(theta)
     total = Fraction(0)
     for z, m in mu.atoms:
-        if evaluate_tree_estimator(e, multiply(theta, z)) == theta:
+        if _evaluate(e, _mul(theta, z)) == theta:
             total += m
     return total
 
@@ -201,11 +218,17 @@ def exact_quality_tree(e: TreeEstimator, mu: TreeDistribution, theta: str, delta
 def quality_inf_ball(
     e: TreeEstimator, mu: TreeDistribution, delta: Fraction, radius: int
 ) -> tuple[Fraction, str]:
-    """Minimum exact quality over all shifts in the radius ball.
+    """Minimum exact quality over all shifts in the radius ball, and its first shift.
 
     For the built-in estimator kinds the per-shift quality depends only on
     the shift's length and last letter, so the ball minimum for radius >= 2
     already equals the infimum over the whole group.
+
+    The sweep goes through the ball in breadth-first order and stops at the
+    first shift whose quality is 0. A quality is a sum of positive atom
+    masses, so no later shift can go lower, and since only a strictly lower
+    quality replaces the minimiser, the result is the one the full sweep
+    gives.
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")
@@ -216,4 +239,6 @@ def quality_inf_ball(
         if best_q is None or q < best_q:
             best_q = q
             best_theta = theta
+            if q == 0:
+                break
     return best_q, best_theta

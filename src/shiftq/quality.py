@@ -100,9 +100,11 @@ class QualityReport:
 
 
 class AveragedPerformance(NamedTuple):
-    average: float
-    minimum: float
-    per_theta: tuple
+    """Average and minimum quality over the averaging shifts; Fractions when exact."""
+
+    average: float | Fraction
+    minimum: float | Fraction
+    per_theta: tuple  # (theta, q, ci_half_width) per shift
 
 
 def wilson_halfwidth(successes: int, trials: int, ci_level: float) -> float:
@@ -214,6 +216,13 @@ def exact_quality_discrete(
     return total
 
 
+def _exact_pair(theta, q) -> tuple:
+    """(theta, q) as Fractions when both are exact, else as floats."""
+    if is_exact(theta, q):
+        return Fraction(theta), Fraction(q)
+    return float(theta), float(q)
+
+
 def default_theta_grid(delta, n: int, k: int = 10) -> tuple:
     """41 shifts spread over +-10*delta*n plus the averaging points 2*delta*i.
 
@@ -261,10 +270,7 @@ def quality_inf(
     for theta in thetas:
         if discrete:
             q = exact_quality_discrete(e, d, theta, delta, n=n, closed_interval=closed_interval)
-            if is_exact(theta, q):
-                entries.append(ThetaQuality(Fraction(theta), Fraction(q), 0.0, True))
-            else:
-                entries.append(ThetaQuality(float(theta), float(q), 0.0, True))
+            entries.append(ThetaQuality(*_exact_pair(theta, q), 0.0, True))
         else:
             q, ci = quality_at(e, d, theta, delta, mc, n=n, closed_interval=closed_interval)
             entries.append(ThetaQuality(float(theta), q, ci, False))
@@ -304,7 +310,8 @@ def averaged_performance_bound(
 
     The average dominates the worst-case quality, so it is a cheap upper
     bound; the minimum over the same shifts is reported as well since it is
-    sharper in practice.
+    sharper in practice. An exact law at an exact delta keeps Fractions
+    throughout, as in quality_inf.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -314,7 +321,7 @@ def averaged_performance_bound(
         theta = 2 * delta * i
         if discrete:
             q = exact_quality_discrete(e, d, theta, delta, n=n, closed_interval=closed_interval)
-            per_theta.append((float(theta), float(q), 0.0))
+            per_theta.append((*_exact_pair(theta, q), 0.0))
         else:
             q, ci = quality_at(e, d, theta, delta, mc, n=n, closed_interval=closed_interval)
             per_theta.append((float(theta), q, ci))

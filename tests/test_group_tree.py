@@ -20,7 +20,8 @@ from shiftq import (
     table_estimator,
     truncation_estimator,
 )
-from shiftq.group_tree import evaluate_tree_estimator
+from shiftq import cli, group_tree
+from shiftq.group_tree import TreeEstimator, evaluate_tree_estimator
 
 HALF = Fraction(1, 2)
 
@@ -106,6 +107,35 @@ def test_invalid_words_are_rejected():
         multiply("ax", "a")
     with pytest.raises(ValueError):
         distance("aab", "")  # not reduced
+    # Every public entry point checks its words; only the core trusts them.
+    mu = standard_tree_distribution()
+    for bad in ("ax", "abb", "aab"):
+        for e in (truncation_estimator(), left_translate_estimator("ab"), table_estimator({"a": "b"})):
+            with pytest.raises(ValueError):
+                evaluate_tree_estimator(e, bad)
+            with pytest.raises(ValueError):
+                exact_quality_tree(e, mu, bad, HALF)
+        with pytest.raises(ValueError):
+            multiply("a", bad)
+        with pytest.raises(ValueError):
+            distance("a", bad)
+
+
+def test_tree_estimator_is_checked_when_built():
+    with pytest.raises(ValueError):
+        TreeEstimator(kind="nope")
+    with pytest.raises(ValueError):
+        TreeEstimator(kind="left_translate", word="aa")
+    with pytest.raises(ValueError):
+        TreeEstimator(kind="right_translate", word="ad")
+    with pytest.raises(ValueError):
+        TreeEstimator(kind="table", table={}, default="bb")
+    with pytest.raises(ValueError):
+        TreeEstimator(kind="table")
+    with pytest.raises(ValueError):
+        left_translate_estimator("cc")
+    with pytest.raises(ValueError):
+        table_estimator({}, default="x")
 
 
 def test_tree_distribution_needs_exact_unit_mass():
@@ -154,6 +184,67 @@ def test_quality_does_not_depend_on_delta_inside_unit_interval():
         exact_quality_tree(e, mu, "b", Fraction(1))
     with pytest.raises(ValueError):
         exact_quality_tree(e, mu, "b", Fraction(3, 2))
+
+
+def _rules_for_the_sweep():
+    rules = [truncation_estimator()]
+    for w in ball(4):
+        rules += [left_translate_estimator(w), right_translate_estimator(w)]
+    rng = np.random.default_rng(7)
+    codomain = ball(3)
+    for _ in range(6):
+        table = {w: codomain[int(rng.integers(0, len(codomain)))] for w in ball(3)}
+        rules.append(table_estimator(table, default=codomain[int(rng.integers(0, len(codomain)))]))
+    return rules
+
+
+def test_ball_sweep_matches_brute_force():
+    mu = standard_tree_distribution()
+    shifts = ball(6)
+    for e in _rules_for_the_sweep():
+        qs = [exact_quality_tree(e, mu, theta, HALF) for theta in shifts]
+        for radius in range(2, 7):
+            # ball(radius) is a prefix of ball(6): both are breadth-first.
+            prefix = qs[: len(ball(radius))]
+            lowest = min(prefix)
+            assert quality_inf_ball(e, mu, HALF, radius) == (lowest, shifts[prefix.index(lowest)])
+
+
+def _count_shift_evaluations(monkeypatch) -> list:
+    calls = []
+    inner = group_tree.exact_quality_tree
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(group_tree, "exact_quality_tree", counted)
+    return calls
+
+
+def test_ball_sweep_stops_at_the_first_zero(monkeypatch):
+    calls = _count_shift_evaluations(monkeypatch)
+    mu = standard_tree_distribution()
+    assert quality_inf_ball(right_translate_estimator(""), mu, HALF, 8) == (0, "")
+    assert len(calls) == 1
+    calls.clear()
+    # Truncation never reaches 0, so it still sweeps the whole ball.
+    assert quality_inf_ball(truncation_estimator(), mu, HALF, 8) == (Fraction(2, 3), "b")
+    assert len(calls) == len(ball(8))
+
+
+def test_tree_demo_evaluates_only_the_shifts_it_needs(monkeypatch, tmp_path, capsys):
+    calls = _count_shift_evaluations(monkeypatch)
+    assert cli.main(["tree-demo", "--radius", "8", "--out", str(tmp_path / "tree.json")]) == 0
+    # 766 table rows and 766 truncation sweep shifts; 92 translate sweeps stop early.
+    assert len(calls) == 3923
+
+
+@pytest.mark.parametrize("delta", [Fraction(1), Fraction(3, 2), Fraction(0)])
+def test_ball_sweep_checks_delta_even_when_it_stops_at_once(delta):
+    mu = standard_tree_distribution()
+    with pytest.raises(ValueError):
+        quality_inf_ball(right_translate_estimator(""), mu, delta, 8)
 
 
 def test_translates_never_beat_one_third():

@@ -193,9 +193,20 @@ def test_averaged_performance_dominates_minimum(example_atoms, mc_fast):
     e = discrete_one_sample_estimator(example_atoms, Fraction(3, 4))
     out = averaged_performance_bound(e, example_atoms, Fraction(3, 4), 5, mc_fast, n=1)
     assert out.average >= out.minimum
-    # This estimator's per-shift quality is shift independent.
-    assert out.average == pytest.approx(0.6, abs=1e-15)
-    assert out.minimum == pytest.approx(0.6, abs=1e-15)
+    # This estimator's per-shift quality is shift independent, and the law is
+    # exact, so every figure stays a Fraction.
+    assert out.average == Fraction(3, 5) and isinstance(out.average, Fraction)
+    assert out.minimum == Fraction(3, 5) and isinstance(out.minimum, Fraction)
+    assert all(isinstance(t, Fraction) and isinstance(q, Fraction) for t, q, _ in out.per_theta)
+    assert out.per_theta[0][:2] == (Fraction(3, 2), Fraction(3, 5))
+
+
+def test_averaged_performance_keeps_floats_for_a_float_law(mc_fast):
+    atoms = FiniteAtoms(atoms=((0.0, 0.25), (1.0, 0.35), (10.0, 0.4)))
+    e = discrete_one_sample_estimator(atoms, 0.75)
+    out = averaged_performance_bound(e, atoms, 0.75, 5, mc_fast, n=1)
+    assert isinstance(out.average, float) and isinstance(out.minimum, float)
+    assert out.average == pytest.approx(0.6, abs=1e-12)
 
 
 def test_mc_config_validation():
