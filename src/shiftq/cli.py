@@ -303,11 +303,13 @@ def _run_tree_demo(args) -> int:
     mu = group_tree.standard_tree_distribution()
     trunc = group_tree.truncation_estimator()
 
-    rows = []
-    for theta in group_tree.ball(radius):
-        q = group_tree.exact_quality_tree(trunc, mu, theta, delta)
-        rows.append((theta, q))
-    global_q, arg = group_tree.quality_inf_ball(trunc, mu, delta, radius)
+    rows = [
+        (theta, group_tree.exact_quality_tree(trunc, mu, theta, delta))
+        for theta in group_tree.ball(radius)
+    ]
+    # The table is the full sweep quality_inf_ball would make: min keeps the
+    # first minimiser in ball order, as the sweep does.
+    arg, global_q = min(rows, key=lambda row: row[1])
 
     translate_rows = []
     for word in group_tree.ball(4):

@@ -44,7 +44,10 @@ class Estimator:
 
     fn maps a length-n sample sequence to a real estimate. n is either a
     fixed int or "any". batch_fn, when present, maps an (m, n) float array to
-    m estimates and must agree with fn row by row.
+    m estimates and must agree with fn row by row. symmetric declares that
+    fn's value does not depend on the order of the samples, so exact
+    enumeration may visit each multiset of samples once instead of every
+    ordering of it.
     """
 
     label: str
@@ -52,6 +55,7 @@ class Estimator:
     n: object = "any"
     invariance_claim: str = NO_CLAIM
     batch_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    symmetric: bool = False
 
     def evaluate(self, samples):
         samples = tuple(samples)
@@ -136,6 +140,7 @@ def mean_estimator(d: Distribution) -> Estimator:
         n="any",
         invariance_claim=SHIFT_INVARIANT,
         batch_fn=lambda x: x.mean(axis=1) - mu_f,
+        symmetric=True,
     )
 
 
@@ -317,6 +322,7 @@ def min_shift_estimator(delta) -> Estimator:
         n="any",
         invariance_claim=SHIFT_INVARIANT,
         batch_fn=lambda x: x.min(axis=1) - delta_f,
+        symmetric=True,
     )
 
 
@@ -360,6 +366,12 @@ def discrete_n_sample_estimator(d: FiniteAtoms, delta, n: int) -> Estimator:
     a candidate atom from the first sample must land every sample back on an
     atom. All-equal samples fall back to the one-sample window rule applied to
     the common value.
+
+    On exact inputs the candidate comes from one lookup: two distinct samples
+    a and b differ by z_j - z_i for exactly one atom pair, because the signed
+    differences of distinct atoms are distinct, so the shift is a - z_i. Every
+    sample is still checked against the atoms. Float inputs match within
+    MATCH_ATOL by trying each atom in turn.
     """
     traits = classify(d)
     if not traits.discrete:
@@ -372,20 +384,29 @@ def discrete_n_sample_estimator(d: FiniteAtoms, delta, n: int) -> Estimator:
 
     center = window_bound_one_sample(d, delta).witness
     locs = d.locations
+    exact_locs = is_exact(*locs)
+    loc_set = frozenset(locs)
+    lower_atom = {b - a: a for a in locs for b in locs if a != b}
 
-    def matches_atom(value, exact):
-        if exact:
-            return any(value == z for z in locs)
+    def matches_atom(value):
         return any(abs(float(value) - float(z)) <= MATCH_ATOL for z in locs)
 
     def fn(x):
-        exact = is_exact(*x) and is_exact(*locs)
+        exact = exact_locs and is_exact(*x)
         if _all_close(x, exact):
             return x[0] - center
-        for z in locs:
-            candidate = x[0] - z
-            if all(matches_atom(v - candidate, exact) for v in x):
-                return candidate
+        first = x[0]
+        if exact:
+            z = lower_atom.get(next(v for v in x if v != first) - first)
+            if z is not None:
+                candidate = first - z
+                if all(v - candidate in loc_set for v in x):
+                    return candidate
+        else:
+            for z in locs:
+                candidate = first - z
+                if all(matches_atom(v - candidate) for v in x):
+                    return candidate
         raise ValueError("no shift places every sample on an atom of the base law")
 
     return Estimator(
@@ -393,6 +414,7 @@ def discrete_n_sample_estimator(d: FiniteAtoms, delta, n: int) -> Estimator:
         fn=fn,
         n=n,
         invariance_claim=SHIFT_INVARIANT,
+        symmetric=True,
     )
 
 
@@ -432,6 +454,7 @@ def constant_estimator(value, n="any") -> Estimator:
         n=n,
         invariance_claim=NO_CLAIM,
         batch_fn=lambda x: np.full(x.shape[0], value_f),
+        symmetric=True,
     )
 
 

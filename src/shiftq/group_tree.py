@@ -12,8 +12,10 @@ Everything here is exact; qualities are Fractions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .util import EnumerationLimitError
@@ -97,8 +99,14 @@ def distance(u: str, v: str) -> int:
     return len(_mul(inverse(u), _check_word(v)))
 
 
-def ball(radius: int) -> list[str]:
-    """All reduced words of length at most radius, in breadth-first order."""
+@functools.cache
+def ball(radius: int) -> tuple[str, ...]:
+    """All reduced words of length at most radius, in breadth-first order.
+
+    Each radius is built once per process; the result is a tuple, so the
+    cached ball cannot be changed by a caller. The cap keeps the cache small:
+    radii past it raise, and errors are not cached.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     words = [IDENTITY]
@@ -113,7 +121,7 @@ def ball(radius: int) -> list[str]:
         frontier = nxt
         if len(words) > _BALL_CAP:
             raise EnumerationLimitError(f"ball exceeds {_BALL_CAP} words")
-    return words
+    return tuple(words)
 
 
 @dataclass(frozen=True)
@@ -151,6 +159,8 @@ class TreeEstimator:
     word maps to "a"), "left_translate" returns x * word (the general form of
     a rule constant on left cosets), "right_translate" returns word * x, and
     "table" looks x up in a finite mapping with a default for unmapped words.
+    Every word the rule holds is checked to be reduced when it is built, and
+    the table is kept as a read-only copy.
     """
 
     kind: str
@@ -165,6 +175,11 @@ class TreeEstimator:
             raise ValueError("a table estimator needs a table")
         _check_word(self.word)
         _check_word(self.default)
+        if self.table is not None:
+            for x, guess in self.table.items():
+                _check_word(x)
+                _check_word(guess)
+            object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
 
 def truncation_estimator() -> TreeEstimator:
@@ -180,7 +195,7 @@ def right_translate_estimator(word: str) -> TreeEstimator:
 
 
 def table_estimator(table: Mapping[str, str], default: str = IDENTITY) -> TreeEstimator:
-    return TreeEstimator(kind="table", table=dict(table), default=default)
+    return TreeEstimator(kind="table", table=table, default=default)
 
 
 def _evaluate(e: TreeEstimator, x: str) -> str:

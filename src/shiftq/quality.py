@@ -26,6 +26,7 @@ from scipy.special import ndtri
 from .distributions import Distribution, FiniteAtoms, ShiftedDistribution
 from .estimators import SHIFT_INVARIANT, Estimator, RandomizedEstimator
 from .util import (
+    BOUNDARY_TOL,
     EnumerationLimitError,
     is_exact,
     number_doc,
@@ -194,26 +195,64 @@ def exact_quality_discrete(
     """Exact quality for an atomic base law by enumerating sample tuples.
 
     Stays in rational arithmetic when the atoms, theta, and delta are exact,
-    so boundary cases are decided without float tolerance.
+    so boundary cases are decided without float tolerance. A symmetric rule
+    on such a law is evaluated once per multiset of atoms, weighted by its
+    multinomial count, and the enumeration cap counts multisets; any other
+    rule, and every float law, walks the ordered tuples. Float sums depend on
+    their order, which is why float laws keep the ordered walk.
+
+    On a float law the boundary band is widened from BOUNDARY_TOL to 4*n
+    float spacings of the largest |sample|: adding theta to the samples and
+    taking it away again rounds at that scale (n times over for a rule that
+    sums its samples), so a narrower band would let a decision on the
+    boundary depend on theta.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("exact evaluation needs a finite atomic law")
     n = _resolve_n(e, n)
-    r = len(d.atoms)
-    if r**n > _EXACT_ENUM_CAP:
-        raise EnumerationLimitError(f"{r}^{n} sample tuples exceed the cap of {_EXACT_ENUM_CAP}")
     if isinstance(e, RandomizedEstimator):
         return sum(
             w * exact_quality_discrete(comp, d, theta, delta, n=n, closed_interval=closed_interval)
             for comp, w in e.components
         )
+    r = len(d.atoms)
+    exact = is_exact(theta, delta, *d.locations, *d.masses)
+    shifted = tuple((theta + z, m) for z, m in d.atoms)
+    if exact and e.symmetric:
+        count = math.comb(r + n - 1, n)
+        if count > _EXACT_ENUM_CAP:
+            raise EnumerationLimitError(
+                f"{count} multisets of {n} samples from {r} atoms exceed the cap of {_EXACT_ENUM_CAP}"
+            )
+        cases = _multisets(shifted, n)
+    else:
+        if r**n > _EXACT_ENUM_CAP:
+            raise EnumerationLimitError(f"{r}^{n} sample tuples exceed the cap of {_EXACT_ENUM_CAP}")
+        cases = zip(itertools.product(shifted, repeat=n), itertools.repeat(1))
+    band = BOUNDARY_TOL
+    if not exact:
+        reach = abs(float(theta)) + max(abs(float(z)) for z in d.locations)
+        band = max(band, 4 * n * math.ulp(reach))
     total = 0
-    for combo in itertools.product(d.atoms, repeat=n):
-        samples = tuple(theta + z for z, _ in combo)
-        estimate = e.evaluate(samples)
-        if within_threshold(abs(estimate - theta), delta, closed_interval):
-            total += math.prod(m for _, m in combo)
+    for combo, ways in cases:
+        samples, masses = zip(*combo)
+        if within_threshold(abs(e.evaluate(samples) - theta), delta, closed_interval, band=band):
+            total += math.prod(masses, start=ways)
     return total
+
+
+def _multisets(atoms, n: int):
+    """Each multiset of n atoms once, with the number of orderings it has.
+
+    combinations_with_replacement keeps equal atoms adjacent, so the
+    multiplicities c_i are run lengths and the count is n!/prod(c_i!).
+    """
+    factorial = [math.factorial(k) for k in range(n + 1)]
+    for combo in itertools.combinations_with_replacement(atoms, n):
+        ways = factorial[n]
+        for _, run in itertools.groupby(combo):
+            ways //= factorial[len(tuple(run))]
+        yield combo, ways
 
 
 def _exact_pair(theta, q) -> tuple:

@@ -15,6 +15,9 @@ MATCH_ATOL = 1e-9
 BISECT_TOL = 1e-10
 
 
+_PLAIN_EXACT = (int, Fraction)
+
+
 class EnumerationLimitError(RuntimeError):
     """An exact enumeration would exceed its declared size cap."""
 
@@ -24,8 +27,12 @@ class ConvergenceError(RuntimeError):
 
 
 def is_exact(*values) -> bool:
-    """True when every value is an int or Fraction, so == is trustworthy."""
-    return all(isinstance(v, Rational) for v in values)
+    """True when every value is an int or Fraction, so == is trustworthy.
+
+    The plain types are tested first: the Rational ABC check is several
+    times slower and this runs once per enumerated sample tuple.
+    """
+    return all(type(v) in _PLAIN_EXACT or isinstance(v, Rational) for v in values)
 
 
 def parse_number(value):
@@ -55,18 +62,21 @@ def number_doc(value):
     return number_repr(value) if isinstance(value, Fraction) else value
 
 
-def within_threshold(distance, threshold, closed: bool = False) -> bool:
+def within_threshold(
+    distance, threshold, closed: bool = False, *, band: float = BOUNDARY_TOL
+) -> bool:
     """Decide |estimate - shift| < threshold with a declared boundary rule.
 
     Exact inputs (ints, Fractions) compare exactly. Float inputs treat any
-    distance within BOUNDARY_TOL of the threshold as sitting on the boundary,
-    which counts as success only under the closed-interval convention.
+    distance within band (BOUNDARY_TOL unless the caller knows its rounding
+    is coarser) of the threshold as sitting on the boundary, which counts as
+    success only under the closed-interval convention.
     """
     if is_exact(distance, threshold):
         return distance <= threshold if closed else distance < threshold
     d = float(distance)
     t = float(threshold)
-    if abs(d - t) <= BOUNDARY_TOL:
+    if abs(d - t) <= band:
         return bool(closed)
     return d < t
 

@@ -303,6 +303,25 @@ def test_cli_enumeration_limit_exits_1(tmp_path):
     assert main(["lemma-check", "--config", cfg]) == 1
 
 
+def test_cli_quality_cap_counts_multisets_for_symmetric_rules(tmp_path, capsys):
+    # 4^10 ordered tuples exceed the cap of 10^6; the mean on rational atoms
+    # walks the 286 multisets instead. Float atoms keep the ordered walk.
+    doc = {
+        "distribution": {"family": "atoms", "points": [[z, "1/4"] for z in ("0", "1", "3", "7")]},
+        "estimator": {"kind": "mean"},
+        "delta": "1/2",
+        "n": 10,
+        "theta_grid": ["0"],
+    }
+    assert main(["quality", "--config", write(tmp_path, "rational.json", json.dumps(doc))]) == 0
+    capsys.readouterr()
+    doc["distribution"]["points"] = [[z, 0.25] for z in (0.0, 1.0, 3.0, 7.0)]
+    doc["delta"], doc["theta_grid"] = 0.5, [0.0]
+    assert main(["quality", "--config", write(tmp_path, "float.json", json.dumps(doc))]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("enumeration limit: 4^10 sample tuples")
+
+
 def test_cli_paper_suite_passes(tmp_path):
     out = str(tmp_path / "suite.json")
     assert main(["paper-suite", "--trials", "40000", "--out", out]) == 0

@@ -239,6 +239,12 @@ def test_discrete_n_sample_rejects_impossible_samples(example_atoms):
     e = discrete_n_sample_estimator(example_atoms, Fraction(3, 4), 2)
     with pytest.raises(ValueError, match="atom"):
         e.evaluate((Fraction(0), Fraction(1, 3)))
+    # 0 and 1 pin the shift through their difference; 5 is still off the atoms.
+    e3 = discrete_n_sample_estimator(example_atoms, Fraction(3, 4), 3)
+    off_atom = (Fraction(0), Fraction(1), Fraction(5))
+    for samples in (off_atom, off_atom[::-1], tuple(map(float, off_atom))):
+        with pytest.raises(ValueError, match="no shift"):
+            e3.evaluate(samples)
 
 
 def test_invariant_extension_reproduces_min_shift():

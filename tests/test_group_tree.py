@@ -100,6 +100,8 @@ def test_ball_sizes_and_order():
     b = ball(2)
     assert b[0] == "" and set(b[1:4]) == {"a", "b", "c"}
     assert all(len(w) <= 2 for w in b)
+    # Built once per radius and immutable, so the shared ball cannot be changed.
+    assert isinstance(b, tuple) and ball(2) is b
 
 
 def test_invalid_words_are_rejected():
@@ -136,6 +138,22 @@ def test_tree_estimator_is_checked_when_built():
         left_translate_estimator("cc")
     with pytest.raises(ValueError):
         table_estimator({}, default="x")
+    # Table entries are words too: a key or guess that is not reduced could
+    # never match a shift, so the rule would silently score 0 there.
+    for table in ({"aa": "bb"}, {"a": "bb"}, {"ax": "a"}, {"b": "ad"}):
+        with pytest.raises(ValueError):
+            table_estimator(table)
+
+
+def test_table_rule_keeps_a_read_only_copy():
+    source = {"a": "ab"}
+    e = table_estimator(source, default="c")
+    source["a"] = "c"
+    source["b"] = "a"
+    assert evaluate_tree_estimator(e, "a") == "ab"
+    assert evaluate_tree_estimator(e, "b") == "c"
+    with pytest.raises(TypeError):
+        e.table["a"] = "b"
 
 
 def test_tree_distribution_needs_exact_unit_mass():
@@ -236,8 +254,8 @@ def test_ball_sweep_stops_at_the_first_zero(monkeypatch):
 def test_tree_demo_evaluates_only_the_shifts_it_needs(monkeypatch, tmp_path, capsys):
     calls = _count_shift_evaluations(monkeypatch)
     assert cli.main(["tree-demo", "--radius", "8", "--out", str(tmp_path / "tree.json")]) == 0
-    # 766 table rows and 766 truncation sweep shifts; 92 translate sweeps stop early.
-    assert len(calls) == 3923
+    # 766 table rows, which also give the truncation minimum; 92 translate sweeps stop early.
+    assert len(calls) == 3157
 
 
 @pytest.mark.parametrize("delta", [Fraction(1), Fraction(3, 2), Fraction(0)])

@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shiftq import (
     Exponential,
@@ -13,8 +16,11 @@ from shiftq import (
     averaged_performance_bound,
     constant_estimator,
     default_theta_grid,
+    EnumerationLimitError,
+    discrete_n_sample_estimator,
     discrete_one_sample_estimator,
     exact_quality_discrete,
+    invariant_extension,
     mean_estimator,
     min_shift_estimator,
     mixture,
@@ -226,3 +232,112 @@ def test_randomized_estimator_mc_quality(example_atoms, mc_mid):
     m = mixture([(good, 0.5), (bad, 0.5)])
     q, ci = quality_at(m, float_d, 0.0, 0.75, mc_mid, n=1)
     assert abs(q - 0.3) <= 3 * ci + 1e-9
+
+
+def _ordered_reference(e, d, theta, delta, n, closed):
+    """Plain walk over every ordered sample tuple, decided in exact arithmetic."""
+    if hasattr(e, "components"):
+        return sum(w * _ordered_reference(c, d, theta, delta, n, closed) for c, w in e.components)
+    total = 0
+    for combo in itertools.product(d.atoms, repeat=n):
+        dist = abs(e.fn(tuple(theta + z for z, _ in combo)) - theta)
+        if dist <= delta if closed else dist < delta:
+            total += math.prod(m for _, m in combo)
+    return total
+
+
+# Marks of a Golomb ruler: every subset has distinct pairwise distances, as
+# the shift-recovery rule needs.
+GOLOMB = (0, 1, 4, 10, 12, 17)
+
+
+@st.composite
+def rational_cases(draw):
+    r = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4 if r <= 4 else 3))
+    marks = sorted(draw(st.permutations(GOLOMB))[:r])
+    scale = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    offset = Fraction(draw(st.integers(-20, 20)), 4)
+    weights = draw(st.lists(st.integers(1, 9), min_size=r, max_size=r))
+    masses = [Fraction(w, sum(weights)) for w in weights]
+    d = FiniteAtoms(atoms=tuple((offset + scale * z, m) for z, m in zip(marks, masses)))
+    delta = Fraction(draw(st.integers(1, 24)), 4)
+    theta = Fraction(draw(st.integers(-300, 300)), draw(st.sampled_from((1, 3, 7))))
+    return d, n, delta, theta, draw(st.booleans())
+
+
+@given(rational_cases())
+def test_multiset_enumeration_matches_the_ordered_walk(case):
+    d, n, delta, theta, closed = case
+    rules = [
+        mean_estimator(d),
+        min_shift_estimator(delta),
+        discrete_n_sample_estimator(d, delta, n),
+        constant_estimator(theta + Fraction(1, 3), n=n),
+    ]
+    assert all(e.symmetric for e in rules)
+    rules.append(mixture([(rules[0], Fraction(1, 3)), (rules[2], Fraction(2, 3))]))
+    for e in rules:
+        got = exact_quality_discrete(e, d, theta, delta, n=n, closed_interval=closed)
+        assert isinstance(got, (int, Fraction))
+        assert got == _ordered_reference(e, d, theta, delta, n, closed)
+
+
+def test_order_dependent_rule_walks_ordered_tuples(example_atoms):
+    # First sample minus 1/2: only the first sample matters, so its quality is
+    # the one-sample window mass 3/5. Over multisets the sorted first sample
+    # would be the smallest one, which gives 21/25 instead.
+    e = invariant_extension(lambda x0: Fraction(1, 2), n=2)
+    assert not e.symmetric
+    delta = Fraction(3, 4)
+    for theta in (Fraction(0), Fraction(-22, 7)):
+        assert exact_quality_discrete(e, example_atoms, theta, delta) == Fraction(3, 5)
+
+
+def test_enumeration_cap_counts_multisets_for_symmetric_rules():
+    locs = (0, 1, 3, 7)
+    d = FiniteAtoms(atoms=tuple((Fraction(z), Fraction(1, 4)) for z in locs))
+    n, delta = 10, Fraction(1, 2)
+    assert len(locs) ** n > 1_000_000 and math.comb(len(locs) + n - 1, n) == 286
+    # The mean hits when the sum of the ten samples lands within n*delta of n*mu.
+    sums = {0: Fraction(1)}
+    for _ in range(n):
+        step = {}
+        for s, p in sums.items():
+            for z in locs:
+                step[s + z] = step.get(s + z, 0) + p / 4
+        sums = step
+    mu = Fraction(sum(locs), 4)
+    want = sum(p for s, p in sums.items() if abs(s - n * mu) < n * delta)
+    assert exact_quality_discrete(mean_estimator(d), d, Fraction(5, 3), delta, n=n) == want
+    ordered = invariant_extension(lambda x0: -x0[1], n=n)
+    with pytest.raises(EnumerationLimitError, match="4\\^10"):
+        exact_quality_discrete(ordered, d, Fraction(0), delta)
+
+
+@pytest.mark.parametrize("rule", ["min_shift", "mean", "window"])
+@given(
+    marks=st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True),
+    weights=st.lists(st.integers(1, 16), min_size=4, max_size=4),
+    tenths=st.integers(1, 10),
+    n=st.integers(1, 3),
+)
+def test_float_quality_does_not_depend_on_the_shift(rule, marks, weights, tenths, n):
+    # Locations and delta on a grid of tenths put many true distances exactly
+    # on the threshold; masses of k/64 keep the rest far from it.
+    r = len(marks)
+    total = 64 * sum(weights[:r])
+    d = FiniteAtoms(atoms=tuple((z / 10, 64 * w / total) for z, w in zip(sorted(marks), weights)))
+    delta = tenths / 10
+    if rule == "min_shift":
+        e = min_shift_estimator(delta)
+    elif rule == "mean":
+        e = mean_estimator(d)
+    else:
+        e, n = discrete_one_sample_estimator(d, delta), 1
+    for closed in (False, True):
+        qs = {
+            exact_quality_discrete(e, d, theta, delta, n=n, closed_interval=closed)
+            for theta in (0.0, 1e3, -1e3, 1e6, -1e6, 1e9, -1e9)
+        }
+        assert len(qs) == 1, (closed, qs)
