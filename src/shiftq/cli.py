@@ -8,7 +8,8 @@ seeds included, produce byte-identical report files regardless of the
 parallelism setting.
 
 Exit status: 0 on success, 2 on config or validation problems, 1 on runtime
-failures (enumeration caps, a solver that does not converge, failed verdicts).
+failures (enumeration caps, a solver that does not converge, a false
+invariance claim, failed verdicts).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .estimators import (
     window_mle_estimator,
 )
 from .quality import MCConfig, quality_inf, quality_report_dict, quality_report_rows
-from .util import ConvergenceError, EnumerationLimitError, number_repr
+from .util import ConvergenceError, EnumerationLimitError, InvarianceError, number_repr
 
 __all__ = ["main", "build_estimator", "build_circle_estimator"]
 
@@ -194,9 +195,10 @@ def _run_quality(args) -> int:
     doc = quality_report_dict(report)
     doc["estimator"] = e.label
     doc["n"] = cfg.n
-    rows = [
-        row + (row[0] == argmin and row[1] == q,) for row in quality_report_rows(report)
-    ]
+    rows = quality_report_rows(report)
+    # Only the first row at the worst case is flagged, even when the grid repeats its shift.
+    worst = next((i for i, row in enumerate(rows) if row[0] == argmin and row[1] == q), None)
+    rows = [row + (i == worst,) for i, row in enumerate(rows)]
     _emit(args, cfg, doc, ["theta", "q", "ci_half_width", "exact", "is_worst_case"], rows)
     return 0
 
@@ -636,6 +638,9 @@ def main(argv=None) -> int:
         return 1
     except ConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
+        return 1
+    except InvarianceError as exc:
+        print(f"invariance: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

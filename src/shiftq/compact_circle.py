@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import _LinearDensityTable
 from .estimators import NO_CLAIM, SHIFT_INVARIANT
-from .quality import MCConfig, _bernoulli_mc
+from .quality import HitCounter, MCConfig, _mc_counts
 
 __all__ = [
     "wrap",
@@ -211,6 +211,28 @@ def invariant_from_coset(e: CircleEstimator, anchor: float, n: int | None = None
     )
 
 
+def _check_delta(delta) -> float:
+    delta = float(delta)
+    if not 0.0 < delta < 0.5:
+        raise ValueError("delta must lie strictly between 0 and 1/2")
+    return delta
+
+
+def _circle_noise(density: CircleDensity, n: int):
+    """draw(rng, m): m rows of n samples of the unrotated density."""
+    return lambda rng, m: density.sample_with_rng(rng, (m, n))
+
+
+def _circle_counter(e: CircleEstimator, theta: float, delta: float) -> HitCounter:
+    """Hits of e on the noise rotated by theta: arc from e(theta + noise) to theta below delta."""
+
+    def count(noise, rng):
+        x = wrap(theta + noise)
+        return int((circle_distance(e.evaluate_batch(x), theta) < delta).sum())
+
+    return count
+
+
 def circle_quality_at(
     e: CircleEstimator,
     density: CircleDensity,
@@ -219,17 +241,9 @@ def circle_quality_at(
     mc: MCConfig,
 ) -> tuple[float, float]:
     """Monte Carlo (q, ci): probability the guess lands within arc delta of theta."""
-    delta = float(delta)
-    if not 0.0 < delta < 0.5:
-        raise ValueError("delta must lie strictly between 0 and 1/2")
-    theta = float(wrap(theta))
-
-    def count(rng, m):
-        x = wrap(theta + density.sample_with_rng(rng, (m, e.n)))
-        est = e.evaluate_batch(x)
-        return int((circle_distance(est, theta) < delta).sum())
-
-    return _bernoulli_mc(count, mc)
+    delta = _check_delta(delta)
+    counter = _circle_counter(e, float(wrap(theta)), delta)
+    return _mc_counts(_circle_noise(density, e.n), [counter], mc)[0]
 
 
 @dataclass(frozen=True)
@@ -258,23 +272,22 @@ def averaging_check(
 
     The worst case of e is measured over a uniform shift grid of the same
     granularity as the anchor grid; each pinned copy is equivariant, so its
-    quality is measured once at shift zero. holds records whether the best
-    pinned copy is at least e's worst case, within three combined CI
-    half-widths.
+    quality is measured once at shift zero. Every shift of e and every
+    pinned copy is scored on the same noise, chunk by chunk, so the
+    comparison is paired. holds records whether the best pinned copy is at
+    least e's worst case, within three combined CI half-widths.
     """
     if anchor_grid < 8:
         raise ValueError("anchor_grid must be at least 8")
+    delta = _check_delta(delta)
     shifts = [i / anchor_grid for i in range(anchor_grid)]
-    q_e = q_e_ci = theta_argmin = None
-    for theta in shifts:
-        q, ci = circle_quality_at(e, density, theta, delta, mc)
-        if q_e is None or q < q_e:
-            q_e, q_e_ci, theta_argmin = q, ci, theta
-    anchor_rows = []
-    for anchor in shifts:
-        pinned = invariant_from_coset(e, anchor)
-        q, ci = circle_quality_at(pinned, density, 0.0, delta, mc)
-        anchor_rows.append((anchor, q, ci))
+    counters = [_circle_counter(e, float(wrap(theta)), delta) for theta in shifts]
+    counters += [_circle_counter(invariant_from_coset(e, a), 0.0, delta) for a in shifts]
+    rows = _mc_counts(_circle_noise(density, e.n), counters, mc)
+    raw_rows, pinned_rows = rows[:anchor_grid], rows[anchor_grid:]
+    # min keeps the first minimiser, as a strict < scan over the shifts does.
+    (q_e, q_e_ci), theta_argmin = min(zip(raw_rows, shifts), key=lambda row: row[0][0])
+    anchor_rows = [(anchor, q, ci) for anchor, (q, ci) in zip(shifts, pinned_rows)]
     best_anchor, q_best, q_best_ci = max(anchor_rows, key=lambda row: row[1])
     average = sum(q for _, q, _ in anchor_rows) / len(anchor_rows)
     holds = q_best >= q_e - 3.0 * (q_e_ci + q_best_ci)

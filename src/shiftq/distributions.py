@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .util import MATCH_ATOL, is_exact
 
@@ -122,10 +121,16 @@ class Gaussian(ContinuousDistribution):
         z = (np.asarray(x, dtype=float) - self.mean) / self.sigma
         return -0.5 * z * z - math.log(self.sigma * _SQRT_2PI)
 
+    # scipy.special is imported on first use: it is most of a cold start, and
+    # the exact paths never need it.
     def cdf(self, x):
+        from scipy.special import ndtr
+
         return ndtr((np.asarray(x, dtype=float) - self.mean) / self.sigma)
 
     def ppf(self, u):
+        from scipy.special import ndtri
+
         return self.mean + self.sigma * ndtri(np.asarray(u, dtype=float))
 
     def expected_value(self):

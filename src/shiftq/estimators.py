@@ -297,6 +297,9 @@ def window_mle_estimator(d: ContinuousDistribution, delta: float) -> Estimator:
     def batch(x):
         x = np.asarray(x, dtype=float)
         x1 = x[:, 0]
+        if x.shape[1] == 1:
+            # Every anchored row is [0]; rows are solved independently, so one solve is every row's.
+            return x1 - _window_center_batch(d, delta, np.zeros((1, 1)))[0]
         t = _window_center_batch(d, delta, x - x1[:, None])
         return x1 - t
 
@@ -370,8 +373,10 @@ def discrete_n_sample_estimator(d: FiniteAtoms, delta, n: int) -> Estimator:
     On exact inputs the candidate comes from one lookup: two distinct samples
     a and b differ by z_j - z_i for exactly one atom pair, because the signed
     differences of distinct atoms are distinct, so the shift is a - z_i. Every
-    sample is still checked against the atoms. Float inputs match within
-    MATCH_ATOL by trying each atom in turn.
+    sample is still checked against the atoms. Float inputs try each atom in
+    turn and match within MATCH_ATOL, or four float spacings of the sample
+    where those are coarser: a sample far from zero carries the rounding of
+    its shift.
     """
     traits = classify(d)
     if not traits.discrete:
@@ -388,8 +393,10 @@ def discrete_n_sample_estimator(d: FiniteAtoms, delta, n: int) -> Estimator:
     loc_set = frozenset(locs)
     lower_atom = {b - a: a for a in locs for b in locs if a != b}
 
-    def matches_atom(value):
-        return any(abs(float(value) - float(z)) <= MATCH_ATOL for z in locs)
+    def matches_atom(sample, candidate):
+        value = float(sample - candidate)
+        tol = max(MATCH_ATOL, 4 * math.ulp(abs(float(sample))))
+        return any(abs(value - float(z)) <= tol for z in locs)
 
     def fn(x):
         exact = exact_locs and is_exact(*x)
@@ -405,7 +412,7 @@ def discrete_n_sample_estimator(d: FiniteAtoms, delta, n: int) -> Estimator:
         else:
             for z in locs:
                 candidate = first - z
-                if all(matches_atom(v - candidate) for v in x):
+                if all(matches_atom(v, candidate) for v in x):
                     return candidate
         raise ValueError("no shift places every sample on an atom of the base law")
 

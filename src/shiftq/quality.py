@@ -6,9 +6,15 @@ samples are drawn from the shifted base law. The worst case over shifts is
 the figure of merit; for shift-equivariant estimators it equals the value at
 shift zero.
 
-Monte Carlo runs are deterministic: trials are split into fixed-size chunks
-and chunk c is driven by a generator seeded from (seed, c), so results are
-bit-identical regardless of the parallelism setting.
+Monte Carlo runs work in noise coordinates and are deterministic: trials are
+split into fixed-size chunks, chunk c's noise block is drawn once from a
+generator seeded from (seed, c), and every requested (rule, shift) is scored
+against that block before the next chunk is drawn, so results are
+bit-identical regardless of the parallelism setting. A rule that claims
+shift invariance is scored once, at shift zero, and every grid row reports
+that value; the claim itself is checked row by row on a fixed block of
+chunk-0 rows at each shift of the grid, and a failed check raises
+InvarianceError.
 """
 
 from __future__ import annotations
@@ -18,16 +24,17 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
-from .distributions import Distribution, FiniteAtoms, ShiftedDistribution
-from .estimators import SHIFT_INVARIANT, Estimator, RandomizedEstimator
+from .distributions import Distribution, FiniteAtoms
+from .estimators import SHIFT_INVARIANT, RandomizedEstimator
 from .util import (
+    BISECT_TOL,
     BOUNDARY_TOL,
     EnumerationLimitError,
+    InvarianceError,
     is_exact,
     number_doc,
     within_threshold,
@@ -52,6 +59,8 @@ __all__ = [
 # Fixed chunk size; changing it changes the sampled streams, so treat it as
 # part of the determinism contract.
 CHUNK_TRIALS = 32768
+# Rows of chunk 0 on which a shift-invariance claim is checked at each shift.
+INVARIANCE_CHECK_ROWS = 1024
 
 _EXACT_ENUM_CAP = 1_000_000
 
@@ -110,6 +119,8 @@ class AveragedPerformance(NamedTuple):
 
 def wilson_halfwidth(successes: int, trials: int, ci_level: float) -> float:
     """Half-width of the Wilson score interval for a binomial proportion."""
+    from scipy.special import ndtri  # deferred: the exact paths never need it
+
     z = float(ndtri(0.5 + 0.5 * ci_level))
     p = successes / trials
     denom = 1.0 + z * z / trials
@@ -120,28 +131,68 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _bernoulli_mc(count_fn, mc: MCConfig) -> tuple[float, float]:
-    """Estimate a success probability; count_fn(rng, m) counts hits in m trials."""
-    jobs = []
-    start = 0
-    index = 0
-    while start < mc.trials:
-        size = min(CHUNK_TRIALS, mc.trials - start)
-        jobs.append((index, size))
-        start += size
-        index += 1
+# A counter scores one (rule, shift) pair: counter(noise, rng) -> hits in the block.
+HitCounter = Callable[[np.ndarray, np.random.Generator], int]
+
+
+def _mc_counts(draw, counters: Sequence[HitCounter], mc: MCConfig) -> list[tuple[float, float]]:
+    """Monte Carlo (q, ci_half_width) for each counter, all scored on the same noise.
+
+    Chunk c's generator is seeded from (seed, c) and draw(rng, m) takes the
+    chunk's m noise rows from it. Every counter then scores that block, with
+    the generator restored to its state right after the draw, so a
+    randomized rule draws the same components whatever else is scored. Only
+    one chunk's block is held at a time (one per worker).
+    """
+    starts = range(0, mc.trials, CHUNK_TRIALS)
+    jobs = [(idx, min(CHUNK_TRIALS, mc.trials - start)) for idx, start in enumerate(starts)]
 
     def run(job):
         idx, m = job
-        return count_fn(_chunk_rng(mc.seed, idx), m)
+        rng = _chunk_rng(mc.seed, idx)
+        noise = draw(rng, m)
+        noise.flags.writeable = False  # shared by every counter of the chunk
+        state = rng.bit_generator.state
+        counts = []
+        for counter in counters:
+            rng.bit_generator.state = state
+            counts.append(counter(noise, rng))
+        return counts
 
     if mc.parallelism > 1:
         with ThreadPoolExecutor(max_workers=mc.parallelism) as pool:
-            counts = list(pool.map(run, jobs))
+            per_chunk = list(pool.map(run, jobs))
     else:
-        counts = [run(job) for job in jobs]
-    total = int(sum(counts))
-    return total / mc.trials, wilson_halfwidth(total, mc.trials, mc.ci_level)
+        per_chunk = [run(job) for job in jobs]
+    totals = [int(sum(counts)) for counts in zip(*per_chunk)]
+    return [(t / mc.trials, wilson_halfwidth(t, mc.trials, mc.ci_level)) for t in totals]
+
+
+def _line_noise(d: Distribution, n: int):
+    """draw(rng, m): m rows of n inverse-CDF samples of the unshifted law.
+
+    Adding 0.0 turns any -0.0 into 0.0, so the block is exactly the samples
+    at shift zero and a counter at that shift can score it without a copy.
+    """
+
+    def draw(rng, m):
+        return np.asarray(d.ppf(rng.random((m, n))), dtype=float) + 0.0
+
+    return draw
+
+
+def _line_counter(e, theta, delta, closed_interval: bool) -> HitCounter:
+    """Hits of e on the noise shifted by theta: |e(theta + noise) - theta| within delta."""
+    theta_f = float(theta)
+    delta_f = float(delta)
+    randomized = isinstance(e, RandomizedEstimator)
+
+    def count(noise, rng):
+        x = noise + theta_f if theta_f else noise
+        est = e.evaluate_batch(x, rng) if randomized else e.evaluate_batch(x)
+        return int(within_threshold_array(np.abs(est - theta_f), delta_f, closed_interval).sum())
+
+    return count
 
 
 def _resolve_n(e, n):
@@ -170,17 +221,62 @@ def quality_at(
 ) -> tuple[float, float]:
     """Monte Carlo estimate (q, ci_half_width) of the quality at one shift."""
     n = _resolve_n(e, n)
-    theta_f = float(theta)
-    delta_f = float(delta)
-    shifted = ShiftedDistribution(d, theta_f)
-    randomized = isinstance(e, RandomizedEstimator)
+    return _mc_counts(_line_noise(d, n), [_line_counter(e, theta, delta, closed_interval)], mc)[0]
 
-    def count(rng, m):
-        x = shifted.sample_with_rng(rng, (m, n))
-        est = e.evaluate_batch(x, rng) if randomized else e.evaluate_batch(x)
-        return int(within_threshold_array(np.abs(est - theta_f), delta_f, closed_interval).sum())
 
-    return _bernoulli_mc(count, mc)
+def _grid_rows(e, d: Distribution, thetas, delta, mc: MCConfig, n, closed_interval: bool) -> list:
+    """(theta, q, ci_half_width, exact) at each shift.
+
+    An atomic law is enumerated shift by shift. Otherwise every shift is
+    scored on the same Monte Carlo noise; a rule that claims shift
+    invariance is checked at every shift and then scored once, at shift
+    zero, and that value is every shift's row.
+    """
+    if isinstance(d, FiniteAtoms):
+        return [
+            (
+                *_exact_pair(t, exact_quality_discrete(e, d, t, delta, n=n, closed_interval=closed_interval)),
+                0.0,
+                True,
+            )
+            for t in thetas
+        ]
+    n = _resolve_n(e, n)
+    draw = _line_noise(d, n)
+    if e.invariance_claim == SHIFT_INVARIANT:
+        _check_invariance(e, d, n, thetas, mc)
+        rows = _mc_counts(draw, [_line_counter(e, 0.0, delta, closed_interval)], mc) * len(thetas)
+    else:
+        rows = _mc_counts(draw, [_line_counter(e, t, delta, closed_interval) for t in thetas], mc)
+    return [(float(t), q, ci, False) for t, (q, ci) in zip(thetas, rows)]
+
+
+def _check_invariance(e, d: Distribution, n: int, thetas, mc: MCConfig) -> None:
+    """Raise InvarianceError unless e(x + theta) - theta = e(x) row by row.
+
+    x is the first INVARIANCE_CHECK_ROWS noise rows of chunk 0 and theta runs
+    over the grid. A row passes within 4*n float spacings of |theta| +
+    max|x_row|, the rounding of adding theta and taking it away again (n
+    times over for a rule that sums its samples), plus BISECT_TOL, the
+    stopping width of a window solve. A mixture is checked part by part.
+    """
+    x = _line_noise(d, n)(_chunk_rng(mc.seed, 0), min(INVARIANCE_CHECK_ROWS, mc.trials))
+    reach = np.abs(x).max(axis=1)
+    parts = [c for c, _ in e.components] if isinstance(e, RandomizedEstimator) else [e]
+    for part in parts:
+        base = part.evaluate_batch(x)
+        for theta in thetas:
+            theta_f = float(theta)
+            if theta_f == 0.0:
+                continue
+            gap = np.abs(part.evaluate_batch(theta_f + x) - theta_f - base)
+            bad = ~(gap <= 4 * n * np.spacing(abs(theta_f) + reach) + BISECT_TOL)
+            if bad.any():
+                raise InvarianceError(
+                    f"{part.label} claims shift invariance but e(x + {theta_f:g}) - {theta_f:g} "
+                    f"differs from e(x) by up to {gap[bad].max():.6g} "
+                    f"on {int(bad.sum())} of {len(x)} rows"
+                )
 
 
 def exact_quality_discrete(
@@ -292,10 +388,11 @@ def quality_inf(
 ) -> QualityReport:
     """Worst-case quality over a shift grid.
 
-    Shift-equivariant estimators get their grid values cross-checked (they
-    must agree within three combined CI half-widths) and report the value at
-    shift zero; others report the grid minimum, which is an upper bound on
-    the true infimum.
+    Shift-equivariant estimators report the value at shift zero, which is
+    then every row's value; their claim is first checked row by row at every
+    shift of the grid (see _check_invariance), and a rule that fails raises
+    InvarianceError. Other estimators report the grid minimum, which is an
+    upper bound on the true infimum.
     """
     thetas = list(theta_grid)
     if not thetas:
@@ -304,21 +401,14 @@ def quality_inf(
     if invariant and not any(float(t) == 0.0 for t in thetas):
         thetas.insert(0, 0)  # an int, so a rational law stays exact at this shift
 
-    discrete = isinstance(d, FiniteAtoms)
-    entries = []
-    for theta in thetas:
-        if discrete:
-            q = exact_quality_discrete(e, d, theta, delta, n=n, closed_interval=closed_interval)
-            entries.append(ThetaQuality(*_exact_pair(theta, q), 0.0, True))
-        else:
-            q, ci = quality_at(e, d, theta, delta, mc, n=n, closed_interval=closed_interval)
-            entries.append(ThetaQuality(float(theta), q, ci, False))
+    entries = [ThetaQuality(*row) for row in _grid_rows(e, d, thetas, delta, mc, n, closed_interval)]
 
     if invariant:
+        # Monte Carlo rows agree by construction; exact rows must agree exactly.
         base = next(t for t in entries if t.theta == 0)
         for t in entries:
-            if abs(t.q - base.q) > 3.0 * (t.ci_half_width + base.ci_half_width):
-                raise RuntimeError(
+            if t.q != base.q:
+                raise InvarianceError(
                     f"{e.label} claims shift invariance but quality moved from "
                     f"{float(base.q):.6g} at shift 0 to {float(t.q):.6g} "
                     f"at shift {float(t.theta):g}"
@@ -350,20 +440,13 @@ def averaged_performance_bound(
     The average dominates the worst-case quality, so it is a cheap upper
     bound; the minimum over the same shifts is reported as well since it is
     sharper in practice. An exact law at an exact delta keeps Fractions
-    throughout, as in quality_inf.
+    throughout, as in quality_inf; a Monte Carlo run scores every shift on
+    the same noise, as quality_inf does.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    discrete = isinstance(d, FiniteAtoms)
-    per_theta = []
-    for i in range(1, k + 1):
-        theta = 2 * delta * i
-        if discrete:
-            q = exact_quality_discrete(e, d, theta, delta, n=n, closed_interval=closed_interval)
-            per_theta.append((*_exact_pair(theta, q), 0.0))
-        else:
-            q, ci = quality_at(e, d, theta, delta, mc, n=n, closed_interval=closed_interval)
-            per_theta.append((float(theta), q, ci))
+    thetas = [2 * delta * i for i in range(1, k + 1)]
+    per_theta = [row[:3] for row in _grid_rows(e, d, thetas, delta, mc, n, closed_interval)]
     values = [q for _, q, _ in per_theta]
     return AveragedPerformance(
         average=sum(values) / k,

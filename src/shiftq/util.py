@@ -26,6 +26,10 @@ class ConvergenceError(RuntimeError):
     """An iterative solve reached its step cap with some rows unresolved."""
 
 
+class InvarianceError(RuntimeError):
+    """An estimator claims shift invariance but moves with the shift."""
+
+
 def is_exact(*values) -> bool:
     """True when every value is an int or Fraction, so == is trustworthy.
 

@@ -173,3 +173,17 @@ def test_averaging_check_on_a_non_equivariant_estimator(mc_fast):
 def test_averaging_check_requires_a_reasonable_grid(mc_fast):
     with pytest.raises(ValueError):
         averaging_check(constant_circle_estimator(0.0, 1), uniform_circle_density(), 0.1, 4, mc_fast)
+
+
+def test_averaging_check_matches_separate_runs():
+    e = warped_circle_estimator(0.3, n=2)
+    density, delta, mc = bump_density(), 0.1, MCConfig(trials=40_000, seed=4)
+    report = averaging_check(e, density, delta, 8, mc)
+    shifts = [i / 8 for i in range(8)]
+    raw = [circle_quality_at(e, density, theta, delta, mc) for theta in shifts]
+    q_e, q_e_ci = min(raw, key=lambda row: row[0])
+    assert (report.q_e, report.q_e_ci) == (q_e, q_e_ci)
+    assert report.theta_argmin == shifts[raw.index((q_e, q_e_ci))]
+    assert report.anchor_qualities == tuple(
+        (a, *circle_quality_at(invariant_from_coset(e, a), density, 0.0, delta, mc)) for a in shifts
+    )

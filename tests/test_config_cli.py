@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shiftq import ConfigError, Gaussian, estimators, parse_config, serialize_config
+from shiftq import cli
 from shiftq.cli import main
 from shiftq.config import EstimatorSpec
 
@@ -361,3 +366,74 @@ def test_cli_window_search_without_convergence_exits_1(tmp_path, monkeypatch, ca
     assert main(["quality", "--config", write(tmp_path, "w.json", json.dumps(doc))]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("no convergence: window search on Gaussian")
+
+
+def test_cli_repeated_shift_flags_one_worst_case_row(tmp_path):
+    mc_doc = {
+        "distribution": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},
+        "estimator": {"kind": "mean"},
+        "delta": 0.5,
+        "n": 2,
+        "theta_grid": [0.0, 2.5, 0.0],
+        "mc": {"trials": 1000, "seed": 5},
+    }
+    exact_doc = {
+        "distribution": {"family": "atoms", "points": [["0", "1/4"], ["1", "3/4"]]},
+        "estimator": {"kind": "discrete_mle"},
+        "delta": "1/3",
+        "theta_grid": ["0", "5/2", "0"],
+    }
+    for name, doc in (("mc", mc_doc), ("exact", exact_doc)):
+        out = str(tmp_path / f"{name}.csv")
+        cfg = write(tmp_path, f"{name}.json", json.dumps(doc))
+        assert main(["quality", "--config", cfg, "--out", out, "--format", "csv"]) == 0
+        rows = list(csv.DictReader(open(out)))
+        assert [r["is_worst_case"] for r in rows] == ["true", "false", "false"], name
+
+
+def test_cli_quality_at_a_huge_shift_exits_0(tmp_path):
+    doc = {
+        "distribution": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},
+        "estimator": {"kind": "mean"},
+        "delta": 0.5,
+        "n": 4,
+        "theta_grid": [0, 1e15],
+        "mc": {"trials": 60000, "seed": 3},
+    }
+    out = str(tmp_path / "huge.csv")
+    cfg = write(tmp_path, "huge.json", json.dumps(doc))
+    assert main(["quality", "--config", cfg, "--out", out, "--format", "csv"]) == 0
+    rows = list(csv.DictReader(open(out)))
+    assert [r["q"] for r in rows] == ["0.6823166666666667"] * 2
+
+
+def test_cli_false_invariance_claim_exits_1(tmp_path, monkeypatch, capsys):
+    liar = estimators.Estimator(
+        label="liar",
+        fn=lambda x: 0.0,
+        invariance_claim=estimators.SHIFT_INVARIANT,
+        batch_fn=lambda x: np.zeros(x.shape[0]),
+    )
+    monkeypatch.setattr(cli, "mean_estimator", lambda d: liar)
+    doc = {
+        "distribution": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},
+        "estimator": {"kind": "mean"},
+        "delta": 1.0,
+        "theta_grid": [0.0, 6.0],
+        "mc": {"trials": 1000, "seed": 3},
+    }
+    assert main(["quality", "--config", write(tmp_path, "liar.json", json.dumps(doc))]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invariance: liar claims shift invariance")
+
+
+def test_cli_import_and_parse_leave_scipy_special_unloaded():
+    code = (
+        "import sys\n"
+        "import shiftq.cli\n"
+        "from shiftq.config import parse_config\n"
+        f"parse_config({MINIMAL_QUALITY!r}, default_command='quality')\n"
+        "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))

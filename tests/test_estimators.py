@@ -68,6 +68,14 @@ def test_window_full_cover_picks_support_midpoint():
     assert e.evaluate((0.25,)) == pytest.approx(0.25 - 0.5, abs=1e-9)
 
 
+def test_one_sample_window_solve_is_shared_by_every_row():
+    d = PiecewiseDensity(knots=((0.0, 0.0), (0.5, 0.34), (1.2, 0.85), (2.0, 0.226), (2.6, 0.0)))
+    e = window_mle_estimator(d, 0.25)
+    x = d.ppf(np.random.default_rng(8).random((3000, 1)))
+    per_row = x[:, 0] - _window_center_batch(d, 0.25, np.zeros_like(x))
+    assert np.array_equal(e.evaluate_batch(x), per_row)
+
+
 def test_window_batch_agrees_with_scalar_path():
     d = Gaussian(1.0, 1.5)
     e = window_mle_estimator(d, 0.7)

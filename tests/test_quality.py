@@ -17,6 +17,7 @@ from shiftq import (
     constant_estimator,
     default_theta_grid,
     EnumerationLimitError,
+    InvarianceError,
     discrete_n_sample_estimator,
     discrete_one_sample_estimator,
     exact_quality_discrete,
@@ -26,6 +27,7 @@ from shiftq import (
     mixture,
     quality_at,
     quality_inf,
+    window_mle_estimator,
     wilson_halfwidth,
 )
 from shiftq.estimators import SHIFT_INVARIANT, Estimator
@@ -169,6 +171,70 @@ def test_quality_inf_rejects_false_invariance_claims(mc_fast):
     )
     with pytest.raises(RuntimeError, match="invariance"):
         quality_inf(liar, d, 1.0, (0.0, 6.0), mc_fast, n=1)
+
+
+@pytest.mark.parametrize("rule", ["mean", "min_shift", "window"])
+def test_equivariant_rows_are_identical_at_every_shift(rule):
+    d = Gaussian(0.0, 1.0)
+    e = {
+        "mean": mean_estimator(d),
+        "min_shift": min_shift_estimator(0.5),
+        "window": window_mle_estimator(d, 0.5),
+    }[rule]
+    mc = MCConfig(trials=60_000, seed=3)
+    report = quality_inf(e, d, 0.5, (0.0, 1e3, 1e9, 1e13, 1e15), mc, n=4)
+    rows = {(t.q, t.ci_half_width) for t in report.per_theta}
+    assert len(report.per_theta) == 5 and len(rows) == 1
+    assert rows == {quality_at(e, d, 0.0, 0.5, mc, n=4)}
+
+
+def _sly_estimator(delta):
+    """The mean, moved by delta/10 on the rows whose first sample has fractional part below 0.01."""
+
+    def batch(x):
+        off = x[:, 0] - np.floor(x[:, 0]) < 0.01
+        return x.mean(axis=1) + np.where(off, delta / 10, 0.0)
+
+    return Estimator(
+        label="sly",
+        fn=lambda s: float(batch(np.asarray([s], dtype=float))[0]),
+        invariance_claim=SHIFT_INVARIANT,
+        batch_fn=batch,
+    )
+
+
+def test_quality_inf_catches_a_rule_off_on_one_percent_of_rows():
+    # The qualities at these shifts agree within their confidence intervals,
+    # so only a row-by-row comparison shows that the rule moves with the shift.
+    d = Gaussian(0.0, 1.0)
+    with pytest.raises(InvarianceError, match="sly claims shift invariance"):
+        quality_inf(_sly_estimator(0.5), d, 0.5, (0.0, 0.5, 3.0), MCConfig(trials=60_000, seed=3), n=4)
+
+
+def test_invariance_check_covers_every_part_of_a_mixture(mc_fast):
+    d = Gaussian(0.0, 1.0)
+    m = mixture([(mean_estimator(d), 0.5), (_sly_estimator(1.0), 0.5)])
+    assert m.invariance_claim == SHIFT_INVARIANT
+    with pytest.raises(InvarianceError, match="sly"):
+        quality_inf(m, d, 1.0, (0.0, 0.5), mc_fast, n=2)
+
+
+def test_non_invariant_mixture_rows_match_separate_runs():
+    d = Gaussian(-0.4, 1.1)
+    m = mixture([(constant_estimator(0.3), 0.375), (mean_estimator(d), 0.625)])
+    mc = MCConfig(trials=40_000, seed=9)
+    grid = (-2.0, -0.25, 0.0, 0.5, 1.75)
+    report = quality_inf(m, d, 0.3125, grid, mc, n=2)
+    assert [(t.theta, t.q, t.ci_half_width) for t in report.per_theta] == [
+        (theta, *quality_at(m, d, theta, 0.3125, mc, n=2)) for theta in grid
+    ]
+
+
+def test_discrete_mle_on_float_atoms_holds_at_large_shifts():
+    d = FiniteAtoms(atoms=((0.0, 0.25), (0.1, 0.25), (0.4, 0.5)))
+    e = discrete_n_sample_estimator(d, 0.05, 2)
+    for theta in (0.0, 1e7, 1e8, 1e9, -1e12):
+        assert exact_quality_discrete(e, d, theta, 0.05, n=2) == pytest.approx(0.875, abs=1e-12)
 
 
 def test_quality_inf_uses_exact_path_on_atoms(example_atoms):
