@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import ContinuousDistribution, Distribution, FiniteAtoms, classify
+from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
 from .estimators import window_mle_estimator
 from .quality import MCConfig, exact_quality_discrete, quality_at
 from .util import (
@@ -217,7 +217,7 @@ def window_bound_one_sample(d: Distribution, delta, *, closed_interval: bool = F
             equality_certified=certified,
             witness=center,
         )
-    traits = classify(d)
+    traits = d.traits()
     delta_f = float(delta)
     if traits.unimodal or traits.monotone_on_halfline:
         center = _bisect_center(d, delta_f)
@@ -275,7 +275,7 @@ def packing_bound_halfline(d: Distribution, n: int, delta) -> BoundReport:
     probability 1 - (1 - F(2*delta))^n; the minimum-based estimator attains
     it, so the window and packing ceilings coincide for this family.
     """
-    traits = classify(d)
+    traits = d.traits()
     if not traits.monotone_on_halfline:
         raise ValueError("halfline packing bound needs a density decreasing on [0, inf)")
     if n < 1:
@@ -307,7 +307,7 @@ def window_bound_log_concave(
     quality at shift zero is reported as the bound value (ci_half_width
     carries the statistical error).
     """
-    traits = classify(d)
+    traits = d.traits()
     if not traits.log_concave_strict:
         raise ValueError("this bound needs a strictly log-concave density")
     estimator = window_mle_estimator(d, delta)

@@ -3,9 +3,9 @@
 Subcommands: quality | bounds | lemma-check | tree-demo | circle-avg |
 paper-suite. Each takes a JSON config (see config module) plus flag
 overrides, prints a human-readable summary to stdout, and optionally writes
-a machine-readable report (--out, --format csv|json). Identical configs,
-seeds included, produce byte-identical report files regardless of the
-parallelism setting.
+a machine-readable report (--out, --format csv|json). Flags are merged into
+the config document and validated with it. Identical configs, seeds
+included, produce byte-identical report files.
 
 Exit status: 0 on success, 2 on config or validation problems, 1 on runtime
 failures (enumeration caps, a solver that does not converge, a false
@@ -25,70 +25,22 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import group_tree
-from .compact_circle import (
-    CircleDensity,
-    averaging_check,
-    biased_mean_circle_estimator,
-    constant_circle_estimator,
-    uniform_circle_density,
-    warped_circle_estimator,
-)
-from .config import (
-    ConfigError,
-    EstimatorSpec,
-    ExperimentConfig,
-    parse_config,
-)
-from .distributions import Exponential, FiniteAtoms, Gaussian, classify
+from .compact_circle import averaging_check, biased_mean_circle_estimator, uniform_circle_density
+from .config import ConfigError, EstimatorSpec, ExperimentConfig, build_estimator, parse_config
+from .distributions import Exponential, FiniteAtoms, Gaussian
 from .estimators import (
-    constant_estimator,
     discrete_n_sample_estimator,
     discrete_one_sample_estimator,
     mean_estimator,
     min_shift_estimator,
-    mixture,
     window_mle_estimator,
 )
 from .quality import MCConfig, quality_inf, quality_report_dict, quality_report_rows
 from .util import ConvergenceError, EnumerationLimitError, InvarianceError, number_repr
 
-__all__ = ["main", "build_estimator", "build_circle_estimator"]
+__all__ = ["main"]
 
 _GAUSS_HALF_WIDTH_ONE = 0.6826894921370859  # mass of the unit window, standard normal
-
-
-def build_estimator(spec: EstimatorSpec, d, delta, n: int, closed_interval: bool):
-    """Materialize a validated estimator spec against a concrete instance."""
-    if spec.kind == "mean":
-        return mean_estimator(d)
-    if spec.kind == "window_mle":
-        return window_mle_estimator(d, float(delta))
-    if spec.kind == "min_shift":
-        return min_shift_estimator(delta)
-    if spec.kind == "discrete_mle":
-        if not isinstance(d, FiniteAtoms):
-            raise ValueError("discrete_mle needs a finite atomic law")
-        if n == 1:
-            return discrete_one_sample_estimator(d, delta, closed_interval=closed_interval)
-        return discrete_n_sample_estimator(d, delta, n)
-    if spec.kind == "constant":
-        return constant_estimator(spec.value, n=n)
-    if spec.kind == "mixture":
-        parts = [
-            (build_estimator(inner, d, delta, n, closed_interval), w) for w, inner in spec.parts
-        ]
-        return mixture(parts)
-    raise ValueError(f"unknown estimator kind {spec.kind!r}")
-
-
-def build_circle_estimator(spec: EstimatorSpec, n: int):
-    if spec.kind == "constant":
-        return constant_circle_estimator(float(spec.value), n=n)
-    if spec.kind == "biased_mean":
-        return biased_mean_circle_estimator(spec.bias, n)
-    if spec.kind == "warped":
-        return warped_circle_estimator(spec.strength, n=n)
-    raise ValueError(f"unknown circle estimator kind {spec.kind!r}")
 
 
 def _cell(value) -> str:
@@ -134,46 +86,26 @@ def _emit(args, cfg, doc, fieldnames, rows):
 
 
 def _merged_config(args, command: str) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    """The config file, or an empty one, with the subcommand and its flags merged in."""
+    text = "{}"
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read(), default_command=command)
-    else:
-        cfg = ExperimentConfig(command=command)
-    cfg = dataclasses.replace(cfg, command=command)
-    mc = cfg.mc
-    if args.seed is not None:
-        mc = dataclasses.replace(mc, seed=args.seed)
-    if args.trials is not None:
-        mc = dataclasses.replace(mc, trials=args.trials)
-    cfg = dataclasses.replace(cfg, mc=mc)
-    if getattr(args, "closed_interval", False):
-        cfg = dataclasses.replace(cfg, closed_interval=True)
-    if getattr(args, "delta", None) is not None:
-        from .util import parse_number
-
-        cfg = dataclasses.replace(cfg, delta=parse_number(args.delta))
-    if getattr(args, "n", None) is not None:
-        cfg = dataclasses.replace(cfg, n=args.n)
-    return cfg
-
-
-def _require(cfg, errors: list[tuple[str, str]]):
-    if errors:
-        raise ConfigError(errors)
+            text = fh.read()
+    flags = vars(args)
+    overrides = {k: flags[k] for k in ("delta", "n", "radius", "anchor_grid") if flags.get(k) is not None}
+    overrides["command"] = command
+    overrides["mc"] = {k: flags[k] for k in ("seed", "trials") if flags[k] is not None}
+    if flags.get("closed_interval"):
+        overrides["closed_interval"] = True
+    if flags.get("density"):
+        with open(args.density, encoding="utf-8") as fh:
+            overrides["density"] = json.load(fh)
+    return parse_config(text, overrides=overrides)
 
 
 def _run_quality(args) -> int:
     cfg = _merged_config(args, "quality")
-    missing = []
-    if cfg.distribution is None:
-        missing.append(("distribution", "quality needs a distribution"))
-    if cfg.estimator is None:
-        missing.append(("estimator", "quality needs an estimator"))
-    if cfg.delta is None:
-        missing.append(("delta", "quality needs delta"))
-    _require(cfg, missing)
-
-    e = build_estimator(cfg.estimator, cfg.distribution, cfg.delta, cfg.n, cfg.closed_interval)
+    e = build_estimator(cfg.estimator, cfg)
     grid = cfg.theta_grid
     if grid is None:
         from .quality import default_theta_grid
@@ -205,7 +137,7 @@ def _run_quality(args) -> int:
 
 def _applicable_bounds(cfg) -> list:
     d, delta, n = cfg.distribution, cfg.delta, cfg.n
-    traits = classify(d)
+    traits = d.traits()
     reports = [bounds_mod.window_bound_one_sample(d, delta, closed_interval=cfg.closed_interval)]
     if traits.discrete:
         reports.append(bounds_mod.packing_bound_discrete(d, delta))
@@ -222,13 +154,6 @@ def _applicable_bounds(cfg) -> list:
 
 def _run_bounds(args) -> int:
     cfg = _merged_config(args, "bounds")
-    missing = []
-    if cfg.distribution is None:
-        missing.append(("distribution", "bounds needs a distribution"))
-    if cfg.delta is None:
-        missing.append(("delta", "bounds needs delta"))
-    _require(cfg, missing)
-
     reports = _applicable_bounds(cfg)
     print(f"delta={float(cfg.delta):g}  n={cfg.n}")
     print(f"{'kind':>8}  {'n':>3}  {'value':>12}  certified  method")
@@ -259,17 +184,8 @@ def _run_bounds(args) -> int:
 
 def _run_lemma_check(args) -> int:
     cfg = _merged_config(args, "lemma-check")
-    missing = []
-    if cfg.distribution is None:
-        missing.append(("distribution", "lemma-check needs an atomic distribution"))
-    if cfg.delta is None:
-        missing.append(("delta", "lemma-check needs delta"))
-    _require(cfg, missing)
-    if not isinstance(cfg.distribution, FiniteAtoms):
-        raise ConfigError([("distribution", "lemma-check needs the atoms family")])
-
     spec = cfg.estimator or EstimatorSpec(kind="discrete_mle")
-    e = build_estimator(spec, cfg.distribution, cfg.delta, 1, cfg.closed_interval)
+    e = build_estimator(spec, dataclasses.replace(cfg, n=1))
     result = bounds_mod.sumset_average_bound(
         e, cfg.distribution, cfg.delta, cfg.k, closed_interval=cfg.closed_interval
     )
@@ -298,9 +214,7 @@ def _rational_pair(q: Fraction) -> list[int]:
 
 def _run_tree_demo(args) -> int:
     cfg = _merged_config(args, "tree-demo")
-    radius = args.radius if args.radius is not None else cfg.radius
-    if radius < 2:
-        raise ConfigError([("radius", "radius must be at least 2")])
+    radius = cfg.radius
     delta = Fraction(1, 2)
     mu = group_tree.standard_tree_distribution()
     trunc = group_tree.truncation_estimator()
@@ -352,23 +266,13 @@ def _run_tree_demo(args) -> int:
 
 def _run_circle_avg(args) -> int:
     cfg = _merged_config(args, "circle-avg")
-    density = cfg.density
-    if getattr(args, "density", None):
-        with open(args.density, encoding="utf-8") as fh:
-            spec = json.load(fh)
-        if not isinstance(spec, dict) or "knots" not in spec:
-            raise ConfigError([("density", "density file needs a 'knots' list")])
-        density = CircleDensity(knots=tuple((float(x), float(f)) for x, f in spec["knots"]))
-    if density is None:
-        density = uniform_circle_density()
+    density = cfg.density or uniform_circle_density()
     delta = float(cfg.delta) if cfg.delta is not None else 0.1
-    anchor_grid = args.anchor_grid if args.anchor_grid is not None else cfg.anchor_grid
-    spec = cfg.estimator or EstimatorSpec(kind="biased_mean", bias=0.1)
-    e = build_circle_estimator(spec, cfg.n)
+    e = build_estimator(cfg.estimator or EstimatorSpec(kind="biased_mean", value=0.1), cfg)
 
-    report = averaging_check(e, density, delta, anchor_grid, cfg.mc)
+    report = averaging_check(e, density, delta, cfg.anchor_grid, cfg.mc)
 
-    print(f"estimator: {e.label}  delta={delta:g}  n={cfg.n}  anchors={anchor_grid}")
+    print(f"estimator: {e.label}  delta={delta:g}  n={cfg.n}  anchors={cfg.anchor_grid}")
     print(
         f"worst case of the raw estimator: {report.q_e:.6f} "
         f"(+-{report.q_e_ci:.6f}) at theta={report.theta_argmin:g}"
@@ -384,7 +288,7 @@ def _run_circle_avg(args) -> int:
         "estimator": e.label,
         "delta": delta,
         "n": cfg.n,
-        "anchor_grid": anchor_grid,
+        "anchor_grid": cfg.anchor_grid,
         "q_e": report.q_e,
         "q_e_ci": report.q_e_ci,
         "theta_argmin": report.theta_argmin,

@@ -11,8 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .compact_circle import CircleDensity
+from .compact_circle import (
+    CircleDensity,
+    biased_mean_circle_estimator,
+    constant_circle_estimator,
+    warped_circle_estimator,
+)
 from .distributions import (
     Distribution,
     Exponential,
@@ -21,22 +27,37 @@ from .distributions import (
     PiecewiseDensity,
     Uniform,
 )
+from .estimators import (
+    constant_estimator,
+    discrete_n_sample_estimator,
+    discrete_one_sample_estimator,
+    mean_estimator,
+    min_shift_estimator,
+    mixture,
+    window_mle_estimator,
+)
 from .quality import MCConfig
 from .util import number_doc, parse_number
 
 __all__ = [
     "ConfigError",
+    "ESTIMATORS",
+    "EstimatorKind",
     "EstimatorSpec",
     "OutputSpec",
     "ExperimentConfig",
+    "build_estimator",
     "parse_config",
     "serialize_config",
 ]
 
 COMMANDS = ("quality", "bounds", "lemma-check", "tree-demo", "circle-avg", "paper-suite")
-
-_ESTIMATOR_KINDS = ("mean", "window_mle", "min_shift", "discrete_mle", "constant", "mixture")
-_CIRCLE_ESTIMATOR_KINDS = ("constant", "biased_mean", "warped")
+# Fields a command cannot run without; the other commands have defaults for all.
+_REQUIRED = {
+    "quality": ("distribution", "estimator", "delta"),
+    "bounds": ("distribution", "delta"),
+    "lemma-check": ("distribution", "delta"),
+}
 
 
 class ConfigError(ValueError):
@@ -53,8 +74,6 @@ class EstimatorSpec:
 
     kind: str
     value: object = None
-    bias: float = 0.0
-    strength: float = 0.25
     parts: tuple[tuple[float, "EstimatorSpec"], ...] = ()
 
 
@@ -79,6 +98,74 @@ class ExperimentConfig:
     mc: MCConfig = field(default_factory=MCConfig)
     closed_interval: bool = False
     output: OutputSpec = field(default_factory=OutputSpec)
+
+
+@dataclass(frozen=True)
+class EstimatorKind:
+    """One estimator kind of a space.
+
+    param is the kind's single JSON parameter key (None if it takes none),
+    default its value when the key is absent, and cast the conversion of the
+    parsed number. build(spec, cfg) makes the rule for a validated spec,
+    reading the law, delta, n and closed_interval from cfg.
+    """
+
+    build: Callable
+    param: str | None = None
+    default: object = None
+    cast: Callable = lambda value: value
+
+
+def _discrete_mle(spec: EstimatorSpec, cfg: ExperimentConfig):
+    if not isinstance(cfg.distribution, FiniteAtoms):
+        raise ValueError("discrete_mle needs a finite atomic law")
+    if cfg.n == 1:
+        return discrete_one_sample_estimator(
+            cfg.distribution, cfg.delta, closed_interval=cfg.closed_interval
+        )
+    return discrete_n_sample_estimator(cfg.distribution, cfg.delta, cfg.n)
+
+
+# Every estimator kind, once per space. `circle-avg` runs on the circle and
+# every other command on the line. The circle's bias and strength are cast to
+# float because its labels format them with :g, which a Fraction refuses.
+# `mixture` takes a `parts` list of weighted specs instead of a parameter.
+ESTIMATORS: dict[str, dict[str, EstimatorKind]] = {
+    "line": {
+        "mean": EstimatorKind(lambda spec, cfg: mean_estimator(cfg.distribution)),
+        "window_mle": EstimatorKind(
+            lambda spec, cfg: window_mle_estimator(cfg.distribution, float(cfg.delta))
+        ),
+        "min_shift": EstimatorKind(lambda spec, cfg: min_shift_estimator(cfg.delta)),
+        "discrete_mle": EstimatorKind(_discrete_mle),
+        "constant": EstimatorKind(
+            lambda spec, cfg: constant_estimator(spec.value, n=cfg.n), "value", 0.0
+        ),
+        "mixture": EstimatorKind(
+            lambda spec, cfg: mixture([(build_estimator(part, cfg), w) for w, part in spec.parts])
+        ),
+    },
+    "circle": {
+        "constant": EstimatorKind(
+            lambda spec, cfg: constant_circle_estimator(float(spec.value), n=cfg.n), "value", 0.0
+        ),
+        "biased_mean": EstimatorKind(
+            lambda spec, cfg: biased_mean_circle_estimator(spec.value, cfg.n), "bias", 0.0, float
+        ),
+        "warped": EstimatorKind(
+            lambda spec, cfg: warped_circle_estimator(spec.value, n=cfg.n), "strength", 0.25, float
+        ),
+    },
+}
+
+
+def _estimator_kinds(command: str) -> dict[str, EstimatorKind]:
+    return ESTIMATORS["circle" if command == "circle-avg" else "line"]
+
+
+def build_estimator(spec: EstimatorSpec, cfg: ExperimentConfig):
+    """Make the rule a validated spec describes, in the space of cfg's command."""
+    return _estimator_kinds(cfg.command)[spec.kind].build(spec, cfg)
 
 
 class _Collector:
@@ -184,17 +271,8 @@ def _build_estimator_spec(spec, path: str, errs: _Collector, kinds) -> Estimator
         return None
     kind = spec.get("kind")
     if kind not in kinds:
-        errs.add(f"{path}.kind", f"unknown estimator kind {kind!r}; expected one of {kinds}")
+        errs.add(f"{path}.kind", f"unknown estimator kind {kind!r}; expected one of {tuple(kinds)}")
         return None
-    if kind == "constant":
-        value = _get_number(spec, "value", f"{path}.", errs, default=0.0)
-        return EstimatorSpec(kind=kind, value=value)
-    if kind == "biased_mean":
-        bias = _get_number(spec, "bias", f"{path}.", errs, default=0.0)
-        return EstimatorSpec(kind=kind, bias=float(bias))
-    if kind == "warped":
-        strength = _get_number(spec, "strength", f"{path}.", errs, default=0.25)
-        return EstimatorSpec(kind=kind, strength=float(strength))
     if kind == "mixture":
         parts = spec.get("parts")
         if not isinstance(parts, list) or not parts:
@@ -218,7 +296,11 @@ def _build_estimator_spec(spec, path: str, errs: _Collector, kinds) -> Estimator
             errs.add(f"{path}.parts", f"mixture weights sum to {total:.12g}, expected 1")
             return None
         return EstimatorSpec(kind=kind, parts=tuple(built))
-    return EstimatorSpec(kind=kind)
+    entry = kinds[kind]
+    if entry.param is None:
+        return EstimatorSpec(kind=kind)
+    value = _get_number(spec, entry.param, f"{path}.", errs, default=entry.default)
+    return EstimatorSpec(kind=kind, value=entry.cast(value))
 
 
 def _check_rational_mixing(distribution, delta, theta_grid, errs: _Collector):
@@ -242,8 +324,15 @@ def _check_rational_mixing(distribution, delta, theta_grid, errs: _Collector):
         )
 
 
-def parse_config(text: str, default_command: str = "quality") -> ExperimentConfig:
-    """Parse and validate a JSON config; raises ConfigError with every problem."""
+def parse_config(
+    text: str, default_command: str = "quality", overrides: dict | None = None
+) -> ExperimentConfig:
+    """Parse and validate a JSON config; raises ConfigError with every problem.
+
+    overrides (the command line's flags) replace document fields before
+    validation, so they are checked like the fields they replace; a nested
+    dict, such as {"mc": {"seed": 3}}, replaces keys inside that object.
+    """
     errs = _Collector()
     try:
         doc = json.loads(text)
@@ -251,6 +340,11 @@ def parse_config(text: str, default_command: str = "quality") -> ExperimentConfi
         raise ConfigError([("/", f"invalid JSON: {exc}")]) from exc
     if not isinstance(doc, dict):
         raise ConfigError([("/", "top level must be a JSON object")])
+    for key, value in (overrides or {}).items():
+        if not isinstance(value, dict):
+            doc[key] = value
+        elif isinstance(doc.setdefault(key, {}), dict):
+            doc[key].update(value)
 
     command = doc.get("command", default_command)
     if command not in COMMANDS:
@@ -266,8 +360,9 @@ def parse_config(text: str, default_command: str = "quality") -> ExperimentConfi
 
     estimator = None
     if "estimator" in doc:
-        kinds = _CIRCLE_ESTIMATOR_KINDS if command == "circle-avg" else _ESTIMATOR_KINDS
-        estimator = _build_estimator_spec(doc["estimator"], "estimator", errs, kinds)
+        estimator = _build_estimator_spec(
+            doc["estimator"], "estimator", errs, _estimator_kinds(command)
+        )
 
     delta = _get_number(doc, "delta", "", errs)
     if delta is not None and not float(delta) > 0:
@@ -298,10 +393,9 @@ def parse_config(text: str, default_command: str = "quality") -> ExperimentConfi
         mc_doc = {}
     trials = _get_int(mc_doc, "trials", "mc.", errs, default=100_000, minimum=100)
     seed = _get_int(mc_doc, "seed", "mc.", errs, default=42)
-    parallelism = _get_int(mc_doc, "parallelism", "mc.", errs, default=1, minimum=1)
     ci_level = _get_number(mc_doc, "ci_level", "mc.", errs, default=0.99)
     try:
-        mc = MCConfig(trials=trials, seed=seed, parallelism=parallelism, ci_level=float(ci_level))
+        mc = MCConfig(trials=trials, seed=seed, ci_level=float(ci_level))
     except ValueError as exc:
         errs.add("mc", str(exc))
         mc = MCConfig()
@@ -324,6 +418,11 @@ def parse_config(text: str, default_command: str = "quality") -> ExperimentConfi
         errs.add("output.path", "expected a string path")
         path = None
 
+    for key in _REQUIRED.get(command, ()):
+        if key not in doc:
+            errs.add(key, f"{command} needs this field")
+    if command == "lemma-check" and not isinstance(distribution, (FiniteAtoms, type(None))):
+        errs.add("distribution", "lemma-check needs the atoms family")
     _check_rational_mixing(distribution, delta, theta_grid, errs)
 
     if errs.errors:
@@ -362,21 +461,15 @@ def _distribution_doc(d: Distribution) -> dict:
     raise TypeError(f"cannot serialize distribution {d!r}")
 
 
-def _estimator_doc(spec: EstimatorSpec) -> dict:
-    if spec.kind == "constant":
-        return {"kind": spec.kind, "value": number_doc(spec.value)}
-    if spec.kind == "biased_mean":
-        return {"kind": spec.kind, "bias": spec.bias}
-    if spec.kind == "warped":
-        return {"kind": spec.kind, "strength": spec.strength}
+def _estimator_doc(spec: EstimatorSpec, kinds: dict[str, EstimatorKind]) -> dict:
+    doc = {"kind": spec.kind}
     if spec.kind == "mixture":
-        return {
-            "kind": spec.kind,
-            "parts": [
-                {"weight": w, "estimator": _estimator_doc(inner)} for w, inner in spec.parts
-            ],
-        }
-    return {"kind": spec.kind}
+        doc["parts"] = [
+            {"weight": w, "estimator": _estimator_doc(inner, kinds)} for w, inner in spec.parts
+        ]
+    elif kinds[spec.kind].param is not None:
+        doc[kinds[spec.kind].param] = number_doc(spec.value)
+    return doc
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:
@@ -387,7 +480,7 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
     if cfg.density is not None:
         doc["density"] = {"knots": [[x, f] for x, f in cfg.density.knots]}
     if cfg.estimator is not None:
-        doc["estimator"] = _estimator_doc(cfg.estimator)
+        doc["estimator"] = _estimator_doc(cfg.estimator, _estimator_kinds(cfg.command))
     if cfg.delta is not None:
         doc["delta"] = number_doc(cfg.delta)
     doc["n"] = cfg.n
@@ -399,7 +492,6 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
     doc["mc"] = {
         "trials": cfg.mc.trials,
         "seed": cfg.mc.seed,
-        "parallelism": cfg.mc.parallelism,
         "ci_level": cfg.mc.ci_level,
     }
     doc["closed_interval"] = cfg.closed_interval

@@ -29,8 +29,6 @@ __all__ = [
     "PiecewiseDensity",
     "FiniteAtoms",
     "ShiftedDistribution",
-    "classify",
-    "sample",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -72,9 +70,6 @@ class Distribution(abc.ABC):
     @abc.abstractmethod
     def traits(self) -> FamilyTraits:
         """Classification flags for this law."""
-
-    def shifted(self, theta) -> "ShiftedDistribution":
-        return ShiftedDistribution(self, theta)
 
 
 class ContinuousDistribution(Distribution):
@@ -455,19 +450,6 @@ class ShiftedDistribution:
     def pdf(self, x):
         return self.base.pdf(x - self.theta)
 
-    def sample(self, rng_seed: int, n: int) -> np.ndarray:
-        return self.sample_with_rng(np.random.default_rng(rng_seed), n)
-
     def sample_with_rng(self, rng: np.random.Generator, shape) -> np.ndarray:
         u = rng.random(shape)
         return float(self.theta) + np.asarray(self.base.ppf(u), dtype=float)
-
-
-def classify(d: Distribution) -> FamilyTraits:
-    """Traits used to route constructions and bounds for this law."""
-    return d.traits()
-
-
-def sample(d: ShiftedDistribution, rng_seed: int, n: int) -> np.ndarray:
-    """Draw n observations from the shifted law, deterministically per seed."""
-    return d.sample(rng_seed, n)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import ContinuousDistribution, Distribution, FiniteAtoms, classify
+from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
 from .util import BISECT_TOL, MATCH_ATOL, ConvergenceError, is_exact
 
 __all__ = [
@@ -286,7 +286,7 @@ def window_mle_estimator(d: ContinuousDistribution, delta: float) -> Estimator:
     in a handful of steps (two after the bracket ends for the Gaussian, where
     it is linear); flat or truncated stretches fall back to bisection.
     """
-    traits = classify(d)
+    traits = d.traits()
     if not (traits.log_concave_strict or traits.unimodal):
         raise ValueError("window estimator needs a log-concave or unimodal density")
     delta = float(delta)
@@ -378,7 +378,7 @@ def discrete_n_sample_estimator(d: FiniteAtoms, delta, n: int) -> Estimator:
     where those are coarser: a sample far from zero carries the rounding of
     its shift.
     """
-    traits = classify(d)
+    traits = d.traits()
     if not traits.discrete:
         raise TypeError("expected a finite atomic law")
     if not traits.distinct_pairwise_distances:

@@ -9,19 +9,18 @@ shift zero.
 Monte Carlo runs work in noise coordinates and are deterministic: trials are
 split into fixed-size chunks, chunk c's noise block is drawn once from a
 generator seeded from (seed, c), and every requested (rule, shift) is scored
-against that block before the next chunk is drawn, so results are
-bit-identical regardless of the parallelism setting. A rule that claims
-shift invariance is scored once, at shift zero, and every grid row reports
-that value; the claim itself is checked row by row on a fixed block of
-chunk-0 rows at each shift of the grid, and a failed check raises
-InvarianceError.
+against that block before the next chunk is drawn, so each chunk's count
+depends only on the seed and its index, not on the order the chunks run in.
+A rule that claims shift invariance is scored once, at shift zero, and every
+grid row reports that value; the claim itself is checked row by row on a
+fixed block of chunk-0 rows at each shift of the grid, and a failed check
+raises InvarianceError.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -71,7 +70,6 @@ class MCConfig:
 
     trials: int = 100_000
     seed: int = 42
-    parallelism: int = 1
     ci_level: float = 0.99
 
     def __post_init__(self):
@@ -79,8 +77,6 @@ class MCConfig:
             raise ValueError("trials must be at least 100")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must lie in (0, 1)")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -142,29 +138,17 @@ def _mc_counts(draw, counters: Sequence[HitCounter], mc: MCConfig) -> list[tuple
     chunk's m noise rows from it. Every counter then scores that block, with
     the generator restored to its state right after the draw, so a
     randomized rule draws the same components whatever else is scored. Only
-    one chunk's block is held at a time (one per worker).
+    one chunk's block is held at a time.
     """
-    starts = range(0, mc.trials, CHUNK_TRIALS)
-    jobs = [(idx, min(CHUNK_TRIALS, mc.trials - start)) for idx, start in enumerate(starts)]
-
-    def run(job):
-        idx, m = job
+    totals = [0] * len(counters)
+    for idx, start in enumerate(range(0, mc.trials, CHUNK_TRIALS)):
         rng = _chunk_rng(mc.seed, idx)
-        noise = draw(rng, m)
+        noise = draw(rng, min(CHUNK_TRIALS, mc.trials - start))
         noise.flags.writeable = False  # shared by every counter of the chunk
         state = rng.bit_generator.state
-        counts = []
-        for counter in counters:
+        for i, counter in enumerate(counters):
             rng.bit_generator.state = state
-            counts.append(counter(noise, rng))
-        return counts
-
-    if mc.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=mc.parallelism) as pool:
-            per_chunk = list(pool.map(run, jobs))
-    else:
-        per_chunk = [run(job) for job in jobs]
-    totals = [int(sum(counts)) for counts in zip(*per_chunk)]
+            totals[i] += counter(noise, rng)
     return [(t / mc.trials, wilson_halfwidth(t, mc.trials, mc.ci_level)) for t in totals]
 
 

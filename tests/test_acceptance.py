@@ -9,6 +9,7 @@ the criterion states one.
 import itertools
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from shiftq import (
     Gaussian,
     MCConfig,
     PiecewiseDensity,
+    ShiftedDistribution,
     averaging_check,
     ball,
     biased_mean_circle_estimator,
@@ -47,12 +49,14 @@ from shiftq import (
     truncation_estimator,
     uniform_circle_density,
     warped_circle_estimator,
+    wilson_halfwidth,
     window_bound_log_concave,
     window_bound_one_sample,
     window_mle_estimator,
     wrap,
 )
 from shiftq.estimators import Estimator
+from shiftq.quality import CHUNK_TRIALS, _chunk_rng, _line_counter, _line_noise
 from tests.conftest import KS_CRIT, random_rational_atoms
 
 
@@ -252,13 +256,23 @@ def test_a7b_equivariant_estimators_certify_their_infimum():
 
 
 def test_a7c_results_are_bit_identical_across_parallelism():
+    # Each chunk's count depends only on (seed, chunk index), so counting the
+    # chunks on any number of workers and summing gives the engine's
+    # in-order (q, ci) bit for bit.
     d = Exponential(2.0)
     e = min_shift_estimator(0.2)
-    runs = [
-        quality_at(e, d, 1.5, 0.2, MCConfig(trials=150_000, seed=99, parallelism=p), n=3)
-        for p in (1, 2, 8)
-    ]
-    assert runs[0] == runs[1] == runs[2]
+    mc = MCConfig(trials=150_000, seed=99)
+    draw, count = _line_noise(d, 3), _line_counter(e, 1.5, 0.2, False)
+    starts = range(0, mc.trials, CHUNK_TRIALS)
+
+    def chunk_hits(c):
+        return count(draw(_chunk_rng(mc.seed, c), min(CHUNK_TRIALS, mc.trials - starts[c])), None)
+
+    expected = quality_at(e, d, 1.5, 0.2, mc, n=3)
+    for workers in (1, 2, 8):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            hits = sum(pool.map(chunk_hits, range(len(starts))))
+        assert (hits / mc.trials, wilson_halfwidth(hits, mc.trials, mc.ci_level)) == expected
 
 
 def test_a7d_sampling_passes_a_ks_check():
@@ -266,7 +280,7 @@ def test_a7d_sampling_passes_a_ks_check():
     m = 40_000
     for d in (Gaussian(0.5, 2.0), Exponential(1.5),
               PiecewiseDensity(knots=((0.0, 1.5), (1.0, 0.25), (2.0, 0.0)))):
-        x = np.sort(d.shifted(0.0).sample_with_rng(rng, (m,)))
+        x = np.sort(ShiftedDistribution(d, 0.0).sample_with_rng(rng, (m,)))
         cdf = np.array([float(d.cdf(v)) for v in x])
         hi = np.abs(np.arange(1, m + 1) / m - cdf).max()
         lo = np.abs(np.arange(0, m) / m - cdf).max()

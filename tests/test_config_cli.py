@@ -8,10 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftq import ConfigError, Gaussian, estimators, parse_config, serialize_config
+from shiftq import ConfigError, Gaussian, config, estimators, parse_config, serialize_config
 from shiftq import cli
 from shiftq.cli import main
-from shiftq.config import EstimatorSpec
+from shiftq.config import ESTIMATORS, EstimatorSpec, build_estimator
 
 MINIMAL_QUALITY = """
 {
@@ -134,6 +134,34 @@ def test_round_trip_with_mixture_estimator():
     assert cfg.estimator.parts[0][0] == 0.25
     assert isinstance(cfg.estimator.parts[0][1], EstimatorSpec)
     assert parse_config(json.dumps(serialize_config(cfg))) == cfg
+
+
+KIND_PARAMS = {"value": "1/3", "bias": 0.2, "strength": "1/2"}
+
+
+@pytest.mark.parametrize(
+    "space, kind", [(space, kind) for space, kinds in ESTIMATORS.items() for kind in kinds]
+)
+def test_round_trip_for_every_estimator_kind(space, kind):
+    entry = ESTIMATORS[space][kind]
+    estimator = {"kind": kind}
+    if kind == "mixture":
+        estimator["parts"] = [{"weight": 1.0, "estimator": {"kind": "mean"}}]
+    elif entry.param is not None:
+        estimator[entry.param] = KIND_PARAMS[entry.param]
+    doc = {
+        "command": "circle-avg" if space == "circle" else "quality",
+        "distribution": {"family": "gaussian"},
+        "estimator": estimator,
+        "delta": 0.25,
+    }
+    cfg = parse_config(json.dumps(doc))
+    written = serialize_config(cfg)
+    assert written["estimator"].keys() == estimator.keys()
+    assert parse_config(json.dumps(written)) == cfg
+    if space == "circle":
+        # Circle labels format the parameter with :g, which a Fraction refuses.
+        assert build_estimator(cfg.estimator, cfg).label.startswith(kind)
 
 
 def test_invalid_json_reports_position():
@@ -292,6 +320,48 @@ def test_cli_validation_failures_exit_2(tmp_path):
     assert main(["quality", "--config", mismatch]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["circle-avg", "--n", "0"], "n"),
+        (["quality", "--delta", "0"], "delta"),
+        (["quality", "--delta", "-1"], "delta"),
+        (["bounds", "--n", "0"], "n"),
+        (["bounds", "--n", "-3"], "n"),
+    ],
+)
+def test_cli_flags_are_validated_like_config_fields(tmp_path, capsys, argv, path):
+    # "constant" is a kind on the line and on the circle, so the file suits every subcommand.
+    doc = {
+        "distribution": {"family": "gaussian"},
+        "estimator": {"kind": "constant", "value": 0.25},
+        "delta": 0.1,
+        "anchor_grid": 8,
+        "mc": {"trials": 1000},
+    }
+    cfg = write(tmp_path, "c.json", json.dumps(doc))
+    assert main(argv + ["--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith(f"config error at {path}: ") for line in err)
+
+
+def test_cli_estimator_table_follows_the_subcommand(tmp_path):
+    doc = {"command": "quality", "estimator": {"kind": "warped", "strength": 0.5}, "delta": 0.1}
+    cfg = write(tmp_path, "w.json", json.dumps(doc))
+    out = str(tmp_path / "w.out.json")
+    argv = ["circle-avg", "--config", cfg, "--trials", "1000", "--anchor-grid", "8", "--out", out]
+    assert main(argv) == 0
+    assert json.load(open(out))["estimator"] == "warped(strength=0.5)"
+    assert main(["quality", "--config", cfg]) == 2
+
+
+def test_cli_density_file_is_validated_like_the_config_field(tmp_path, capsys):
+    dens = write(tmp_path, "dens.json", json.dumps({"knots": [[0, 1, 3]]}))
+    assert main(["circle-avg", "--density", dens, "--trials", "1000"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error at density.knots: expected [position, value] pairs"]
+
+
 def test_cli_enumeration_limit_exits_1(tmp_path):
     points = [[i, "1/7"] for i in range(6)] + [[10, "1/7"]]
     cfg = write(
@@ -414,7 +484,7 @@ def test_cli_false_invariance_claim_exits_1(tmp_path, monkeypatch, capsys):
         invariance_claim=estimators.SHIFT_INVARIANT,
         batch_fn=lambda x: np.zeros(x.shape[0]),
     )
-    monkeypatch.setattr(cli, "mean_estimator", lambda d: liar)
+    monkeypatch.setattr(config, "mean_estimator", lambda d: liar)
     doc = {
         "distribution": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},
         "estimator": {"kind": "mean"},

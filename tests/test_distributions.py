@@ -12,8 +12,8 @@ from shiftq import (
     FiniteAtoms,
     Gaussian,
     PiecewiseDensity,
+    ShiftedDistribution,
     Uniform,
-    classify,
 )
 from tests.conftest import KS_CRIT
 
@@ -80,7 +80,7 @@ def test_continuous_densities_integrate_to_one(d):
 )
 def test_sampling_passes_ks_against_cdf(d):
     n = 100_000
-    x = np.sort(d.shifted(0.0).sample(rng_seed=9, n=n))
+    x = np.sort(ShiftedDistribution(d, 0.0).sample_with_rng(np.random.default_rng(9), n))
     ecdf_hi = np.arange(1, n + 1) / n
     ecdf_lo = np.arange(0, n) / n
     cdf = d.cdf(x)
@@ -90,44 +90,44 @@ def test_sampling_passes_ks_against_cdf(d):
 
 def test_shift_consistency_is_literal():
     base = Gaussian(1.0, 2.0)
-    shifted = base.shifted(0.3)
+    shifted = ShiftedDistribution(base, 0.3)
     for x in (-2.0, 0.0, 0.7, 5.5):
         assert shifted.cdf(x) == base.cdf(x - 0.3)
     atoms = FiniteAtoms(atoms=((Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))))
-    sh = atoms.shifted(Fraction(1, 3))
+    sh = ShiftedDistribution(atoms, Fraction(1, 3))
     assert sh.cdf(Fraction(1, 3)) == atoms.cdf(0)
 
 
 def test_shifted_sampling_adds_theta():
     base = Uniform(0.0, 1.0)
-    x0 = base.shifted(0.0).sample(rng_seed=4, n=100)
-    x7 = base.shifted(7.0).sample(rng_seed=4, n=100)
+    x0 = ShiftedDistribution(base, 0.0).sample_with_rng(np.random.default_rng(4), 100)
+    x7 = ShiftedDistribution(base, 7.0).sample_with_rng(np.random.default_rng(4), 100)
     assert np.allclose(x7, x0 + 7.0)
 
 
 def test_classify_routes_families():
-    g = classify(Gaussian(0.0, 1.0))
+    g = Gaussian(0.0, 1.0).traits()
     assert g.unimodal and g.log_concave_strict
     assert not g.monotone_on_halfline and not g.discrete
 
-    e = classify(Exponential(1.0))
+    e = Exponential(1.0).traits()
     assert e.monotone_on_halfline
     assert not e.log_concave_strict and not e.unimodal
 
-    u = classify(Uniform(0.0, 1.0))
+    u = Uniform(0.0, 1.0).traits()
     assert u.unimodal and not u.log_concave_strict and not u.monotone_on_halfline
 
-    a = classify(FiniteAtoms(atoms=((0.0, 0.5), (1.0, 0.5))))
+    a = FiniteAtoms(atoms=((0.0, 0.5), (1.0, 0.5))).traits()
     assert a.discrete
 
 
 def test_classify_piecewise_traits():
     triangle = PiecewiseDensity(knots=((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
-    t = classify(triangle)
+    t = triangle.traits()
     assert t.unimodal and not t.monotone_on_halfline
 
     ramp = PiecewiseDensity(knots=((0.0, 1.5), (1.0, 0.25), (2.0, 0.0)))
-    r = classify(ramp)
+    r = ramp.traits()
     assert r.monotone_on_halfline
 
 
@@ -170,9 +170,9 @@ def test_atoms_cdf_and_ppf(example_atoms):
 
 
 def test_atoms_distinct_distance_flag(example_atoms):
-    assert classify(example_atoms).distinct_pairwise_distances
+    assert example_atoms.traits().distinct_pairwise_distances
     evenly = FiniteAtoms(atoms=((0.0, 0.3), (1.0, 0.3), (2.0, 0.4)))
-    assert not classify(evenly).distinct_pairwise_distances
+    assert not evenly.traits().distinct_pairwise_distances
 
 
 @given(
