@@ -11,13 +11,11 @@ measures that numerically on a grid of anchors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .distributions import _LinearDensityTable
-from .estimators import NO_CLAIM, SHIFT_INVARIANT
+from .distributions import PiecewiseDensity
+from .estimators import NO_CLAIM, SHIFT_INVARIANT, Estimator
 from .quality import HitCounter, MCConfig, _mc_counts
 
 __all__ = [
@@ -56,54 +54,39 @@ class CircleDensity:
 
     Positions must be strictly increasing within [0, 1]; the gap between the
     last knot and the first one (one turn later) is interpolated linearly, so
-    the table always covers the full circle. Total mass within 1e-3 of 1 is
-    renormalized; larger deviations raise ValueError. Atomic laws on the
-    circle are out of scope by construction.
+    the table always covers the full circle. The knots are validated,
+    normalized and tabulated as one PiecewiseDensity over that unrolled turn,
+    with its rules: total mass within 1e-3 of 1 is renormalized, larger
+    deviations raise ValueError. Atomic laws on the circle are out of scope
+    by construction.
     """
 
     knots: tuple[tuple[float, float], ...]
+    _turn: PiecewiseDensity = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots = tuple((float(x), float(f)) for x, f in self.knots)
-        if len(knots) < 2:
-            raise ValueError("need at least two knots")
-        xs = [x for x, _ in knots]
-        fs = [f for _, f in knots]
-        if any(x < 0.0 or x > 1.0 for x in xs):
+        if any(x < 0.0 or x > 1.0 for x, _ in knots):
             raise ValueError("knot positions must lie in [0, 1]")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("knot positions must be strictly increasing")
-        if any(f < 0 for f in fs):
-            raise ValueError("density values must be nonnegative")
-        object.__setattr__(self, "knots", knots)
-        total = self._raw_table.total
-        if total <= 0:
-            raise ValueError("density integrates to zero")
-        if abs(total - 1.0) >= 1e-3:
-            raise ValueError(f"density integrates to {total:.6g}, expected 1 within 0.001")
-        if total != 1.0:
-            object.__setattr__(self, "knots", tuple((x, f / total) for x, f in knots))
-            self.__dict__.pop("_raw_table", None)
-
-    @cached_property
-    def _raw_table(self) -> _LinearDensityTable:
         # Unroll one full turn starting at the first knot.
-        xs = [x for x, _ in self.knots]
-        fs = [f for _, f in self.knots]
-        if xs[-1] - xs[0] < 1.0:
-            xs = xs + [xs[0] + 1.0]
-            fs = fs + [fs[0]]
-        return _LinearDensityTable(xs, fs)
+        unrolled = knots
+        if len(knots) > 1 and knots[-1][0] - knots[0][0] < 1.0:
+            unrolled += ((knots[0][0] + 1.0, knots[0][1]),)
+        turn = PiecewiseDensity(unrolled)
+        object.__setattr__(self, "knots", turn.knots[: len(knots)])
+        object.__setattr__(self, "_turn", turn)
 
     def pdf(self, x):
         t = wrap(x)
         start = self.knots[0][0]
         t = np.where(t < start, t + 1.0, t)
-        return self._raw_table.pdf(t)
+        return self._turn.pdf(t)
 
     def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        return wrap(self._raw_table.ppf_mass(u * self._raw_table.total))
+        # The turn's table directly, not PiecewiseDensity.ppf, so a traced run
+        # counts circle draws apart from the line's piecewise draws.
+        table = self._turn._table
+        return wrap(table.ppf_mass(np.asarray(u, dtype=float) * table.total))
 
     def sample_with_rng(self, rng: np.random.Generator, shape) -> np.ndarray:
         return self.ppf(rng.random(shape))
@@ -113,27 +96,11 @@ def uniform_circle_density() -> CircleDensity:
     return CircleDensity(knots=((0.0, 1.0), (1.0, 1.0)))
 
 
-@dataclass(frozen=True)
-class CircleEstimator:
-    """A guessing rule on circle samples; n is always a fixed count here."""
-
-    label: str
-    n: int
-    fn: Callable[[tuple], float]
-    invariance_claim: str = NO_CLAIM
-    batch_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-
-    def evaluate(self, samples) -> float:
-        samples = tuple(samples)
-        if len(samples) != self.n:
-            raise ValueError(f"{self.label} expects {self.n} samples, got {len(samples)}")
-        return float(self.fn(samples))
+class CircleEstimator(Estimator):
+    """An Estimator on circle samples whose guesses are reduced mod 1."""
 
     def evaluate_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(x), dtype=float)
-        return np.array([float(self.fn(tuple(row))) for row in x])
+        return wrap(super().evaluate_batch(x))
 
 
 def constant_circle_estimator(value: float, n: int = 1) -> CircleEstimator:
@@ -141,7 +108,6 @@ def constant_circle_estimator(value: float, n: int = 1) -> CircleEstimator:
     return CircleEstimator(
         label=f"constant({value:g})",
         n=n,
-        fn=lambda x: value,
         invariance_claim=NO_CLAIM,
         batch_fn=lambda x: np.full(x.shape[0], value),
     )
@@ -157,12 +123,11 @@ def biased_mean_circle_estimator(bias: float, n: int) -> CircleEstimator:
     def batch(x):
         offsets = wrap(x - x[:, :1]) if x.shape[1] > 1 else np.zeros_like(x)
         signed = np.where(offsets > 0.5, offsets - 1.0, offsets)
-        return wrap(x[:, 0] + signed.mean(axis=1) + bias)
+        return x[:, 0] + signed.mean(axis=1) + bias
 
     return CircleEstimator(
         label=f"biased_mean(bias={bias:g})",
         n=n,
-        fn=lambda s: float(batch(np.asarray([s], dtype=float))[0]),
         invariance_claim=SHIFT_INVARIANT,
         batch_fn=batch,
     )
@@ -173,39 +138,33 @@ def warped_circle_estimator(strength: float = 0.25, n: int = 1) -> CircleEstimat
 
     def batch(x):
         v = x[:, 0]
-        return wrap(v + strength * v * (1.0 - v))
+        return v + strength * v * (1.0 - v)
 
     return CircleEstimator(
         label=f"warped(strength={strength:g})",
         n=n,
-        fn=lambda s: float(batch(np.asarray([s], dtype=float))[0]),
         invariance_claim=NO_CLAIM,
         batch_fn=batch,
     )
 
 
-def invariant_from_coset(e: CircleEstimator, anchor: float, n: int | None = None) -> CircleEstimator:
+def invariant_from_coset(e: CircleEstimator, anchor: float) -> CircleEstimator:
     """Equivariant copy of e that agrees with it when the first sample is anchor.
 
     The samples are rotated so the first one lands on the anchor, e is
     evaluated there, and the guess is rotated back. The copy is equivariant
     for every anchor; if e already was, the copy coincides with it.
     """
-    n = e.n if n is None else int(n)
-    if n != e.n:
-        raise ValueError(f"{e.label} expects n={e.n}")
     anchor = float(wrap(anchor))
 
     def batch(x):
-        x = np.asarray(x, dtype=float)
         pinned = wrap(x - x[:, :1] + anchor)
         pinned[:, 0] = anchor  # exact, not through wrap roundoff
-        return wrap(x[:, 0] - anchor + e.evaluate_batch(pinned))
+        return x[:, 0] - anchor + e.evaluate_batch(pinned)
 
     return CircleEstimator(
         label=f"pinned(anchor={anchor:g}, base={e.label})",
-        n=n,
-        fn=lambda s: float(batch(np.asarray([s], dtype=float))[0]),
+        n=e.n,
         invariance_claim=SHIFT_INVARIANT,
         batch_fn=batch,
     )

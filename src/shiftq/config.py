@@ -52,6 +52,24 @@ __all__ = [
 ]
 
 COMMANDS = ("quality", "bounds", "lemma-check", "tree-demo", "circle-avg", "paper-suite")
+# Top-level keys of a config document. A key that no parser here names is an
+# error at every level, so a misspelled key cannot silently keep its default.
+_TOP_KEYS = (
+    "command", "distribution", "density", "estimator", "delta", "n", "theta_grid", "k",
+    "radius", "anchor_grid", "mc", "closed_interval", "output",
+)
+# Families whose JSON keys are their constructor's number fields, with defaults.
+_NUMBER_FAMILIES = {
+    "gaussian": (Gaussian, {"mean": 0.0, "sigma": 1.0}),
+    "exponential": (Exponential, {"rate": 1.0}),
+    "uniform": (Uniform, {"lo": 0.0, "hi": 1.0}),
+}
+# Keys each distribution family reads besides "family".
+_FAMILY_KEYS = {
+    **{family: tuple(params) for family, (_, params) in _NUMBER_FAMILIES.items()},
+    "piecewise": ("knots",),
+    "atoms": ("points",),
+}
 # Fields a command cannot run without; the other commands have defaults for all.
 _REQUIRED = {
     "quality": ("distribution", "estimator", "delta"),
@@ -176,6 +194,12 @@ class _Collector:
         self.errors.append((path, message))
 
 
+def _check_keys(doc: dict, keys, path: str, errs: _Collector):
+    for key in doc:
+        if key not in keys:
+            errs.add(f"{path}{key}", "unknown key")
+
+
 def _get_number(doc: dict, key: str, path: str, errs: _Collector, *, required=False, default=None):
     if key not in doc:
         if required:
@@ -206,19 +230,17 @@ def _build_distribution(spec, path: str, errs: _Collector) -> Distribution | Non
         errs.add(path, "expected an object with a 'family' field")
         return None
     family = spec.get("family")
+    if family not in _FAMILY_KEYS:
+        errs.add(f"{path}.family", f"unknown family {family!r}")
+        return None
+    _check_keys(spec, ("family", *_FAMILY_KEYS[family]), f"{path}.", errs)
     try:
-        if family == "gaussian":
-            return Gaussian(
-                mean=float(_get_number(spec, "mean", f"{path}.", errs, default=0.0)),
-                sigma=float(_get_number(spec, "sigma", f"{path}.", errs, default=1.0)),
-            )
-        if family == "exponential":
-            return Exponential(rate=float(_get_number(spec, "rate", f"{path}.", errs, default=1.0)))
-        if family == "uniform":
-            return Uniform(
-                lo=float(_get_number(spec, "lo", f"{path}.", errs, default=0.0)),
-                hi=float(_get_number(spec, "hi", f"{path}.", errs, default=1.0)),
-            )
+        if family in _NUMBER_FAMILIES:
+            cls, params = _NUMBER_FAMILIES[family]
+            return cls(**{
+                key: float(_get_number(spec, key, f"{path}.", errs, default=default))
+                for key, default in params.items()
+            })
         if family == "piecewise":
             knots = spec.get("knots")
             if not isinstance(knots, list) or any(
@@ -227,33 +249,32 @@ def _build_distribution(spec, path: str, errs: _Collector) -> Distribution | Non
                 errs.add(f"{path}.knots", "expected a list of [position, value] pairs")
                 return None
             return PiecewiseDensity(knots=tuple((float(x), float(f)) for x, f in knots))
-        if family == "atoms":
-            points = spec.get("points")
-            if not isinstance(points, list) or any(
-                not isinstance(p, list) or len(p) != 2 for p in points
-            ):
-                errs.add(f"{path}.points", "expected a list of [location, mass] pairs")
-                return None
-            pairs = []
-            for i, (z, m) in enumerate(points):
-                try:
-                    pairs.append((parse_number(z), parse_number(m)))
-                except (ValueError, TypeError, ZeroDivisionError):
-                    errs.add(f"{path}.points[{i}]", f"expected numbers or 'p/q' strings, got {[z, m]!r}")
-            if len(pairs) != len(points):
-                return None
-            return FiniteAtoms(atoms=tuple(pairs))
+        # atoms, the one family left
+        points = spec.get("points")
+        if not isinstance(points, list) or any(
+            not isinstance(p, list) or len(p) != 2 for p in points
+        ):
+            errs.add(f"{path}.points", "expected a list of [location, mass] pairs")
+            return None
+        pairs = []
+        for i, (z, m) in enumerate(points):
+            try:
+                pairs.append((parse_number(z), parse_number(m)))
+            except (ValueError, TypeError, ZeroDivisionError):
+                errs.add(f"{path}.points[{i}]", f"expected numbers or 'p/q' strings, got {[z, m]!r}")
+        if len(pairs) != len(points):
+            return None
+        return FiniteAtoms(atoms=tuple(pairs))
     except ValueError as exc:
         errs.add(path, str(exc))
         return None
-    errs.add(f"{path}.family", f"unknown family {family!r}")
-    return None
 
 
 def _build_density(spec, path: str, errs: _Collector) -> CircleDensity | None:
     if not isinstance(spec, dict) or not isinstance(spec.get("knots"), list):
         errs.add(path, "expected an object with a 'knots' list of [position, value] pairs")
         return None
+    _check_keys(spec, ("knots",), f"{path}.", errs)
     knots = spec["knots"]
     if any(not isinstance(p, list) or len(p) != 2 for p in knots):
         errs.add(f"{path}.knots", "expected [position, value] pairs")
@@ -274,6 +295,7 @@ def _build_estimator_spec(spec, path: str, errs: _Collector, kinds) -> Estimator
         errs.add(f"{path}.kind", f"unknown estimator kind {kind!r}; expected one of {tuple(kinds)}")
         return None
     if kind == "mixture":
+        _check_keys(spec, ("kind", "parts"), f"{path}.", errs)
         parts = spec.get("parts")
         if not isinstance(parts, list) or not parts:
             errs.add(f"{path}.parts", "mixture needs a nonempty 'parts' list")
@@ -283,6 +305,7 @@ def _build_estimator_spec(spec, path: str, errs: _Collector, kinds) -> Estimator
             if not isinstance(part, dict):
                 errs.add(f"{path}.parts[{i}]", "expected an object with 'weight' and 'estimator'")
                 continue
+            _check_keys(part, ("weight", "estimator"), f"{path}.parts[{i}].", errs)
             weight = _get_number(part, "weight", f"{path}.parts[{i}].", errs, required=True)
             inner = _build_estimator_spec(
                 part.get("estimator"), f"{path}.parts[{i}].estimator", errs, kinds
@@ -297,6 +320,7 @@ def _build_estimator_spec(spec, path: str, errs: _Collector, kinds) -> Estimator
             return None
         return EstimatorSpec(kind=kind, parts=tuple(built))
     entry = kinds[kind]
+    _check_keys(spec, ("kind", entry.param), f"{path}.", errs)
     if entry.param is None:
         return EstimatorSpec(kind=kind)
     value = _get_number(spec, entry.param, f"{path}.", errs, default=entry.default)
@@ -346,6 +370,7 @@ def parse_config(
         elif isinstance(doc.setdefault(key, {}), dict):
             doc[key].update(value)
 
+    _check_keys(doc, _TOP_KEYS, "", errs)
     command = doc.get("command", default_command)
     if command not in COMMANDS:
         errs.add("command", f"unknown command {command!r}; expected one of {COMMANDS}")
@@ -391,6 +416,8 @@ def parse_config(
     if not isinstance(mc_doc, dict):
         errs.add("mc", "expected an object")
         mc_doc = {}
+    # parallelism is accepted and ignored: older configs still carry it.
+    _check_keys(mc_doc, ("trials", "seed", "ci_level", "parallelism"), "mc.", errs)
     trials = _get_int(mc_doc, "trials", "mc.", errs, default=100_000, minimum=100)
     seed = _get_int(mc_doc, "seed", "mc.", errs, default=42)
     ci_level = _get_number(mc_doc, "ci_level", "mc.", errs, default=0.99)
@@ -409,6 +436,7 @@ def parse_config(
     if not isinstance(out_doc, dict):
         errs.add("output", "expected an object")
         out_doc = {}
+    _check_keys(out_doc, ("format", "path"), "output.", errs)
     fmt = out_doc.get("format", "json")
     if fmt not in ("json", "csv"):
         errs.add("output.format", f"expected 'json' or 'csv', got {fmt!r}")
@@ -445,12 +473,9 @@ def parse_config(
 
 
 def _distribution_doc(d: Distribution) -> dict:
-    if isinstance(d, Gaussian):
-        return {"family": "gaussian", "mean": d.mean, "sigma": d.sigma}
-    if isinstance(d, Exponential):
-        return {"family": "exponential", "rate": d.rate}
-    if isinstance(d, Uniform):
-        return {"family": "uniform", "lo": d.lo, "hi": d.hi}
+    for family, (cls, params) in _NUMBER_FAMILIES.items():
+        if isinstance(d, cls):
+            return {"family": family, **{key: getattr(d, key) for key in params}}
     if isinstance(d, PiecewiseDensity):
         return {"family": "piecewise", "knots": [[x, f] for x, f in d.knots]}
     if isinstance(d, FiniteAtoms):

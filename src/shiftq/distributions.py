@@ -222,7 +222,7 @@ class Uniform(ContinuousDistribution):
 
 
 class _LinearDensityTable:
-    """Piecewise-linear density machinery shared by line and circle tables.
+    """Piecewise-linear density machinery of PiecewiseDensity.
 
     Holds knot positions x (strictly increasing) and nonnegative values f,
     interpreted as a density that interpolates linearly between knots and is

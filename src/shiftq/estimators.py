@@ -1,9 +1,11 @@
 """Location estimators: constructions, invariance metadata, mixtures.
 
 An Estimator wraps a plain evaluation function together with the sample count
-it accepts and the invariance it claims. Constructions that admit a
-vectorized form also carry a batch evaluator, which is what keeps the Monte
-Carlo loops fast; anything else falls back to a per-row Python loop.
+it accepts and the invariance it claims; it is the one rule type of the line,
+the circle (compact_circle.CircleEstimator) and the tree (group_tree's
+builders). Constructions that admit a vectorized form also carry a batch
+evaluator, which is what keeps the Monte Carlo loops fast; anything else
+falls back to a per-row Python loop.
 
 Shift equivariance is the load-bearing property here: e(x + c) = e(x) + c
 means the estimator's success probability does not depend on the unknown
@@ -42,16 +44,18 @@ NO_CLAIM = "none"
 class Estimator:
     """A deterministic location estimator.
 
-    fn maps a length-n sample sequence to a real estimate. n is either a
-    fixed int or "any". batch_fn, when present, maps an (m, n) float array to
-    m estimates and must agree with fn row by row. symmetric declares that
-    fn's value does not depend on the order of the samples, so exact
-    enumeration may visit each multiset of samples once instead of every
-    ordering of it.
+    fn maps a length-n sample sequence to an estimate: a real number on the
+    line and the circle, a reduced word on the tree. n is either a fixed int
+    or "any". batch_fn, when present, maps an (m, n) float array to m
+    estimates and must agree with fn row by row; a rule with a batch_fn may
+    leave fn out, and then evaluate is one row of evaluate_batch. symmetric
+    declares that fn's value does not depend on the order of the samples, so
+    exact enumeration may visit each multiset of samples once instead of
+    every ordering of it.
     """
 
     label: str
-    fn: Callable[[Sequence], object]
+    fn: Callable[[Sequence], object] | None = None
     n: object = "any"
     invariance_claim: str = NO_CLAIM
     batch_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
@@ -61,6 +65,8 @@ class Estimator:
         samples = tuple(samples)
         if self.n != "any" and len(samples) != self.n:
             raise ValueError(f"{self.label} expects {self.n} samples, got {len(samples)}")
+        if self.fn is None:
+            return float(self.evaluate_batch(np.asarray([samples], dtype=float))[0])
         return self.fn(samples)
 
     def evaluate_batch(self, x: np.ndarray) -> np.ndarray:
@@ -87,13 +93,12 @@ class RandomizedEstimator:
             raise ValueError("mixture weights must be positive")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
-        fixed = {e.n for e, _ in self.components if e.n != "any"}
-        if len(fixed) > 1:
+        if len({e.n for e, _ in self.components} - {"any"}) > 1:
             raise ValueError("mixture components disagree on sample count")
 
     @property
     def n(self):
-        fixed = {e.n for e, _ in self.components if e.n != "any"}
+        fixed = {e.n for e, _ in self.components} - {"any"}
         return fixed.pop() if fixed else "any"
 
     @property
@@ -181,7 +186,10 @@ def _window_center_batch(d: ContinuousDistribution, delta: float, x0: np.ndarray
     xmax = x0.max(axis=1)
     span = xmax - xmin
     width = shi - slo
-    if np.any(span >= width):
+    # Far from zero a bounded law's samples can round onto both support ends;
+    # a spread equal to the width shrinks the positive stretch to one point,
+    # which the full-cover rule below returns.
+    if np.any(span > width):
         raise ValueError("sample spread exceeds the support width; every window has zero mass")
     pos_lo = slo - xmin  # window centers below this give a zero product
     pos_hi = shi - xmax
@@ -305,7 +313,6 @@ def window_mle_estimator(d: ContinuousDistribution, delta: float) -> Estimator:
 
     return Estimator(
         label=f"window(delta={delta:g}{suffix})",
-        fn=lambda x: float(batch(np.asarray([x], dtype=float))[0]),
         n="any",
         invariance_claim=SHIFT_INVARIANT,
         batch_fn=batch,

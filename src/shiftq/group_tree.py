@@ -7,7 +7,8 @@ trivalent tree, and the graph distance plays the role the threshold plays on
 the line: with a threshold below 1, success means guessing the shifted point
 exactly.
 
-Everything here is exact; qualities are Fractions.
+Rules are one-sample estimators.Estimator objects: fn maps a 1-tuple of
+reduced words to a word. Everything here is exact; qualities are Fractions.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Mapping
 
+from .estimators import Estimator
 from .util import EnumerationLimitError
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "ball",
     "TreeDistribution",
     "standard_tree_distribution",
-    "TreeEstimator",
     "truncation_estimator",
     "left_translate_estimator",
     "right_translate_estimator",
@@ -45,16 +45,10 @@ IDENTITY = ""
 
 _BALL_CAP = 1_000_000
 
-_TREE_KINDS = ("truncation", "left_translate", "right_translate", "table")
-
 
 def _check_word(w: str) -> str:
-    for ch in w:
-        if ch not in GENERATORS:
-            raise ValueError(f"letter {ch!r} is not one of {GENERATORS!r}")
-    for x, y in zip(w, w[1:]):
-        if x == y:
-            raise ValueError(f"word {w!r} is not reduced")
+    if reduce_word(w) != w:
+        raise ValueError(f"word {w!r} is not reduced")
     return w
 
 
@@ -151,73 +145,46 @@ def standard_tree_distribution() -> TreeDistribution:
     return TreeDistribution(atoms=(("a", third), ("b", third), ("c", third)))
 
 
-@dataclass(frozen=True)
-class TreeEstimator:
-    """A guessing rule on words.
+def truncation_estimator() -> Estimator:
+    """Drop the last letter; the empty word maps to its neighbour "a"."""
+    return Estimator(label="truncation", fn=lambda x: x[0][:-1] if x[0] else "a", n=1)
 
-    kind selects the behaviour: "truncation" drops the last letter (the empty
-    word maps to "a"), "left_translate" returns x * word (the general form of
-    a rule constant on left cosets), "right_translate" returns word * x, and
-    "table" looks x up in a finite mapping with a default for unmapped words.
-    Every word the rule holds is checked to be reduced when it is built, and
-    the table is kept as a read-only copy.
+
+def left_translate_estimator(word: str) -> Estimator:
+    """x -> x * word, the general form of a rule constant on left cosets."""
+    _check_word(word)
+    return Estimator(label=f"left_translate({word})", fn=lambda x: _mul(x[0], word), n=1)
+
+
+def right_translate_estimator(word: str) -> Estimator:
+    """x -> word * x."""
+    _check_word(word)
+    return Estimator(label=f"right_translate({word})", fn=lambda x: _mul(word, x[0]), n=1)
+
+
+def table_estimator(table: Mapping[str, str], default: str = IDENTITY) -> Estimator:
+    """Look x up in a finite table, with a default for unmapped words.
+
+    Every key and guess is checked to be reduced when the rule is built: one
+    that is not could never match a shift. The rule keeps its own copy.
     """
-
-    kind: str
-    word: str = IDENTITY
-    table: Mapping[str, str] | None = None
-    default: str = IDENTITY
-
-    def __post_init__(self):
-        if self.kind not in _TREE_KINDS:
-            raise ValueError(f"unknown tree estimator kind {self.kind!r}; expected one of {_TREE_KINDS}")
-        if self.kind == "table" and self.table is None:
-            raise ValueError("a table estimator needs a table")
-        _check_word(self.word)
-        _check_word(self.default)
-        if self.table is not None:
-            for x, guess in self.table.items():
-                _check_word(x)
-                _check_word(guess)
-            object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+    table = dict(table)
+    for word in (*table, *table.values(), default):
+        _check_word(word)
+    return Estimator(label="table", fn=lambda x: table.get(x[0], default), n=1)
 
 
-def truncation_estimator() -> TreeEstimator:
-    return TreeEstimator(kind="truncation")
+def evaluate_tree_estimator(e: Estimator, x: str) -> str:
+    return e.evaluate((_check_word(x),))
 
 
-def left_translate_estimator(word: str) -> TreeEstimator:
-    return TreeEstimator(kind="left_translate", word=word)
-
-
-def right_translate_estimator(word: str) -> TreeEstimator:
-    return TreeEstimator(kind="right_translate", word=word)
-
-
-def table_estimator(table: Mapping[str, str], default: str = IDENTITY) -> TreeEstimator:
-    return TreeEstimator(kind="table", table=table, default=default)
-
-
-def _evaluate(e: TreeEstimator, x: str) -> str:
-    """The rule's guess at a reduced word x; the rule was checked when built."""
-    if e.kind == "truncation":
-        return x[:-1] if x else "a"
-    if e.kind == "left_translate":
-        return _mul(x, e.word)
-    if e.kind == "right_translate":
-        return _mul(e.word, x)
-    return e.table.get(x, e.default)
-
-
-def evaluate_tree_estimator(e: TreeEstimator, x: str) -> str:
-    return _evaluate(e, _check_word(x))
-
-
-def exact_quality_tree(e: TreeEstimator, mu: TreeDistribution, theta: str, delta: Fraction) -> Fraction:
+def exact_quality_tree(e: Estimator, mu: TreeDistribution, theta: str, delta: Fraction) -> Fraction:
     """Exact success probability at one shift.
 
-    delta must lie strictly between 0 and 1; distances are integers, so
-    success is exact equality with the shift.
+    e is a one-sample rule on reduced words, as the builders above make; its
+    words were checked when it was built. delta must lie strictly between 0
+    and 1; distances are integers, so success is exact equality with the
+    shift.
     """
     delta = Fraction(delta)
     if not 0 < delta < 1:
@@ -225,19 +192,19 @@ def exact_quality_tree(e: TreeEstimator, mu: TreeDistribution, theta: str, delta
     _check_word(theta)
     total = Fraction(0)
     for z, m in mu.atoms:
-        if _evaluate(e, _mul(theta, z)) == theta:
+        if e.fn((_mul(theta, z),)) == theta:
             total += m
     return total
 
 
 def quality_inf_ball(
-    e: TreeEstimator, mu: TreeDistribution, delta: Fraction, radius: int
+    e: Estimator, mu: TreeDistribution, delta: Fraction, radius: int
 ) -> tuple[Fraction, str]:
     """Minimum exact quality over all shifts in the radius ball, and its first shift.
 
-    For the built-in estimator kinds the per-shift quality depends only on
-    the shift's length and last letter, so the ball minimum for radius >= 2
-    already equals the infimum over the whole group.
+    For the truncation and translate rules the per-shift quality depends
+    only on the shift's length and last letter, so the ball minimum for
+    radius >= 2 already equals the infimum over the whole group.
 
     The sweep goes through the ball in breadth-first order and stops at the
     first shift whose quality is 0. A quality is a sum of positive atom

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from shiftq import (
     CircleDensity,
+    CircleEstimator,
     MCConfig,
     averaging_check,
     biased_mean_circle_estimator,
@@ -19,6 +20,7 @@ from shiftq import (
     warped_circle_estimator,
     wrap,
 )
+from shiftq.estimators import Estimator
 from tests.conftest import KS_CRIT
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -87,6 +89,17 @@ def test_circle_density_renormalizes_small_drift():
     assert mass == pytest.approx(1.0, abs=1e-9)
 
 
+def test_circle_density_renormalizes_over_the_unrolled_turn():
+    # The knots stop short of one turn and integrate to about 1.0004.
+    d = CircleDensity(knots=((0.1, 0.6002), (0.35, 1.4006), (0.6, 1.1004), (0.85, 0.9004)))
+    assert d.knots[0][1] < 0.6002
+    mass, _ = integrate.quad(lambda x: float(d.pdf(x)), 0.0, 1.0, points=[0.1, 0.35, 0.6, 0.85])
+    assert mass == pytest.approx(1.0, abs=1e-9)
+    assert d.pdf(0.1) == d.knots[0][1]
+    assert d.pdf(1.1) == pytest.approx(d.knots[0][1]) and d.pdf(-0.9) == pytest.approx(d.knots[0][1])
+    assert d.ppf(0.0) == 0.1  # mass accumulates from the first knot
+
+
 @pytest.mark.parametrize("density", [uniform_circle_density(), bump_density(), skewed_density()])
 def test_circle_sampling_passes_ks(density):
     n = 100_000
@@ -96,6 +109,23 @@ def test_circle_sampling_passes_ks(density):
     grid = x[:: n // 50]
     ecdf = np.searchsorted(x, grid, side="right") / n
     assert np.max(np.abs(cdf - ecdf)) < KS_CRIT / math.sqrt(n) + 1e-3
+
+
+def test_circle_rules_are_estimators_with_guesses_reduced_mod_1():
+    base = warped_circle_estimator(0.3, n=2)
+    rules = (
+        constant_circle_estimator(1.25, n=2),
+        biased_mean_circle_estimator(0.9, 2),
+        base,
+        invariant_from_coset(base, 0.6),
+    )
+    x = np.random.default_rng(3).random((50, 2))
+    for e in rules:
+        assert isinstance(e, Estimator) and e.fn is None
+        guesses = e.evaluate_batch(x)
+        assert np.all((guesses >= 0.0) & (guesses < 1.0))
+        assert [e.evaluate(row) for row in x] == guesses.tolist()
+    assert [k for k, v in vars(CircleEstimator).items() if callable(v)] == ["evaluate_batch"]
 
 
 def test_pinned_estimator_fixes_the_first_sample():

@@ -362,6 +362,59 @@ def test_cli_density_file_is_validated_like_the_config_field(tmp_path, capsys):
     assert err == ["config error at density.knots: expected [position, value] pairs"]
 
 
+def test_cli_uniform_with_low_high_exits_2(tmp_path, capsys):
+    doc = {"command": "bounds", "distribution": {"family": "uniform", "low": 2, "high": 5}, "delta": 0.5}
+    cfg = write(tmp_path, "u.json", json.dumps(doc))
+    assert main(["bounds", "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error at distribution.low: unknown key",
+        "config error at distribution.high: unknown key",
+    ]
+
+
+def test_unknown_keys_are_rejected_at_every_level():
+    doc = {
+        "distribution": {"family": "gaussian", "sigma": 2.0, "sd": 1},
+        "estimator": {
+            "kind": "mixture",
+            "parts": [
+                {"weight": 0.5, "estimator": {"kind": "constant", "value": 1, "vlaue": 2}},
+                {"weight": 0.5, "estimator": {"kind": "mean", "value": 0}, "w": 1},
+            ],
+            "label": "m",
+        },
+        "delta": 0.5,
+        "detla": 0.5,
+        "mc": {"trials": 1000, "parallelism": 4, "seeds": 1},
+        "output": {"format": "csv", "fmt": "csv"},
+    }
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert {path for path, _ in info.value.errors} == {
+        "detla",
+        "distribution.sd",
+        "estimator.label",
+        "estimator.parts[0].estimator.vlaue",
+        "estimator.parts[1].w",
+        "estimator.parts[1].estimator.value",
+        "mc.seeds",
+        "output.fmt",
+    }
+    assert {message for _, message in info.value.errors} == {"unknown key"}
+    circle = {
+        "command": "circle-avg",
+        "density": {"knots": [[0, 1], [1, 1]], "wrap": True},
+        "estimator": {"kind": "warped", "bias": 0.1},
+    }
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(circle))
+    assert info.value.errors == [("density.wrap", "unknown key"), ("estimator.bias", "unknown key")]
+    # parallelism is still accepted and ignored.
+    kept = {"command": "bounds", "distribution": {"family": "gaussian"}, "delta": 0.5}
+    cfg = parse_config(json.dumps({**kept, "mc": {"parallelism": 4}}))
+    assert cfg == parse_config(json.dumps(kept))
+
+
 def test_cli_enumeration_limit_exits_1(tmp_path):
     points = [[i, "1/7"] for i in range(6)] + [[10, "1/7"]]
     cfg = write(

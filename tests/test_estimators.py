@@ -68,6 +68,22 @@ def test_window_full_cover_picks_support_midpoint():
     assert e.evaluate((0.25,)) == pytest.approx(0.25 - 0.5, abs=1e-9)
 
 
+def test_window_spread_equal_to_the_support_width_is_solved():
+    # Far from zero a bounded law's samples round onto both support ends; the
+    # one center left is returned, and only a wider spread raises.
+    d = Uniform(0.0, 1.0)
+    assert _window_center_batch(d, 0.25, np.array([[0.0, 1.0], [0.0, -1.0]])).tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="sample spread exceeds"):
+        _window_center_batch(d, 0.25, np.array([[0.0, np.nextafter(1.0, 2.0)]]))
+
+
+def test_window_evaluate_is_one_row_of_the_batch():
+    e = window_mle_estimator(Gaussian(0.3, 1.2), 0.4)
+    assert e.fn is None
+    x = np.random.default_rng(4).normal(size=(5, 3))
+    assert [e.evaluate(row) for row in x] == e.evaluate_batch(x).tolist()
+
+
 def test_one_sample_window_solve_is_shared_by_every_row():
     d = PiecewiseDensity(knots=((0.0, 0.0), (0.5, 0.34), (1.2, 0.85), (2.0, 0.226), (2.6, 0.0)))
     e = window_mle_estimator(d, 0.25)

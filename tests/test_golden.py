@@ -20,6 +20,8 @@ CASES = [
     ("quality_mixture", "quality", "json"),
     ("quality_window_piecewise", "quality", "csv"),
     ("circle_avg", "circle-avg", "json"),
+    ("circle_avg_normalised", "circle-avg", "json"),
+    ("tree_demo_r3", "tree-demo", "json"),
 ]
 
 

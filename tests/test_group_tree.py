@@ -21,7 +21,8 @@ from shiftq import (
     truncation_estimator,
 )
 from shiftq import cli, group_tree
-from shiftq.group_tree import TreeEstimator, evaluate_tree_estimator
+from shiftq.estimators import Estimator
+from shiftq.group_tree import evaluate_tree_estimator
 
 HALF = Fraction(1, 2)
 
@@ -123,17 +124,27 @@ def test_invalid_words_are_rejected():
             distance("a", bad)
 
 
+def test_tree_rules_are_one_sample_estimators():
+    rules = (
+        truncation_estimator(),
+        left_translate_estimator("ab"),
+        right_translate_estimator("c"),
+        table_estimator({"a": "b"}),
+    )
+    for e in rules:
+        assert type(e) is Estimator and e.n == 1
+        with pytest.raises(ValueError):
+            e.evaluate(("a", "b"))
+    assert [e.evaluate(("ab",)) for e in rules] == ["a", "abab", "cab", ""]
+
+
 def test_tree_estimator_is_checked_when_built():
     with pytest.raises(ValueError):
-        TreeEstimator(kind="nope")
+        left_translate_estimator("aa")
     with pytest.raises(ValueError):
-        TreeEstimator(kind="left_translate", word="aa")
+        right_translate_estimator("ad")
     with pytest.raises(ValueError):
-        TreeEstimator(kind="right_translate", word="ad")
-    with pytest.raises(ValueError):
-        TreeEstimator(kind="table", table={}, default="bb")
-    with pytest.raises(ValueError):
-        TreeEstimator(kind="table")
+        table_estimator({}, default="bb")
     with pytest.raises(ValueError):
         left_translate_estimator("cc")
     with pytest.raises(ValueError):
@@ -152,8 +163,8 @@ def test_table_rule_keeps_a_read_only_copy():
     source["b"] = "a"
     assert evaluate_tree_estimator(e, "a") == "ab"
     assert evaluate_tree_estimator(e, "b") == "c"
-    with pytest.raises(TypeError):
-        e.table["a"] = "b"
+    # The copy lives only in the rule's closure; no attribute exposes it.
+    assert not hasattr(e, "table")
 
 
 def test_tree_distribution_needs_exact_unit_mass():

@@ -12,6 +12,7 @@ from shiftq import (
     FiniteAtoms,
     Gaussian,
     MCConfig,
+    Uniform,
     averaged_performance_bound,
     constant_estimator,
     default_theta_grid,
@@ -233,6 +234,17 @@ def test_non_invariant_mixture_rows_match_separate_runs():
     assert [(t.theta, t.q, t.ci_half_width) for t in report.per_theta] == [
         (theta, *quality_at(m, d, theta, 0.3125, mc, n=2)) for theta in grid
     ]
+
+
+@pytest.mark.parametrize("n, q", [(2, 0.736328125), (3, 0.8603515625)])
+def test_window_on_a_bounded_law_holds_at_a_huge_shift(n, q):
+    # At 1e15 the samples round to steps of 0.125, so a row's spread can reach
+    # the support width; the solve must still give the row at shift 0.
+    d = Uniform(0.0, 1.0)
+    report = quality_inf(
+        window_mle_estimator(d, 0.25), d, 0.25, (0.0, 1e15), MCConfig(trials=1024, seed=5), n=n
+    )
+    assert [row.q for row in report.per_theta] == [q, q]
 
 
 def test_discrete_mle_on_float_atoms_holds_at_large_shifts():
