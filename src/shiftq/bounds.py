@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
-from .estimators import window_mle_estimator
+from .estimators import RandomizedEstimator, window_mle_estimator
 from .quality import MCConfig, exact_quality_discrete, quality_at
 from .util import (
     BISECT_TOL,
@@ -324,24 +324,29 @@ def window_bound_log_concave(
     )
 
 
-def _dedup(values: Sequence, exact: bool) -> list:
-    if exact:
-        return sorted(set(values))
-    arr = np.sort(np.asarray([float(v) for v in values]))
+def _float_sumset(a: Sequence, b: Sequence) -> list:
+    """Sorted sums x + y, with floats within MATCH_ATOL collapsed to one."""
+    arr = np.sort(np.asarray([float(x + y) for x in a for y in b]))
     keep = np.concatenate(([True], np.diff(arr) > MATCH_ATOL))
     return arr[keep].tolist()
 
 
-def _setsum(a: Sequence, b: Sequence) -> list:
-    exact = is_exact(*a) and is_exact(*b)
-    return _dedup([x + y for x in a for y in b], exact)
+def _common_denominator(points: Sequence) -> int:
+    """D, the lcm of the denominators of exact points; D * z is an integer for each."""
+    return math.lcm(*(z.denominator for z in points))
+
+
+def _scaled(points: Sequence, scale: int) -> list[int]:
+    """The exact points times scale, as Python ints; scale is a multiple of every denominator."""
+    return [z.numerator * (scale // z.denominator) for z in points]
 
 
 def coefficient_sumset(points: Sequence, k: int) -> list:
     """All sums of the points with integer coefficients in [0, k).
 
-    Nearby floats (within 1e-9) collapse to one element; exact inputs
-    deduplicate exactly.
+    Exact points are summed as integers over D, the lcm of their
+    denominators, and come back as Fractions (as ints when every point is an
+    int). Nearby floats (within 1e-9) collapse to one element.
     """
     points = list(points)
     if not points:
@@ -352,39 +357,119 @@ def coefficient_sumset(points: Sequence, k: int) -> list:
         raise ValueError("k must be at least 1")
     if k ** len(points) > _SUMSET_SIZE_CAP:
         raise EnumerationLimitError(f"{k}^{len(points)} combinations exceed the cap")
-    exact = is_exact(*points)
-    values = [0 if exact else 0.0]
-    for z in points:
-        values = _dedup([v + h * z for v in values for h in range(k)], exact)
-    return values
+    if not is_exact(*points):
+        values = [0.0]
+        for z in points:
+            values = _float_sumset(values, [h * z for h in range(k)])
+        return values
+    scale = _common_denominator(points)
+    values = [0]
+    for z in _scaled(points, scale):
+        values = sorted({v + h * z for v in values for h in range(k)})
+    if all(type(z) is int for z in points):
+        return values
+    return [Fraction(v, scale) for v in values]
+
+
+def _lattice_window(g, delta_scaled: Fraction, scale: int, closed: bool) -> tuple[int, int]:
+    """The integers t with |g - t / scale| < delta (<= when closed), as lo <= t <= hi.
+
+    g is exact and delta_scaled is delta * scale. With g = p / q and
+    delta_scaled = a / b the window's ends are (p * scale * b -+ a * q) / (q * b),
+    so floor and ceil are integer divisions.
+    """
+    centre = g.numerator * scale * delta_scaled.denominator
+    reach = delta_scaled.numerator * g.denominator
+    den = g.denominator * delta_scaled.denominator
+    if closed:
+        return -((reach - centre) // den), (centre + reach) // den
+    return (centre - reach) // den + 1, -((-centre - reach) // den) - 1
+
+
+def _observed_qualities(
+    e, d: FiniteAtoms, delta, closed: bool, shifts: list, index: dict, observed: list, scale: int
+) -> list:
+    """Exact one-sample quality at every shift of S, from one guess per observation.
+
+    index maps scale * theta to theta's position in shifts, and observed is
+    scale * (S + Z) as sorted ints. The guess g at an observation x credits
+    the mass of atom z to theta = x - z when theta is in S and lies within
+    delta of g. An exact guess makes that test an integer range on
+    scale * theta; any other guess keeps the within_threshold decision of
+    exact_quality_discrete. A mixture combines its parts' lists with the
+    expression exact_quality_discrete combines their qualities with.
+    """
+    if isinstance(e, RandomizedEstimator):
+        parts = [
+            (_observed_qualities(comp, d, delta, closed, shifts, index, observed, scale), w)
+            for comp, w in e.components
+        ]
+        return [sum(w * q[i] for q, w in parts) for i in range(len(shifts))]
+    atoms = list(zip(_scaled(d.locations, scale), d.masses))
+    as_int = all(type(z) is int for z in d.locations)
+    delta_scaled = Fraction(delta * scale)
+    q = [0] * len(shifts)
+    for x in observed:
+        g = e.evaluate((x if as_int else Fraction(x, scale),))
+        if is_exact(g):
+            lo, hi = _lattice_window(g, delta_scaled, scale, closed)
+            for z, m in atoms:
+                theta = x - z
+                if lo <= theta <= hi and theta in index:
+                    q[index[theta]] += m
+        else:
+            for z, m in atoms:
+                i = index.get(x - z)
+                if i is not None and within_threshold(abs(g - shifts[i]), delta, closed):
+                    q[i] += m
+    return q
 
 
 def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: bool = False) -> SumsetAverageBound:
     """Check the averaging ceiling for an arbitrary estimator on atoms.
 
-    The average of the exact quality over shifts in the coefficient sumset of
-    the atom locations cannot exceed the one-sample window bound scaled by
-    |sumset + atoms| / |sumset|. Exact inputs are decided exactly; float
-    inputs allow 1e-12 slack.
+    The average of the exact quality over shifts in the coefficient sumset S
+    of the atom locations Z cannot exceed the one-sample window bound scaled
+    by |S + Z| / |S|. Exact inputs are decided exactly; float inputs allow
+    1e-12 slack.
+
+    The check runs the way the averaging argument does when delta, the
+    locations and the masses are exact and the rule takes one sample: S + Z
+    is built once in integers over the lcm of the denominators, the rule is
+    evaluated once per observation x in S + Z, and its guess credits each
+    shift x - z in S that it lands within delta of. Float laws and
+    multi-sample rules are evaluated shift by shift with
+    exact_quality_discrete, whose float band the pairing by x would not
+    reproduce.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("the averaging check needs a finite atomic law")
     locs = list(d.locations)
     shifts = coefficient_sumset(locs, k)
-    qualities = [
-        exact_quality_discrete(e, d, theta, delta, closed_interval=closed_interval)
-        for theta in shifts
-    ]
+    if is_exact(*locs):
+        scale = _common_denominator(locs)
+        scaled_shifts = _scaled(shifts, scale)
+        observed = sorted({s + z for s in scaled_shifts for z in _scaled(locs, scale)})
+        grown = len(observed)
+    else:
+        grown = len(_float_sumset(shifts, locs))
+    if e.n == 1 and is_exact(delta, *locs, *d.masses):
+        index = {s: i for i, s in enumerate(scaled_shifts)}
+        qualities = _observed_qualities(e, d, delta, closed_interval, shifts, index, observed, scale)
+    else:
+        qualities = [
+            exact_quality_discrete(e, d, theta, delta, closed_interval=closed_interval)
+            for theta in shifts
+        ]
     total = sum(qualities)
     window_value = window_bound_one_sample(d, delta, closed_interval=closed_interval).value
-    grown = _setsum(shifts, locs)
     if is_exact(total, window_value):
         average = total / len(shifts)
-        bound = window_value * Fraction(len(grown), len(shifts))
+        bound = window_value * Fraction(grown, len(shifts))
         holds = average <= bound
     else:
         average = float(total) / len(shifts)
-        bound = float(window_value) * len(grown) / len(shifts)
+        bound = float(window_value) * grown / len(shifts)
         holds = average <= bound + 1e-12
     return SumsetAverageBound(average_quality=average, bound=bound, holds=holds)
 

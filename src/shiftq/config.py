@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 from .compact_circle import (
@@ -37,7 +38,7 @@ from .estimators import (
     window_mle_estimator,
 )
 from .quality import MCConfig
-from .util import number_doc, parse_number
+from .util import is_exact, number_doc, parse_number
 
 __all__ = [
     "ConfigError",
@@ -225,6 +226,18 @@ def _get_int(doc: dict, key: str, path: str, errs: _Collector, *, default=None, 
     return value
 
 
+def _knot_pairs(knots: list, path: str, errs: _Collector) -> tuple | None:
+    """The [position, value] pairs as floats; the first pair float() refuses is an error at path."""
+    pairs = []
+    for pair in knots:
+        try:
+            pairs.append((float(pair[0]), float(pair[1])))
+        except (TypeError, ValueError):
+            errs.add(path, f"expected numbers in [position, value] pairs, got {json.dumps(pair)}")
+            return None
+    return tuple(pairs)
+
+
 def _build_distribution(spec, path: str, errs: _Collector) -> Distribution | None:
     if not isinstance(spec, dict):
         errs.add(path, "expected an object with a 'family' field")
@@ -248,7 +261,8 @@ def _build_distribution(spec, path: str, errs: _Collector) -> Distribution | Non
             ):
                 errs.add(f"{path}.knots", "expected a list of [position, value] pairs")
                 return None
-            return PiecewiseDensity(knots=tuple((float(x), float(f)) for x, f in knots))
+            pairs = _knot_pairs(knots, f"{path}.knots", errs)
+            return None if pairs is None else PiecewiseDensity(knots=pairs)
         # atoms, the one family left
         points = spec.get("points")
         if not isinstance(points, list) or any(
@@ -279,8 +293,11 @@ def _build_density(spec, path: str, errs: _Collector) -> CircleDensity | None:
     if any(not isinstance(p, list) or len(p) != 2 for p in knots):
         errs.add(f"{path}.knots", "expected [position, value] pairs")
         return None
+    pairs = _knot_pairs(knots, f"{path}.knots", errs)
+    if pairs is None:
+        return None
     try:
-        return CircleDensity(knots=tuple((float(x), float(f)) for x, f in knots))
+        return CircleDensity(knots=pairs)
     except ValueError as exc:
         errs.add(path, str(exc))
         return None
@@ -348,6 +365,26 @@ def _check_rational_mixing(distribution, delta, theta_grid, errs: _Collector):
         )
 
 
+def _flag_delta(text: str, distribution):
+    """A --delta flag's text, read as the document would hold delta for this law.
+
+    Next to atoms whose locations are all exact it is a Fraction, as a
+    "delta": "0.3" string would be; next to any other law it is a float, as
+    "delta": 0.3 would be. Text that is no number is left for the delta
+    field's own check to report.
+    """
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return text
+    if isinstance(distribution, FiniteAtoms) and is_exact(*distribution.locations):
+        return value
+    try:
+        return float(text)
+    except ValueError:  # 'p/q' text
+        return float(value)
+
+
 def parse_config(
     text: str, default_command: str = "quality", overrides: dict | None = None
 ) -> ExperimentConfig:
@@ -355,7 +392,9 @@ def parse_config(
 
     overrides (the command line's flags) replace document fields before
     validation, so they are checked like the fields they replace; a nested
-    dict, such as {"mc": {"seed": 3}}, replaces keys inside that object.
+    dict, such as {"mc": {"seed": 3}}, replaces keys inside that object. A
+    delta given there as text is read as the document would hold it for the
+    law (see _flag_delta).
     """
     errs = _Collector()
     try:
@@ -379,6 +418,9 @@ def parse_config(
     distribution = None
     if "distribution" in doc:
         distribution = _build_distribution(doc["distribution"], "distribution", errs)
+    flag_delta = (overrides or {}).get("delta")
+    if isinstance(flag_delta, str):
+        doc["delta"] = _flag_delta(flag_delta, distribution)
     density = None
     if "density" in doc:
         density = _build_density(doc["density"], "density", errs)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shiftq import (
     BoundReport,
@@ -23,8 +25,8 @@ from shiftq import (
     window_bound_log_concave,
     window_bound_one_sample,
 )
-from shiftq.estimators import Estimator
-from shiftq.util import EnumerationLimitError
+from shiftq.estimators import Estimator, mixture
+from shiftq.util import MATCH_ATOL, EnumerationLimitError, is_exact
 from tests.conftest import random_rational_atoms
 
 UNIT_WINDOW_MASS = 0.6826894921370859
@@ -193,6 +195,101 @@ def test_coefficient_sumset_caps():
         coefficient_sumset(list(range(6)), 100)
     with pytest.raises(ValueError):
         coefficient_sumset([], 2)
+
+
+def _reference_sumset(points, k):
+    """coefficient_sumset stage by stage: sorted Fraction sets, or floats deduplicated on MATCH_ATOL."""
+    exact = is_exact(*points)
+    values = [0 if exact else 0.0]
+    for z in points:
+        sums = [v + h * z for v in values for h in range(k)]
+        if exact:
+            values = sorted(set(sums))
+        else:
+            arr = np.sort(np.asarray([float(v) for v in sums]))
+            values = arr[np.concatenate(([True], np.diff(arr) > MATCH_ATOL))].tolist()
+    return values
+
+
+def _reference_average_bound(e, d, delta, k, closed):
+    """The averaging check shift by shift: one exact_quality_discrete call per theta of S."""
+    shifts = coefficient_sumset(d.locations, k)
+    total = sum(exact_quality_discrete(e, d, t, delta, closed_interval=closed) for t in shifts)
+    window = window_bound_one_sample(d, delta, closed_interval=closed).value
+    grown = len({t + z for t in shifts for z in d.locations})
+    if is_exact(total, window):
+        average = total / len(shifts)
+        bound = window * Fraction(grown, len(shifts))
+        return average, bound, average <= bound
+    average = float(total) / len(shifts)
+    bound = float(window) * grown / len(shifts)
+    return average, bound, average <= bound + 1e-12
+
+
+@st.composite
+def _rational_laws(draw):
+    """(atoms, delta, k): r <= 5 rational atoms and k <= 5, with k^r <= 256 to keep the reference quick."""
+    r = draw(st.integers(1, 5))
+    den = draw(st.sampled_from([1, 2, 3, 8, 12]))
+    locs = sorted(draw(st.sets(st.integers(-40, 60), min_size=r, max_size=r)))
+    weights = draw(st.lists(st.integers(1, 9), min_size=r, max_size=r))
+    masses = [Fraction(w, sum(weights)) for w in weights]
+    d = FiniteAtoms(atoms=tuple((Fraction(z, den), m) for z, m in zip(locs, masses)))
+    delta = Fraction(draw(st.integers(1, 48)), draw(st.sampled_from([1, 2, 3, 4, 16])))
+    k = draw(st.integers(1, max(j for j in range(1, 6) if j**r <= 256)))
+    return d, delta, k
+
+
+def _table_rule(offset, modulus):
+    def rule(x):
+        v = x[0]
+        return v - offset if (v % modulus) < modulus / 2 else v + offset
+
+    return Estimator(label="table rule", fn=rule, n=1)
+
+
+@st.composite
+def _one_sample_rules(draw, d, delta, closed):
+    """A one-sample rule: exact or float table rules, constants, discrete_mle, or mixtures of them."""
+    kind = draw(st.sampled_from(["table", "float table", "mle", "constant", "float constant", "mixture"]))
+    offset = Fraction(draw(st.integers(-40, 40)), 8)
+    modulus = Fraction(draw(st.integers(2, 12)), 2)
+    value = Fraction(draw(st.integers(-60, 60)), 6)
+    if kind == "table":
+        return _table_rule(offset, modulus)
+    if kind == "float table":
+        return _table_rule(float(offset), float(modulus))
+    if kind == "mle":
+        return discrete_one_sample_estimator(d, delta, closed_interval=closed)
+    if kind == "constant":
+        return constant_estimator(value, n=1)
+    if kind == "float constant":
+        return constant_estimator(float(value) + 0.1, n=1)
+    weight = Fraction(draw(st.integers(1, 7)), 8)
+    weights = (weight, 1 - weight) if draw(st.booleans()) else (float(weight), 1 - float(weight))
+    parts = (_table_rule(offset, modulus), draw(_one_sample_rules(d, delta, closed)))
+    return mixture(list(zip(parts, weights)))
+
+
+@given(st.data())
+def test_sumset_average_bound_matches_the_shift_by_shift_reference(data):
+    d, delta, k = data.draw(_rational_laws())
+    closed = data.draw(st.booleans())
+    e = data.draw(_one_sample_rules(d, delta, closed))
+    out = sumset_average_bound(e, d, delta, k, closed_interval=closed)
+    assert repr(tuple(out)) == repr(_reference_average_bound(e, d, delta, k, closed))
+
+
+def test_coefficient_sumset_keeps_the_point_types_and_order():
+    ints = coefficient_sumset([0, 3, 5], 3)
+    assert ints == _reference_sumset([0, 3, 5], 3) and all(type(v) is int for v in ints)
+    points = [Fraction(-3, 4), Fraction(1, 3), 2, Fraction(29, 6)]
+    exact = coefficient_sumset(points, 4)
+    assert exact == _reference_sumset(points, 4) and all(type(v) is Fraction for v in exact)
+    floats = [-0.75, 0.1, 0.2, 0.30000000001, 4.8]
+    assert coefficient_sumset(floats, 3) == _reference_sumset(floats, 3)
+    # 0.1 + 0.2 and 0.30000000001 collapse to one element.
+    assert len(coefficient_sumset(floats, 2)) < 2 ** len(floats)
 
 
 def test_sumset_average_bound_on_the_optimal_estimator(example_atoms):

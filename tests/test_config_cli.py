@@ -560,3 +560,54 @@ def test_cli_import_and_parse_leave_scipy_special_unloaded():
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.mark.parametrize(
+    "command, field, doc, bad",
+    [
+        ("circle-avg", "density", {"knots": [[None, 1], [1, 1]]}, "[null, 1]"),
+        ("bounds", "distribution", {"family": "piecewise", "knots": [[0, 1], [1, None], [2, 0]]}, "[1, null]"),
+        ("bounds", "distribution", {"family": "piecewise", "knots": [[0, 1], [1, {}], [2, 0]]}, "[1, {}]"),
+    ],
+)
+def test_non_number_knot_is_a_field_error(tmp_path, capsys, command, field, doc, bad):
+    # Reported with the document's other field errors, not as an uncaught TypeError.
+    cfg = write(tmp_path, "k.json", json.dumps({field: doc, "delta": -1}))
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error at {field}.knots: expected numbers in [position, value] pairs, got {bad}",
+        "config error at delta: delta must be positive",
+    ]
+
+
+def _report(tmp_path, name, argv, doc):
+    cfg = write(tmp_path, f"{name}.json", json.dumps(doc))
+    out = tmp_path / f"{name}.out"
+    assert main(argv + ["--config", cfg, "--out", str(out), "--format", "csv"]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags, document_delta",
+    [
+        # A Gaussian holds delta as a float; the default grid follows its type.
+        ("quality", {"distribution": {"family": "gaussian"}, "estimator": {"kind": "mean"},
+                     "n": 2, "mc": {"trials": 2000}}, ["0.3"], 0.3),
+        ("bounds", {"distribution": {"family": "exponential", "rate": 2.0}, "n": 3}, ["0.3"], 0.3),
+        ("bounds", {"distribution": {"family": "gaussian"}, "n": 2, "mc": {"trials": 2000}}, ["3/8"], 0.375),
+        # Rational atoms hold it as an exact 'p/q' string.
+        ("quality", {"distribution": {"family": "atoms", "points": [["0", "1/3"], ["1/2", "2/3"]]},
+                     "estimator": {"kind": "mean"}, "n": 2}, ["3/4", "0.75"], "3/4"),
+        ("lemma-check", {"distribution": {"family": "atoms", "points": [["0", "1/3"], ["5/2", "2/3"]]},
+                         "k": 3}, ["3/4", "0.75"], "3/4"),
+        # Float atoms hold it as a float; the flag used to turn it rational and exit 2.
+        ("bounds", {"distribution": {"family": "atoms", "points": [[0.0, 0.25], [1.0, 0.75]]}},
+         ["0.75"], 0.75),
+        ("lemma-check", {"distribution": {"family": "atoms", "points": [[0.0, 0.25], [1.5, 0.75]]},
+                         "k": 3}, ["0.75", "3/4"], 0.75),
+    ],
+)
+def test_delta_flag_matches_the_config_field(tmp_path, command, doc, flags, document_delta):
+    expected = _report(tmp_path, "doc", [command], {**doc, "delta": document_delta})
+    for i, text in enumerate(flags):
+        assert _report(tmp_path, f"flag{i}", [command, "--delta", text], doc) == expected

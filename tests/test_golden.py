@@ -22,6 +22,9 @@ CASES = [
     ("circle_avg", "circle-avg", "json"),
     ("circle_avg_normalised", "circle-avg", "json"),
     ("tree_demo_r3", "tree-demo", "json"),
+    ("lemma_check_rational", "lemma-check", "csv"),
+    ("lemma_check_float_atoms", "lemma-check", "json"),
+    ("quality_exact_atoms", "quality", "csv"),
 ]
 
 
