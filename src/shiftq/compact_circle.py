@@ -5,7 +5,8 @@ Because the circle is a compact group, any estimator can be converted into a
 shift-equivariant one that agrees with it on the coset where the first sample
 equals a chosen anchor; averaging over anchors shows the best pinned copy is
 at least as good as the original estimator's worst case. The checker here
-measures that numerically on a grid of anchors.
+measures that numerically on a grid of anchors, through the Monte Carlo
+harness of quality with CIRCLE as the space.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .distributions import PiecewiseDensity
 from .estimators import NO_CLAIM, SHIFT_INVARIANT, Estimator
-from .quality import HitCounter, MCConfig, _mc_counts
+from .quality import MCConfig, Space, _counter, _mc_counts, _mc_grid, _noise
 
 __all__ = [
     "wrap",
@@ -46,6 +47,10 @@ def circle_distance(u, v):
     """Shorter arc between two points; at most 1/2."""
     d = np.abs(wrap(u) - wrap(v))
     return np.minimum(d, 1.0 - d)
+
+
+# The circle for the Monte Carlo harness: rotate by theta, measure the shorter arc.
+CIRCLE = Space(act=lambda noise, theta: wrap(theta + noise), distance=circle_distance)
 
 
 @dataclass(frozen=True)
@@ -177,21 +182,6 @@ def _check_delta(delta) -> float:
     return delta
 
 
-def _circle_noise(density: CircleDensity, n: int):
-    """draw(rng, m): m rows of n samples of the unrotated density."""
-    return lambda rng, m: density.sample_with_rng(rng, (m, n))
-
-
-def _circle_counter(e: CircleEstimator, theta: float, delta: float) -> HitCounter:
-    """Hits of e on the noise rotated by theta: arc from e(theta + noise) to theta below delta."""
-
-    def count(noise, rng):
-        x = wrap(theta + noise)
-        return int((circle_distance(e.evaluate_batch(x), theta) < delta).sum())
-
-    return count
-
-
 def circle_quality_at(
     e: CircleEstimator,
     density: CircleDensity,
@@ -201,8 +191,7 @@ def circle_quality_at(
 ) -> tuple[float, float]:
     """Monte Carlo (q, ci): probability the guess lands within arc delta of theta."""
     delta = _check_delta(delta)
-    counter = _circle_counter(e, float(wrap(theta)), delta)
-    return _mc_counts(_circle_noise(density, e.n), [counter], mc)[0]
+    return _mc_counts(_noise(density, e.n), [_counter(CIRCLE, e, wrap(theta), delta)], mc)[0]
 
 
 @dataclass(frozen=True)
@@ -230,20 +219,25 @@ def averaging_check(
     """Compare the best coset-pinned copy of e against e's own worst case.
 
     The worst case of e is measured over a uniform shift grid of the same
-    granularity as the anchor grid; each pinned copy is equivariant, so its
-    quality is measured once at shift zero. Every shift of e and every
-    pinned copy is scored on the same noise, chunk by chunk, so the
-    comparison is paired. holds records whether the best pinned copy is at
-    least e's worst case, within three combined CI half-widths.
+    granularity as the anchor grid, under the grid policy of quality_inf: a
+    rule that claims shift invariance is checked row by row at every shift
+    (InvarianceError if the claim is false) and scored once, at shift zero.
+    Each pinned copy is equivariant, so it is scored once at shift zero; a
+    pinned copy of an equivariant rule is the rule itself, so it takes e's
+    shift-zero row. Every shift of e and every pinned copy is scored on the
+    same noise, chunk by chunk, so the comparison is paired. holds records
+    whether the best pinned copy is at least e's worst case, within three
+    combined CI half-widths.
     """
     if anchor_grid < 8:
         raise ValueError("anchor_grid must be at least 8")
     delta = _check_delta(delta)
     shifts = [i / anchor_grid for i in range(anchor_grid)]
-    counters = [_circle_counter(e, float(wrap(theta)), delta) for theta in shifts]
-    counters += [_circle_counter(invariant_from_coset(e, a), 0.0, delta) for a in shifts]
-    rows = _mc_counts(_circle_noise(density, e.n), counters, mc)
-    raw_rows, pinned_rows = rows[:anchor_grid], rows[anchor_grid:]
+    invariant = e.invariance_claim == SHIFT_INVARIANT
+    pinned = [] if invariant else [_counter(CIRCLE, invariant_from_coset(e, a), 0.0, delta) for a in shifts]
+    rows = _mc_grid(CIRCLE, e, density, e.n, shifts, delta, mc, paired=pinned)
+    raw_rows = rows[:anchor_grid]
+    pinned_rows = raw_rows if invariant else rows[anchor_grid:]
     # min keeps the first minimiser, as a strict < scan over the shifts does.
     (q_e, q_e_ci), theta_argmin = min(zip(raw_rows, shifts), key=lambda row: row[0][0])
     anchor_rows = [(anchor, q, ci) for anchor, (q, ci) in zip(shifts, pinned_rows)]

@@ -10,6 +10,7 @@ in to exact rational arithmetic where the computation supports it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -434,6 +435,8 @@ def parse_config(
     delta = _get_number(doc, "delta", "", errs)
     if delta is not None and not float(delta) > 0:
         errs.add("delta", "delta must be positive")
+    elif delta is not None and float(delta) == math.inf:
+        errs.add("delta", "delta must be finite")
 
     n = _get_int(doc, "n", "", errs, default=1, minimum=1)
     k = _get_int(doc, "k", "", errs, default=6, minimum=1)

@@ -111,12 +111,6 @@ class RandomizedEstimator:
     def _cum_weights(self) -> np.ndarray:
         return np.cumsum([w for _, w in self.components])
 
-    def evaluate(self, samples, rng: np.random.Generator):
-        u = rng.random()
-        idx = int(np.searchsorted(self._cum_weights, u, side="right"))
-        idx = min(idx, len(self.components) - 1)
-        return self.components[idx][0].evaluate(samples)
-
     def evaluate_batch(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         u = rng.random(x.shape[0])

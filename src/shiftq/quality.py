@@ -6,8 +6,12 @@ samples are drawn from the shifted base law. The worst case over shifts is
 the figure of merit; for shift-equivariant estimators it equals the value at
 shift zero.
 
-Monte Carlo runs work in noise coordinates and are deterministic: trials are
-split into fixed-size chunks, chunk c's noise block is drawn once from a
+One Monte Carlo harness serves the line and the circle. A space is two
+functions (Space): act(noise, theta) moves noise to a shift and
+distance(guess, theta) is the metric of the threshold test; both spaces
+share the noise draw, the hit counter, the invariance check and the grid
+policy here. Runs work in noise coordinates and are deterministic: trials
+are split into fixed-size chunks, chunk c's noise block is drawn once from a
 generator seeded from (seed, c), and every requested (rule, shift) is scored
 against that block before the next chunk is drawn, so each chunk's count
 depends only on the seed and its index, not on the order the chunks run in.
@@ -44,12 +48,10 @@ __all__ = [
     "MCConfig",
     "QualityReport",
     "ThetaQuality",
-    "AveragedPerformance",
     "wilson_halfwidth",
     "quality_at",
     "exact_quality_discrete",
     "quality_inf",
-    "averaged_performance_bound",
     "default_theta_grid",
     "quality_report_rows",
     "quality_report_dict",
@@ -105,14 +107,6 @@ class QualityReport:
     infimum_certified: bool
 
 
-class AveragedPerformance(NamedTuple):
-    """Average and minimum quality over the averaging shifts; Fractions when exact."""
-
-    average: float | Fraction
-    minimum: float | Fraction
-    per_theta: tuple  # (theta, q, ci_half_width) per shift
-
-
 def wilson_halfwidth(successes: int, trials: int, ci_level: float) -> float:
     """Half-width of the Wilson score interval for a binomial proportion."""
     from scipy.special import ndtri  # deferred: the exact paths never need it
@@ -129,6 +123,21 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 # A counter scores one (rule, shift) pair: counter(noise, rng) -> hits in the block.
 HitCounter = Callable[[np.ndarray, np.random.Generator], int]
+
+
+class Space(NamedTuple):
+    """A continuous space as the Monte Carlo harness sees it.
+
+    act(noise, theta) moves a noise block to shift theta, and
+    distance(guess, theta) is the metric the threshold is tested in.
+    """
+
+    act: Callable[[np.ndarray, float], np.ndarray]
+    distance: Callable[[np.ndarray, float], np.ndarray]
+
+
+# At shift zero the noise block is scored as it is, without a copy.
+LINE = Space(act=lambda noise, theta: noise + theta if theta else noise, distance=lambda g, t: np.abs(g - t))
 
 
 def _mc_counts(draw, counters: Sequence[HitCounter], mc: MCConfig) -> list[tuple[float, float]]:
@@ -152,8 +161,8 @@ def _mc_counts(draw, counters: Sequence[HitCounter], mc: MCConfig) -> list[tuple
     return [(t / mc.trials, wilson_halfwidth(t, mc.trials, mc.ci_level)) for t in totals]
 
 
-def _line_noise(d: Distribution, n: int):
-    """draw(rng, m): m rows of n inverse-CDF samples of the unshifted law.
+def _noise(d, n: int):
+    """draw(rng, m): m rows of n inverse-CDF samples of the unshifted law, on either space.
 
     Adding 0.0 turns any -0.0 into 0.0, so the block is exactly the samples
     at shift zero and a counter at that shift can score it without a copy.
@@ -165,18 +174,64 @@ def _line_noise(d: Distribution, n: int):
     return draw
 
 
-def _line_counter(e, theta, delta, closed_interval: bool) -> HitCounter:
-    """Hits of e on the noise shifted by theta: |e(theta + noise) - theta| within delta."""
+def _counter(space: Space, e, theta, delta, closed: bool = False) -> HitCounter:
+    """Hits of e on the noise moved to theta: distance(e(act(noise, theta)), theta) within delta."""
     theta_f = float(theta)
     delta_f = float(delta)
     randomized = isinstance(e, RandomizedEstimator)
 
     def count(noise, rng):
-        x = noise + theta_f if theta_f else noise
+        x = space.act(noise, theta_f)
         est = e.evaluate_batch(x, rng) if randomized else e.evaluate_batch(x)
-        return int(within_threshold_array(np.abs(est - theta_f), delta_f, closed_interval).sum())
+        return int(within_threshold_array(space.distance(est, theta_f), delta_f, closed).sum())
 
     return count
+
+
+def _mc_grid(
+    space: Space, e, d, n: int, thetas, delta, mc: MCConfig, closed: bool = False, paired=()
+) -> list:
+    """Monte Carlo (q, ci_half_width) of e at each shift, then of each counter in paired.
+
+    Everything is scored on one noise draw. A rule that claims shift
+    invariance is checked at every shift (see _check_invariance) and then
+    scored once, at shift zero, and that row is every shift's row.
+    """
+    draw = _noise(d, n)
+    if e.invariance_claim == SHIFT_INVARIANT:
+        _check_invariance(space, e, draw, n, thetas, mc)
+        rows = _mc_counts(draw, [_counter(space, e, 0.0, delta, closed), *paired], mc)
+        return rows[:1] * len(thetas) + rows[1:]
+    return _mc_counts(draw, [*(_counter(space, e, t, delta, closed) for t in thetas), *paired], mc)
+
+
+def _check_invariance(space: Space, e, draw, n: int, thetas, mc: MCConfig) -> None:
+    """Raise InvarianceError unless e(act(x, theta)) - theta = e(x) row by row.
+
+    x is the first INVARIANCE_CHECK_ROWS noise rows of chunk 0, theta runs
+    over the grid, and the gap is measured in the space's distance. A row
+    passes within 4*n float spacings of |theta| + max|x_row|, the rounding
+    of adding theta and taking it away again (n times over for a rule that
+    sums its samples), plus BISECT_TOL, the stopping width of a window
+    solve. A mixture is checked part by part.
+    """
+    x = draw(_chunk_rng(mc.seed, 0), min(INVARIANCE_CHECK_ROWS, mc.trials))
+    reach = np.abs(x).max(axis=1)
+    parts = [c for c, _ in e.components] if isinstance(e, RandomizedEstimator) else [e]
+    for part in parts:
+        base = part.evaluate_batch(x)
+        for theta in thetas:
+            theta_f = float(theta)
+            if theta_f == 0.0:
+                continue
+            gap = space.distance(part.evaluate_batch(space.act(x, theta_f)) - theta_f, base)
+            bad = ~(gap <= 4 * n * np.spacing(abs(theta_f) + reach) + BISECT_TOL)
+            if bad.any():
+                raise InvarianceError(
+                    f"{part.label} claims shift invariance but e(x + {theta_f:g}) - {theta_f:g} "
+                    f"differs from e(x) by up to {gap[bad].max():.6g} "
+                    f"on {int(bad.sum())} of {len(x)} rows"
+                )
 
 
 def _resolve_n(e, n):
@@ -205,62 +260,7 @@ def quality_at(
 ) -> tuple[float, float]:
     """Monte Carlo estimate (q, ci_half_width) of the quality at one shift."""
     n = _resolve_n(e, n)
-    return _mc_counts(_line_noise(d, n), [_line_counter(e, theta, delta, closed_interval)], mc)[0]
-
-
-def _grid_rows(e, d: Distribution, thetas, delta, mc: MCConfig, n, closed_interval: bool) -> list:
-    """(theta, q, ci_half_width, exact) at each shift.
-
-    An atomic law is enumerated shift by shift. Otherwise every shift is
-    scored on the same Monte Carlo noise; a rule that claims shift
-    invariance is checked at every shift and then scored once, at shift
-    zero, and that value is every shift's row.
-    """
-    if isinstance(d, FiniteAtoms):
-        return [
-            (
-                *_exact_pair(t, exact_quality_discrete(e, d, t, delta, n=n, closed_interval=closed_interval)),
-                0.0,
-                True,
-            )
-            for t in thetas
-        ]
-    n = _resolve_n(e, n)
-    draw = _line_noise(d, n)
-    if e.invariance_claim == SHIFT_INVARIANT:
-        _check_invariance(e, d, n, thetas, mc)
-        rows = _mc_counts(draw, [_line_counter(e, 0.0, delta, closed_interval)], mc) * len(thetas)
-    else:
-        rows = _mc_counts(draw, [_line_counter(e, t, delta, closed_interval) for t in thetas], mc)
-    return [(float(t), q, ci, False) for t, (q, ci) in zip(thetas, rows)]
-
-
-def _check_invariance(e, d: Distribution, n: int, thetas, mc: MCConfig) -> None:
-    """Raise InvarianceError unless e(x + theta) - theta = e(x) row by row.
-
-    x is the first INVARIANCE_CHECK_ROWS noise rows of chunk 0 and theta runs
-    over the grid. A row passes within 4*n float spacings of |theta| +
-    max|x_row|, the rounding of adding theta and taking it away again (n
-    times over for a rule that sums its samples), plus BISECT_TOL, the
-    stopping width of a window solve. A mixture is checked part by part.
-    """
-    x = _line_noise(d, n)(_chunk_rng(mc.seed, 0), min(INVARIANCE_CHECK_ROWS, mc.trials))
-    reach = np.abs(x).max(axis=1)
-    parts = [c for c, _ in e.components] if isinstance(e, RandomizedEstimator) else [e]
-    for part in parts:
-        base = part.evaluate_batch(x)
-        for theta in thetas:
-            theta_f = float(theta)
-            if theta_f == 0.0:
-                continue
-            gap = np.abs(part.evaluate_batch(theta_f + x) - theta_f - base)
-            bad = ~(gap <= 4 * n * np.spacing(abs(theta_f) + reach) + BISECT_TOL)
-            if bad.any():
-                raise InvarianceError(
-                    f"{part.label} claims shift invariance but e(x + {theta_f:g}) - {theta_f:g} "
-                    f"differs from e(x) by up to {gap[bad].max():.6g} "
-                    f"on {int(bad.sum())} of {len(x)} rows"
-                )
+    return _mc_counts(_noise(d, n), [_counter(LINE, e, theta, delta, closed_interval)], mc)[0]
 
 
 def exact_quality_discrete(
@@ -345,19 +345,17 @@ def _exact_pair(theta, q) -> tuple:
 def default_theta_grid(delta, n: int, k: int = 10) -> tuple:
     """41 shifts spread over +-10*delta*n plus the averaging points 2*delta*i.
 
-    A Fraction delta gives the same points as Fractions, so an exact law is
-    evaluated exactly over its default grid.
+    The points are built in rationals from delta's exact value. A Fraction
+    delta keeps them as Fractions, so an exact law is evaluated exactly over
+    its default grid; any other delta gets each point rounded once to a
+    float, so points that coincide in exact arithmetic stay one shift.
     """
-    if isinstance(delta, Fraction):
-        span = 10 * delta * n
-        grid = {span * Fraction(i - 20, 20) for i in range(41)}
-        grid.update(2 * delta * i for i in range(1, k + 1))
-        return tuple(sorted(grid))
-    delta_f = float(delta)
-    span = 10.0 * delta_f * n
-    grid = set(np.linspace(-span, span, 41).tolist())
-    grid.update(2.0 * delta_f * i for i in range(1, k + 1))
-    return tuple(sorted(grid))
+    exact = isinstance(delta, Fraction)
+    step = delta if exact else Fraction(float(delta))
+    span = 10 * step * n
+    grid = {span * Fraction(i - 20, 20) for i in range(41)}
+    grid.update(2 * step * i for i in range(1, k + 1))
+    return tuple(sorted(grid if exact else {float(t) for t in grid}))
 
 
 def quality_inf(
@@ -372,11 +370,13 @@ def quality_inf(
 ) -> QualityReport:
     """Worst-case quality over a shift grid.
 
-    Shift-equivariant estimators report the value at shift zero, which is
-    then every row's value; their claim is first checked row by row at every
-    shift of the grid (see _check_invariance), and a rule that fails raises
-    InvarianceError. Other estimators report the grid minimum, which is an
-    upper bound on the true infimum.
+    An atomic law is enumerated shift by shift; any other law is scored by
+    Monte Carlo, every shift on the same noise. Shift-equivariant estimators
+    report the value at shift zero, which is then every row's value; their
+    claim is first checked row by row at every shift of the grid (see
+    _check_invariance), and a rule that fails raises InvarianceError. Other
+    estimators report the grid minimum, which is an upper bound on the true
+    infimum.
     """
     thetas = list(theta_grid)
     if not thetas:
@@ -385,7 +385,18 @@ def quality_inf(
     if invariant and not any(float(t) == 0.0 for t in thetas):
         thetas.insert(0, 0)  # an int, so a rational law stays exact at this shift
 
-    entries = [ThetaQuality(*row) for row in _grid_rows(e, d, thetas, delta, mc, n, closed_interval)]
+    if isinstance(d, FiniteAtoms):
+        entries = [
+            ThetaQuality(
+                *_exact_pair(t, exact_quality_discrete(e, d, t, delta, n=n, closed_interval=closed_interval)),
+                0.0,
+                True,
+            )
+            for t in thetas
+        ]
+    else:
+        rows = _mc_grid(LINE, e, d, _resolve_n(e, n), thetas, delta, mc, closed_interval)
+        entries = [ThetaQuality(float(t), q, ci, False) for t, (q, ci) in zip(thetas, rows)]
 
     if invariant:
         # Monte Carlo rows agree by construction; exact rows must agree exactly.
@@ -406,36 +417,6 @@ def quality_inf(
         per_theta=tuple(entries),
         worst_case=worst,
         infimum_certified=invariant,
-    )
-
-
-def averaged_performance_bound(
-    e,
-    d: Distribution,
-    delta,
-    k: int,
-    mc: MCConfig,
-    *,
-    n: int | None = None,
-    closed_interval: bool = False,
-) -> AveragedPerformance:
-    """Average quality over the shifts 2*delta*i, i = 1..k.
-
-    The average dominates the worst-case quality, so it is a cheap upper
-    bound; the minimum over the same shifts is reported as well since it is
-    sharper in practice. An exact law at an exact delta keeps Fractions
-    throughout, as in quality_inf; a Monte Carlo run scores every shift on
-    the same noise, as quality_inf does.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    thetas = [2 * delta * i for i in range(1, k + 1)]
-    per_theta = [row[:3] for row in _grid_rows(e, d, thetas, delta, mc, n, closed_interval)]
-    values = [q for _, q, _ in per_theta]
-    return AveragedPerformance(
-        average=sum(values) / k,
-        minimum=min(values),
-        per_theta=tuple(per_theta),
     )
 
 

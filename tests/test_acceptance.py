@@ -56,7 +56,7 @@ from shiftq import (
     wrap,
 )
 from shiftq.estimators import Estimator
-from shiftq.quality import CHUNK_TRIALS, _chunk_rng, _line_counter, _line_noise
+from shiftq.quality import CHUNK_TRIALS, LINE, _chunk_rng, _counter, _noise
 from tests.conftest import KS_CRIT, random_rational_atoms
 
 
@@ -262,7 +262,7 @@ def test_a7c_results_are_bit_identical_across_parallelism():
     d = Exponential(2.0)
     e = min_shift_estimator(0.2)
     mc = MCConfig(trials=150_000, seed=99)
-    draw, count = _line_noise(d, 3), _line_counter(e, 1.5, 0.2, False)
+    draw, count = _noise(d, 3), _counter(LINE, e, 1.5, 0.2, False)
     starts = range(0, mc.trials, CHUNK_TRIALS)
 
     def chunk_hits(c):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy import integrate
 from shiftq import (
     CircleDensity,
     CircleEstimator,
+    InvarianceError,
     MCConfig,
     averaging_check,
     biased_mean_circle_estimator,
@@ -20,7 +23,9 @@ from shiftq import (
     warped_circle_estimator,
     wrap,
 )
-from shiftq.estimators import Estimator
+from shiftq import config
+from shiftq.cli import main
+from shiftq.estimators import SHIFT_INVARIANT, Estimator
 from tests.conftest import KS_CRIT
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -206,14 +211,36 @@ def test_averaging_check_requires_a_reasonable_grid(mc_fast):
 
 
 def test_averaging_check_matches_separate_runs():
-    e = warped_circle_estimator(0.3, n=2)
+    # biased_mean claims invariance, so the check scores it once, at shift 0,
+    # for every shift and every anchor; separate runs must still agree.
     density, delta, mc = bump_density(), 0.1, MCConfig(trials=40_000, seed=4)
-    report = averaging_check(e, density, delta, 8, mc)
     shifts = [i / 8 for i in range(8)]
-    raw = [circle_quality_at(e, density, theta, delta, mc) for theta in shifts]
-    q_e, q_e_ci = min(raw, key=lambda row: row[0])
-    assert (report.q_e, report.q_e_ci) == (q_e, q_e_ci)
-    assert report.theta_argmin == shifts[raw.index((q_e, q_e_ci))]
-    assert report.anchor_qualities == tuple(
-        (a, *circle_quality_at(invariant_from_coset(e, a), density, 0.0, delta, mc)) for a in shifts
+    rules = (
+        warped_circle_estimator(0.3, n=2),
+        biased_mean_circle_estimator(0.1, 1),
+        biased_mean_circle_estimator(0.1, 3),
     )
+    for e in rules:
+        report = averaging_check(e, density, delta, 8, mc)
+        raw = [circle_quality_at(e, density, theta, delta, mc) for theta in shifts]
+        q_e, q_e_ci = min(raw, key=lambda row: row[0])
+        assert (report.q_e, report.q_e_ci) == (q_e, q_e_ci)
+        assert report.theta_argmin == shifts[raw.index((q_e, q_e_ci))]
+        assert report.anchor_qualities == tuple(
+            (a, *circle_quality_at(invariant_from_coset(e, a), density, 0.0, delta, mc)) for a in shifts
+        )
+
+
+def test_false_invariance_claim_on_the_circle_is_refused(tmp_path, monkeypatch, capsys):
+    def liar(strength, n):
+        return dataclasses.replace(warped_circle_estimator(strength, n=n), invariance_claim=SHIFT_INVARIANT)
+
+    with pytest.raises(InvarianceError, match=r"warped\(strength=0.3\) claims shift invariance"):
+        averaging_check(liar(0.3, 2), bump_density(), 0.1, 8, MCConfig(trials=1000, seed=3))
+    monkeypatch.setattr(config, "warped_circle_estimator", liar)
+    doc = {"estimator": {"kind": "warped", "strength": 0.3}, "n": 2, "anchor_grid": 8, "mc": {"trials": 1000}}
+    path = tmp_path / "liar.json"
+    path.write_text(json.dumps(doc))
+    assert main(["circle-avg", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invariance: warped(strength=0.3) claims shift invariance")

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -578,6 +579,13 @@ def test_non_number_knot_is_a_field_error(tmp_path, capsys, command, field, doc,
         f"config error at {field}.knots: expected numbers in [position, value] pairs, got {bad}",
         "config error at delta: delta must be positive",
     ]
+
+
+def test_infinite_delta_is_a_field_error(tmp_path, capsys):
+    # The default shift grid is built in rationals from delta, which has none for infinity.
+    doc = {"distribution": {"family": "gaussian"}, "estimator": {"kind": "mean"}, "delta": math.inf}
+    assert main(["quality", "--config", write(tmp_path, "inf.json", json.dumps(doc))]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error at delta: delta must be finite"]
 
 
 def _report(tmp_path, name, argv, doc):

@@ -21,6 +21,7 @@ CASES = [
     ("quality_window_piecewise", "quality", "csv"),
     ("circle_avg", "circle-avg", "json"),
     ("circle_avg_normalised", "circle-avg", "json"),
+    ("circle_avg_default", "circle-avg", "json"),
     ("tree_demo_r3", "tree-demo", "json"),
     ("lemma_check_rational", "lemma-check", "csv"),
     ("lemma_check_float_atoms", "lemma-check", "json"),

@@ -1,6 +1,8 @@
 """The scripts under scripts/ import public shiftq names; each must still run."""
 
 import importlib.util
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,15 @@ def test_script_runs_and_writes_its_csv(capsys, name, argv, header, rows):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == header
     assert len(lines) == 1 + rows
+
+
+def test_run_paper_suite_matches_the_cli(capsys, monkeypatch):
+    from shiftq.cli import main
+
+    expected_code = main(["paper-suite", "--trials", "2000"])
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["run_paper_suite.py", "--trials", "2000"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "run_paper_suite.py"), run_name="__main__")
+    assert exit_info.value.code == expected_code
+    assert capsys.readouterr().out == expected
