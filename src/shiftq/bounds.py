@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
-from .estimators import RandomizedEstimator, window_mle_estimator
+from .estimators import window_mle_estimator
 from .quality import MCConfig, exact_quality_discrete, quality_at
 from .util import (
     BISECT_TOL,
@@ -202,21 +202,7 @@ def window_bound_one_sample(d: Distribution, delta, *, closed_interval: bool = F
     if not float(delta) > 0:
         raise ValueError("delta must be positive")
     if isinstance(d, FiniteAtoms):
-        value, center = _discrete_window_best(d, delta, closed_interval)
-        packing_value, _ = _discrete_packing_best(d, delta)
-        if is_exact(value, packing_value):
-            certified = value == packing_value
-        else:
-            certified = abs(float(value) - float(packing_value)) <= 1e-12
-        return BoundReport(
-            kind=WINDOW,
-            n=1,
-            delta=delta,
-            value=value,
-            method="atom sliding window",
-            equality_certified=certified,
-            witness=center,
-        )
+        return _atom_bounds(d, delta, closed_interval)[0]
     traits = d.traits()
     delta_f = float(delta)
     if traits.unimodal or traits.monotone_on_halfline:
@@ -240,7 +226,7 @@ def window_bound_one_sample(d: Distribution, delta, *, closed_interval: bool = F
 
 
 def packing_bound_discrete(d: FiniteAtoms, delta) -> BoundReport:
-    """Ceiling for arbitrary estimators on an atomic law, one sample.
+    """Ceiling for arbitrary estimators on an atomic law, one sample, open windows.
 
     Exact: keeps the heaviest atom from each class of atoms linked by
     2*delta-multiple distances. The window bound can sit strictly below this
@@ -250,37 +236,49 @@ def packing_bound_discrete(d: FiniteAtoms, delta) -> BoundReport:
         raise TypeError("packing bound over atoms needs a finite atomic law")
     if not float(delta) > 0:
         raise ValueError("delta must be positive")
-    value, selected = _discrete_packing_best(d, delta)
-    window_value, _ = _discrete_window_best(d, delta, False)
-    if is_exact(value, window_value):
-        certified = value == window_value
+    return _atom_bounds(d, delta, False)[1]
+
+
+def _atom_bounds(d: FiniteAtoms, delta, closed_interval: bool) -> list[BoundReport]:
+    """The one-sample window row of an atomic law, then its packing row, each computed once.
+
+    The packing argument needs open windows: a closed window of width
+    2*delta catches two atoms 2*delta apart, which the packing classes keep
+    apart. So under the closed convention there is no packing row and the
+    window row is not certified.
+    """
+    value, center = _discrete_window_best(d, delta, closed_interval)
+    if closed_interval:
+        return [BoundReport(WINDOW, 1, delta, value, "atom sliding window", False, center)]
+    packing_value, selected = _discrete_packing_best(d, delta)
+    if is_exact(value, packing_value):
+        certified = value == packing_value
     else:
-        certified = abs(float(value) - float(window_value)) <= 1e-12
-    return BoundReport(
-        kind=PACKING,
-        n=1,
-        delta=delta,
-        value=value,
-        method="heaviest atom per translate-conflict class",
-        equality_certified=certified,
-        witness=selected,
-    )
+        certified = abs(float(value) - float(packing_value)) <= 1e-12
+    return [
+        BoundReport(WINDOW, 1, delta, value, "atom sliding window", certified, center),
+        BoundReport(
+            PACKING, 1, delta, packing_value, "heaviest atom per translate-conflict class", certified, selected
+        ),
+    ]
 
 
 def packing_bound_halfline(d: Distribution, n: int, delta) -> BoundReport:
-    """Ceiling for arbitrary estimators when the density decreases on [0, inf).
+    """Ceiling for arbitrary estimators when the density decreases on [lo, inf).
 
-    The event "every sample lies within 2*delta above the shift" is disjoint
-    from its translates by multiples of 2*delta and no estimator can beat its
-    probability 1 - (1 - F(2*delta))^n; the minimum-based estimator attains
-    it, so the window and packing ceilings coincide for this family.
+    lo is where the support starts. The event "every sample lies within
+    2*delta above the shift plus lo" is disjoint from its translates by
+    multiples of 2*delta and no estimator can beat its probability
+    1 - (1 - F(lo + 2*delta))^n; the minimum-based rule min(x) - lo - delta
+    attains it, so the window and packing ceilings coincide for this family.
     """
     traits = d.traits()
     if not traits.monotone_on_halfline:
         raise ValueError("halfline packing bound needs a density decreasing on [0, inf)")
     if n < 1:
         raise ValueError("n must be at least 1")
-    tail = 1.0 - float(d.cdf(2.0 * float(delta)))
+    lo = d.support()[0]
+    tail = 1.0 - float(d.cdf(lo + 2.0 * float(delta)))
     value = 1.0 - tail**n
     return BoundReport(
         kind=PACKING,
@@ -396,33 +394,31 @@ def _observed_qualities(
     the mass of atom z to theta = x - z when theta is in S and lies within
     delta of g. An exact guess makes that test an integer range on
     scale * theta; any other guess keeps the within_threshold decision of
-    exact_quality_discrete. A mixture combines its parts' lists with the
-    expression exact_quality_discrete combines their qualities with.
+    exact_quality_discrete. The rule's parts are credited one by one and
+    combined as exact_quality_discrete combines their qualities.
     """
-    if isinstance(e, RandomizedEstimator):
-        parts = [
-            (_observed_qualities(comp, d, delta, closed, shifts, index, observed, scale), w)
-            for comp, w in e.components
-        ]
-        return [sum(w * q[i] for q, w in parts) for i in range(len(shifts))]
     atoms = list(zip(_scaled(d.locations, scale), d.masses))
     as_int = all(type(z) is int for z in d.locations)
     delta_scaled = Fraction(delta * scale)
-    q = [0] * len(shifts)
-    for x in observed:
-        g = e.evaluate((x if as_int else Fraction(x, scale),))
-        if is_exact(g):
-            lo, hi = _lattice_window(g, delta_scaled, scale, closed)
-            for z, m in atoms:
-                theta = x - z
-                if lo <= theta <= hi and theta in index:
-                    q[index[theta]] += m
-        else:
-            for z, m in atoms:
-                i = index.get(x - z)
-                if i is not None and within_threshold(abs(g - shifts[i]), delta, closed):
-                    q[i] += m
-    return q
+    total = [0] * len(shifts)
+    for part, w in e.parts:
+        q = [0] * len(shifts)
+        for x in observed:
+            g = part.evaluate((x if as_int else Fraction(x, scale),))
+            if is_exact(g):
+                lo, hi = _lattice_window(g, delta_scaled, scale, closed)
+                for z, m in atoms:
+                    theta = x - z
+                    if lo <= theta <= hi and theta in index:
+                        q[index[theta]] += m
+            else:
+                for z, m in atoms:
+                    i = index.get(x - z)
+                    if i is not None and within_threshold(abs(g - shifts[i]), delta, closed):
+                        q[i] += m
+        # A plain rule is its only part, of weight 1, and 0 + 1*q is q: skip the per-shift sums.
+        total = q if part is e else [t + w * v for t, v in zip(total, q)]
+    return total
 
 
 def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: bool = False) -> SumsetAverageBound:

@@ -29,8 +29,7 @@ from .compact_circle import averaging_check, biased_mean_circle_estimator, unifo
 from .config import ConfigError, EstimatorSpec, ExperimentConfig, build_estimator, parse_config
 from .distributions import Exponential, FiniteAtoms, Gaussian
 from .estimators import (
-    discrete_n_sample_estimator,
-    discrete_one_sample_estimator,
+    discrete_mle_estimator,
     mean_estimator,
     min_shift_estimator,
     window_mle_estimator,
@@ -137,10 +136,10 @@ def _run_quality(args) -> int:
 
 def _applicable_bounds(cfg) -> list:
     d, delta, n = cfg.distribution, cfg.delta, cfg.n
+    if isinstance(d, FiniteAtoms):
+        return bounds_mod._atom_bounds(d, delta, cfg.closed_interval)
     traits = d.traits()
     reports = [bounds_mod.window_bound_one_sample(d, delta, closed_interval=cfg.closed_interval)]
-    if traits.discrete:
-        reports.append(bounds_mod.packing_bound_discrete(d, delta))
     if traits.monotone_on_halfline:
         reports.append(bounds_mod.packing_bound_halfline(d, n, delta))
     if traits.log_concave_strict and n > 1:
@@ -366,7 +365,7 @@ def _suite_scenarios(mc: MCConfig, closed_interval: bool):
     )
     delta = Fraction(3, 4)
     window_bound = bounds_mod.window_bound_one_sample(atoms, delta, closed_interval=closed_interval)
-    e1 = discrete_one_sample_estimator(atoms, delta, closed_interval=closed_interval)
+    e1 = discrete_mle_estimator(atoms, delta, closed_interval=closed_interval)
     shifts = bounds_mod.coefficient_sumset(list(atoms.locations), 4)
     qualities = [
         exact_quality_discrete(e1, atoms, theta, delta, closed_interval=closed_interval)
@@ -382,7 +381,7 @@ def _suite_scenarios(mc: MCConfig, closed_interval: bool):
     }
 
     # Two samples with distinct pairwise atom distances do strictly better.
-    e2 = discrete_n_sample_estimator(atoms, delta, 2)
+    e2 = discrete_mle_estimator(atoms, delta, 2, closed_interval=closed_interval)
     q2 = exact_quality_discrete(e2, atoms, Fraction(0), delta, n=2, closed_interval=closed_interval)
     yield {
         "scenario": "discrete-two-sample",

@@ -104,8 +104,8 @@ def uniform_circle_density() -> CircleDensity:
 class CircleEstimator(Estimator):
     """An Estimator on circle samples whose guesses are reduced mod 1."""
 
-    def evaluate_batch(self, x: np.ndarray) -> np.ndarray:
-        return wrap(super().evaluate_batch(x))
+    def evaluate_batch(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        return wrap(super().evaluate_batch(x, rng))
 
 
 def constant_circle_estimator(value: float, n: int = 1) -> CircleEstimator:

@@ -31,8 +31,7 @@ from .distributions import (
 )
 from .estimators import (
     constant_estimator,
-    discrete_n_sample_estimator,
-    discrete_one_sample_estimator,
+    discrete_mle_estimator,
     mean_estimator,
     min_shift_estimator,
     mixture,
@@ -136,16 +135,6 @@ class EstimatorKind:
     cast: Callable = lambda value: value
 
 
-def _discrete_mle(spec: EstimatorSpec, cfg: ExperimentConfig):
-    if not isinstance(cfg.distribution, FiniteAtoms):
-        raise ValueError("discrete_mle needs a finite atomic law")
-    if cfg.n == 1:
-        return discrete_one_sample_estimator(
-            cfg.distribution, cfg.delta, closed_interval=cfg.closed_interval
-        )
-    return discrete_n_sample_estimator(cfg.distribution, cfg.delta, cfg.n)
-
-
 # Every estimator kind, once per space. `circle-avg` runs on the circle and
 # every other command on the line. The circle's bias and strength are cast to
 # float because its labels format them with :g, which a Fraction refuses.
@@ -157,7 +146,11 @@ ESTIMATORS: dict[str, dict[str, EstimatorKind]] = {
             lambda spec, cfg: window_mle_estimator(cfg.distribution, float(cfg.delta))
         ),
         "min_shift": EstimatorKind(lambda spec, cfg: min_shift_estimator(cfg.delta)),
-        "discrete_mle": EstimatorKind(_discrete_mle),
+        "discrete_mle": EstimatorKind(
+            lambda spec, cfg: discrete_mle_estimator(
+                cfg.distribution, cfg.delta, cfg.n, closed_interval=cfg.closed_interval
+            )
+        ),
         "constant": EstimatorKind(
             lambda spec, cfg: constant_estimator(spec.value, n=cfg.n), "value", 0.0
         ),

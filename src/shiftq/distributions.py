@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .util import MATCH_ATOL, is_exact
+from .util import MATCH_ATOL
 
 __all__ = [
     "FamilyTraits",
@@ -42,14 +42,13 @@ class FamilyTraits:
     and numerically (from the knot table) for PiecewiseDensity. A density that
     is decreasing on the half-line is reported via monotone_on_halfline alone,
     even though its level sets are convex too; the constructions treat that
-    trait as the stronger piece of information.
+    trait as the stronger piece of information. FiniteAtoms sets no flag:
+    atomic laws are told apart by their type.
     """
 
     unimodal: bool = False
     log_concave_strict: bool = False
     monotone_on_halfline: bool = False
-    discrete: bool = False
-    distinct_pairwise_distances: bool = False
 
 
 class Distribution(abc.ABC):
@@ -423,18 +422,7 @@ class FiniteAtoms(Distribution):
         return sum(z * m for z, m in self.atoms)
 
     def traits(self):
-        locs = self.locations
-        exact = is_exact(*locs)
-        dists = []
-        for i in range(len(locs)):
-            for j in range(i + 1, len(locs)):
-                dists.append(locs[j] - locs[i])
-        if exact:
-            distinct = len(set(dists)) == len(dists)
-        else:
-            vals = sorted(float(d) for d in dists)
-            distinct = all(b - a > MATCH_ATOL for a, b in zip(vals, vals[1:]))
-        return FamilyTraits(discrete=True, distinct_pairwise_distances=distinct)
+        return FamilyTraits()
 
 
 @dataclass(frozen=True)

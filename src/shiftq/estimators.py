@@ -3,9 +3,10 @@
 An Estimator wraps a plain evaluation function together with the sample count
 it accepts and the invariance it claims; it is the one rule type of the line,
 the circle (compact_circle.CircleEstimator) and the tree (group_tree's
-builders). Constructions that admit a vectorized form also carry a batch
-evaluator, which is what keeps the Monte Carlo loops fast; anything else
-falls back to a per-row Python loop.
+builders), and a mixture (RandomizedEstimator) is one too. Constructions
+that admit a vectorized form also carry a batch evaluator, which is what
+keeps the Monte Carlo loops fast; anything else falls back to a per-row
+Python loop.
 
 Shift equivariance is the load-bearing property here: e(x + c) = e(x) + c
 means the estimator's success probability does not depend on the unknown
@@ -29,8 +30,7 @@ __all__ = [
     "mean_estimator",
     "window_mle_estimator",
     "min_shift_estimator",
-    "discrete_one_sample_estimator",
-    "discrete_n_sample_estimator",
+    "discrete_mle_estimator",
     "invariant_extension",
     "constant_estimator",
     "mixture",
@@ -42,7 +42,7 @@ NO_CLAIM = "none"
 
 @dataclass(frozen=True)
 class Estimator:
-    """A deterministic location estimator.
+    """A location estimator.
 
     fn maps a length-n sample sequence to an estimate: a real number on the
     line and the circle, a reduced word on the tree. n is either a fixed int
@@ -52,6 +52,9 @@ class Estimator:
     declares that fn's value does not depend on the order of the samples, so
     exact enumeration may visit each multiset of samples once instead of
     every ordering of it.
+
+    parts are the deterministic rules it is made of, with their weights:
+    ((self, 1),) for a plain rule, the components for a mixture.
     """
 
     label: str
@@ -61,6 +64,10 @@ class Estimator:
     batch_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     symmetric: bool = False
 
+    @property
+    def parts(self) -> tuple:
+        return ((self, 1),)
+
     def evaluate(self, samples):
         samples = tuple(samples)
         if self.n != "any" and len(samples) != self.n:
@@ -69,7 +76,8 @@ class Estimator:
             return float(self.evaluate_batch(np.asarray([samples], dtype=float))[0])
         return self.fn(samples)
 
-    def evaluate_batch(self, x: np.ndarray) -> np.ndarray:
+    def evaluate_batch(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Estimates for the rows of x; only a mixture reads rng, to draw each row's component."""
         x = np.asarray(x, dtype=float)
         if self.n != "any" and x.shape[1] != self.n:
             raise ValueError(f"{self.label} expects {self.n} samples, got {x.shape[1]}")
@@ -79,11 +87,15 @@ class Estimator:
 
 
 @dataclass(frozen=True)
-class RandomizedEstimator:
-    """A finite mixture of estimators; evaluation first draws a component."""
+class RandomizedEstimator(Estimator):
+    """A finite mixture of estimators; evaluation first draws a component.
 
-    components: tuple[tuple[Estimator, float], ...]
+    n and invariance_claim are set from the components. Each row's component
+    is drawn from the generator evaluate_batch is given, which is required.
+    """
+
     label: str = "mixture"
+    components: tuple[tuple[Estimator, float], ...] = ()
 
     def __post_init__(self):
         if not self.components:
@@ -93,29 +105,25 @@ class RandomizedEstimator:
             raise ValueError("mixture weights must be positive")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
-        if len({e.n for e, _ in self.components} - {"any"}) > 1:
-            raise ValueError("mixture components disagree on sample count")
-
-    @property
-    def n(self):
         fixed = {e.n for e, _ in self.components} - {"any"}
-        return fixed.pop() if fixed else "any"
+        if len(fixed) > 1:
+            raise ValueError("mixture components disagree on sample count")
+        object.__setattr__(self, "n", fixed.pop() if fixed else "any")
+        unanimous = all(e.invariance_claim == SHIFT_INVARIANT for e, _ in self.components)
+        object.__setattr__(self, "invariance_claim", SHIFT_INVARIANT if unanimous else NO_CLAIM)
 
     @property
-    def invariance_claim(self) -> str:
-        if all(e.invariance_claim == SHIFT_INVARIANT for e, _ in self.components):
-            return SHIFT_INVARIANT
-        return NO_CLAIM
+    def parts(self) -> tuple:
+        return self.components
 
-    @property
-    def _cum_weights(self) -> np.ndarray:
-        return np.cumsum([w for _, w in self.components])
-
-    def evaluate_batch(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def evaluate_batch(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        if rng is None:
+            raise ValueError(f"{self.label} draws a component for each row and needs a generator")
         x = np.asarray(x, dtype=float)
         u = rng.random(x.shape[0])
         idx = np.minimum(
-            np.searchsorted(self._cum_weights, u, side="right"), len(self.components) - 1
+            np.searchsorted(np.cumsum([w for _, w in self.components]), u, side="right"),
+            len(self.components) - 1,
         )
         out = np.empty(x.shape[0])
         for j, (comp, _) in enumerate(self.components):
@@ -330,67 +338,47 @@ def min_shift_estimator(delta) -> Estimator:
     )
 
 
-def discrete_one_sample_estimator(d: FiniteAtoms, delta, *, closed_interval: bool = False) -> Estimator:
-    """Sample minus the center of the heaviest width-2*delta atom window.
+def discrete_mle_estimator(d: FiniteAtoms, delta, n: int = 1, *, closed_interval: bool = False) -> Estimator:
+    """The atom rule: the window rule on one sample, exact shift recovery on several.
 
-    The center comes from the discrete window bound, so the estimator's exact
-    quality equals that bound at every shift.
+    The window rule is sample minus the centre of the heaviest width-2*delta
+    atom window (the discrete window bound under closed_interval's
+    convention), so at n=1 its exact quality equals that bound at every shift.
+
+    At n >= 2 the atom locations must have distinct pairwise distances, and
+    two distinct sample values pin the shift uniquely: subtracting a
+    candidate atom from the first sample must land every sample back on an
+    atom. All-equal samples fall back to the window rule. On exact inputs the candidate comes from one lookup: two
+    distinct samples a and b differ by z_j - z_i for exactly one atom pair,
+    because the signed differences of distinct atoms are distinct, so the
+    shift is a - z_i. Every sample is still checked against the atoms. Float
+    inputs try each atom in turn and match within MATCH_ATOL, or four float
+    spacings of the sample where those are coarser: a sample far from zero
+    carries the rounding of its shift.
     """
     from .bounds import window_bound_one_sample  # deferred: bounds builds estimators too
 
     if not isinstance(d, FiniteAtoms):
-        raise TypeError("expected a finite atomic law")
-    report = window_bound_one_sample(d, delta, closed_interval=closed_interval)
-    center = report.witness
-    center_f = float(center)
-
-    def fn(x):
-        return x[0] - center
-
-    return Estimator(
-        label=f"discrete_window(center={center_f:g})",
-        fn=fn,
-        n=1,
-        invariance_claim=SHIFT_INVARIANT,
-        batch_fn=lambda x: x[:, 0] - center_f,
-    )
-
-
-def _all_close(values, exact: bool) -> bool:
-    first = values[0]
-    if exact:
-        return all(v == first for v in values)
-    return all(abs(float(v) - float(first)) <= MATCH_ATOL for v in values)
-
-
-def discrete_n_sample_estimator(d: FiniteAtoms, delta, n: int) -> Estimator:
-    """Exact shift recovery for atom sets with all pairwise distances distinct.
-
-    With two distinct sample values the shift is pinned uniquely: subtracting
-    a candidate atom from the first sample must land every sample back on an
-    atom. All-equal samples fall back to the one-sample window rule applied to
-    the common value.
-
-    On exact inputs the candidate comes from one lookup: two distinct samples
-    a and b differ by z_j - z_i for exactly one atom pair, because the signed
-    differences of distinct atoms are distinct, so the shift is a - z_i. Every
-    sample is still checked against the atoms. Float inputs try each atom in
-    turn and match within MATCH_ATOL, or four float spacings of the sample
-    where those are coarser: a sample far from zero carries the rounding of
-    its shift.
-    """
-    traits = d.traits()
-    if not traits.discrete:
-        raise TypeError("expected a finite atomic law")
-    if not traits.distinct_pairwise_distances:
-        raise ValueError("atom locations must have distinct pairwise distances")
+        raise TypeError("discrete_mle needs a finite atomic law")
     if n < 1:
         raise ValueError("n must be at least 1")
-    from .bounds import window_bound_one_sample
+    center = window_bound_one_sample(d, delta, closed_interval=closed_interval).witness
+    center_f = float(center)
+    if n == 1:
+        return Estimator(
+            label=f"discrete_window(center={center_f:g})",
+            fn=lambda x: x[0] - center,
+            n=1,
+            invariance_claim=SHIFT_INVARIANT,
+            batch_fn=lambda x: x[:, 0] - center_f,
+            symmetric=True,
+        )
 
-    center = window_bound_one_sample(d, delta).witness
     locs = d.locations
     exact_locs = is_exact(*locs)
+    distances = sorted(b - a for i, a in enumerate(locs) for b in locs[i + 1 :])
+    if any(hi - lo <= (0 if exact_locs else MATCH_ATOL) for lo, hi in zip(distances, distances[1:])):
+        raise ValueError("atom locations must have distinct pairwise distances")
     loc_set = frozenset(locs)
     lower_atom = {b - a: a for a in locs for b in locs if a != b}
 
@@ -400,16 +388,18 @@ def discrete_n_sample_estimator(d: FiniteAtoms, delta, n: int) -> Estimator:
         return any(abs(value - float(z)) <= tol for z in locs)
 
     def fn(x):
-        exact = exact_locs and is_exact(*x)
-        if _all_close(x, exact):
-            return x[0] - center
         first = x[0]
-        if exact:
-            z = lower_atom.get(next(v for v in x if v != first) - first)
+        if exact_locs and is_exact(*x):
+            other = next((v for v in x if v != first), None)
+            if other is None:
+                return first - center
+            z = lower_atom.get(other - first)
             if z is not None:
                 candidate = first - z
                 if all(v - candidate in loc_set for v in x):
                     return candidate
+        elif all(abs(float(v) - float(first)) <= MATCH_ATOL for v in x):
+            return first - center
         else:
             for z in locs:
                 candidate = first - z

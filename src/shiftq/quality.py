@@ -19,6 +19,10 @@ A rule that claims shift invariance is scored once, at shift zero, and every
 grid row reports that value; the claim itself is checked row by row on a
 fixed block of chunk-0 rows at each shift of the grid, and a failed check
 raises InvarianceError.
+
+Mixtures take the same path as every rule: a counter hands the chunk's
+generator to evaluate_batch, which only a mixture reads, and exact
+enumeration and the invariance check walk the rule's weighted parts.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .distributions import Distribution, FiniteAtoms
-from .estimators import SHIFT_INVARIANT, RandomizedEstimator
+from .estimators import SHIFT_INVARIANT
 from .util import (
     BISECT_TOL,
     BOUNDARY_TOL,
@@ -178,11 +182,9 @@ def _counter(space: Space, e, theta, delta, closed: bool = False) -> HitCounter:
     """Hits of e on the noise moved to theta: distance(e(act(noise, theta)), theta) within delta."""
     theta_f = float(theta)
     delta_f = float(delta)
-    randomized = isinstance(e, RandomizedEstimator)
 
     def count(noise, rng):
-        x = space.act(noise, theta_f)
-        est = e.evaluate_batch(x, rng) if randomized else e.evaluate_batch(x)
+        est = e.evaluate_batch(space.act(noise, theta_f), rng)
         return int(within_threshold_array(space.distance(est, theta_f), delta_f, closed).sum())
 
     return count
@@ -213,12 +215,11 @@ def _check_invariance(space: Space, e, draw, n: int, thetas, mc: MCConfig) -> No
     passes within 4*n float spacings of |theta| + max|x_row|, the rounding
     of adding theta and taking it away again (n times over for a rule that
     sums its samples), plus BISECT_TOL, the stopping width of a window
-    solve. A mixture is checked part by part.
+    solve. The rule is checked part by part, so a mixture draws nothing.
     """
     x = draw(_chunk_rng(mc.seed, 0), min(INVARIANCE_CHECK_ROWS, mc.trials))
     reach = np.abs(x).max(axis=1)
-    parts = [c for c, _ in e.components] if isinstance(e, RandomizedEstimator) else [e]
-    for part in parts:
+    for part, _ in e.parts:
         base = part.evaluate_batch(x)
         for theta in thetas:
             theta_f = float(theta)
@@ -286,39 +287,40 @@ def exact_quality_discrete(
     taking it away again rounds at that scale (n times over for a rule that
     sums its samples), so a narrower band would let a decision on the
     boundary depend on theta.
+
+    A rule's quality is the weighted sum of its parts' qualities.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("exact evaluation needs a finite atomic law")
     n = _resolve_n(e, n)
-    if isinstance(e, RandomizedEstimator):
-        return sum(
-            w * exact_quality_discrete(comp, d, theta, delta, n=n, closed_interval=closed_interval)
-            for comp, w in e.components
-        )
     r = len(d.atoms)
     exact = is_exact(theta, delta, *d.locations, *d.masses)
     shifted = tuple((theta + z, m) for z, m in d.atoms)
-    if exact and e.symmetric:
-        count = math.comb(r + n - 1, n)
-        if count > _EXACT_ENUM_CAP:
-            raise EnumerationLimitError(
-                f"{count} multisets of {n} samples from {r} atoms exceed the cap of {_EXACT_ENUM_CAP}"
-            )
-        cases = _multisets(shifted, n)
-    else:
-        if r**n > _EXACT_ENUM_CAP:
-            raise EnumerationLimitError(f"{r}^{n} sample tuples exceed the cap of {_EXACT_ENUM_CAP}")
-        cases = zip(itertools.product(shifted, repeat=n), itertools.repeat(1))
     band = BOUNDARY_TOL
     if not exact:
         reach = abs(float(theta)) + max(abs(float(z)) for z in d.locations)
         band = max(band, 4 * n * math.ulp(reach))
-    total = 0
-    for combo, ways in cases:
-        samples, masses = zip(*combo)
-        if within_threshold(abs(e.evaluate(samples) - theta), delta, closed_interval, band=band):
-            total += math.prod(masses, start=ways)
-    return total
+
+    def hit_mass(part):
+        if exact and part.symmetric:
+            count = math.comb(r + n - 1, n)
+            if count > _EXACT_ENUM_CAP:
+                raise EnumerationLimitError(
+                    f"{count} multisets of {n} samples from {r} atoms exceed the cap of {_EXACT_ENUM_CAP}"
+                )
+            cases = _multisets(shifted, n)
+        else:
+            if r**n > _EXACT_ENUM_CAP:
+                raise EnumerationLimitError(f"{r}^{n} sample tuples exceed the cap of {_EXACT_ENUM_CAP}")
+            cases = zip(itertools.product(shifted, repeat=n), itertools.repeat(1))
+        total = 0
+        for combo, ways in cases:
+            samples, masses = zip(*combo)
+            if within_threshold(abs(part.evaluate(samples) - theta), delta, closed_interval, band=band):
+                total += math.prod(masses, start=ways)
+        return total
+
+    return sum(w * hit_mass(part) for part, w in e.parts)
 
 
 def _multisets(atoms, n: int):

@@ -28,7 +28,7 @@ from shiftq import (
     coefficient_sumset,
     constant_circle_estimator,
     constant_estimator,
-    discrete_one_sample_estimator,
+    discrete_mle_estimator,
     exact_quality_discrete,
     exact_quality_tree,
     inverse,
@@ -144,7 +144,7 @@ def test_a4_window_bound_packing_bound_and_estimator_agree():
         window = window_bound_one_sample(d, delta)
         packing = packing_bound_discrete(d, delta)
         assert window.value <= packing.value
-        e = discrete_one_sample_estimator(d, delta)
+        e = discrete_mle_estimator(d, delta)
         worst = min(
             exact_quality_discrete(e, d, theta, delta)
             for theta in coefficient_sumset(d.locations, 6)
@@ -238,7 +238,7 @@ def test_a7a_no_estimator_beats_the_applicable_bound():
     delta = Fraction(3, 4)
     ceiling = packing_bound_discrete(atoms, delta).value
     shifts = coefficient_sumset(atoms.locations, 4)
-    for e in (discrete_one_sample_estimator(atoms, delta), constant_estimator(0, n=1)):
+    for e in (discrete_mle_estimator(atoms, delta), constant_estimator(0, n=1)):
         worst = min(exact_quality_discrete(e, atoms, theta, delta) for theta in shifts)
         assert worst <= ceiling
 

@@ -17,10 +17,12 @@ from shiftq import (
     Uniform,
     coefficient_sumset,
     constant_estimator,
-    discrete_one_sample_estimator,
+    discrete_mle_estimator,
     exact_quality_discrete,
+    min_shift_estimator,
     packing_bound_discrete,
     packing_bound_halfline,
+    quality_at,
     sumset_average_bound,
     window_bound_log_concave,
     window_bound_one_sample,
@@ -155,6 +157,17 @@ def test_halfline_packing_closed_forms():
         assert r.equality_certified and r.n == n
     with pytest.raises(ValueError):
         packing_bound_halfline(Gaussian(0.0, 1.0), 1, 0.25)
+    # A decreasing law whose support starts at lo = 0.5: the event is "every
+    # sample within 2*delta above theta + lo", which min(x) - lo - delta catches.
+    ramp = PiecewiseDensity(knots=((0.5, 4.0), (1.0, 0.0)))
+    window = window_bound_one_sample(ramp, 0.1).value
+    assert window == pytest.approx(0.64, abs=1e-9)
+    for n in (1, 3):
+        r = packing_bound_halfline(ramp, n, 0.1)
+        assert r.value == pytest.approx(1.0 - (1.0 - float(ramp.cdf(0.7))) ** n, abs=1e-12)
+        assert r.value >= window - 1e-9
+    q, ci = quality_at(min_shift_estimator(0.6), ramp, 0.0, 0.1, MCConfig(trials=20_000, seed=3), n=3)
+    assert abs(q - packing_bound_halfline(ramp, 3, 0.1).value) <= 4 * ci
 
 
 def test_log_concave_window_bound_matches_gaussian_mass():
@@ -260,7 +273,7 @@ def _one_sample_rules(draw, d, delta, closed):
     if kind == "float table":
         return _table_rule(float(offset), float(modulus))
     if kind == "mle":
-        return discrete_one_sample_estimator(d, delta, closed_interval=closed)
+        return discrete_mle_estimator(d, delta, closed_interval=closed)
     if kind == "constant":
         return constant_estimator(value, n=1)
     if kind == "float constant":
@@ -294,7 +307,7 @@ def test_coefficient_sumset_keeps_the_point_types_and_order():
 
 def test_sumset_average_bound_on_the_optimal_estimator(example_atoms):
     delta = Fraction(3, 4)
-    e = discrete_one_sample_estimator(example_atoms, delta)
+    e = discrete_mle_estimator(example_atoms, delta)
     out = sumset_average_bound(e, example_atoms, delta, 4)
     assert out.holds
     assert out.average_quality == Fraction(3, 5)

@@ -229,6 +229,28 @@ def test_cli_bounds_json(tmp_path):
     assert kinds["window"]["equality_certified"] is False
 
 
+def test_cli_bounds_closed_interval_atoms_have_no_packing_row(tmp_path):
+    # Atoms 2*delta apart: a closed window catches both, so discrete_mle
+    # scores 1, above the packing value 1/2 of the open-window argument.
+    doc = {
+        "distribution": {"family": "atoms", "points": [[0, "1/2"], [1, "1/2"]]},
+        "delta": "1/2",
+        "estimator": {"kind": "discrete_mle"},
+        "theta_grid": ["0", "1/3"],
+    }
+    cfg = write(tmp_path, "c.json", json.dumps(doc))
+    rows = {}
+    for closed in (False, True):
+        out = str(tmp_path / f"bounds-{closed}.json")
+        assert main(["bounds", "--config", cfg, "--out", out] + ["--closed-interval"] * closed) == 0
+        rows[closed] = [(b["kind"], b["value"], b["equality_certified"]) for b in json.load(open(out))["bounds"]]
+    assert rows[False] == [("window", "1/2", True), ("packing", "1/2", True)]
+    assert rows[True] == [("window", "1/1", False)]
+    out = str(tmp_path / "quality.json")
+    assert main(["quality", "--config", cfg, "--closed-interval", "--out", out]) == 0
+    assert [row["q"] for row in json.load(open(out))["per_theta"]] == ["1/1", "1/1"]
+
+
 def test_cli_lemma_check(tmp_path):
     cfg = write(
         tmp_path,

@@ -9,11 +9,13 @@ from scipy import integrate
 
 from shiftq import (
     Exponential,
+    FamilyTraits,
     FiniteAtoms,
     Gaussian,
     PiecewiseDensity,
     ShiftedDistribution,
     Uniform,
+    discrete_mle_estimator,
 )
 from tests.conftest import KS_CRIT
 
@@ -108,7 +110,7 @@ def test_shifted_sampling_adds_theta():
 def test_classify_routes_families():
     g = Gaussian(0.0, 1.0).traits()
     assert g.unimodal and g.log_concave_strict
-    assert not g.monotone_on_halfline and not g.discrete
+    assert not g.monotone_on_halfline
 
     e = Exponential(1.0).traits()
     assert e.monotone_on_halfline
@@ -117,8 +119,10 @@ def test_classify_routes_families():
     u = Uniform(0.0, 1.0).traits()
     assert u.unimodal and not u.log_concave_strict and not u.monotone_on_halfline
 
-    a = FiniteAtoms(atoms=((0.0, 0.5), (1.0, 0.5))).traits()
-    assert a.discrete
+    # Atoms set no flag: the constructions and bounds route them by type.
+    atoms = FiniteAtoms(atoms=((0.0, 0.5), (1.0, 0.5)))
+    assert atoms.traits() == FamilyTraits()
+    assert discrete_mle_estimator(atoms, 0.25).evaluate((1.0,)) == pytest.approx(1.0)
 
 
 def test_classify_piecewise_traits():
@@ -170,9 +174,16 @@ def test_atoms_cdf_and_ppf(example_atoms):
 
 
 def test_atoms_distinct_distance_flag(example_atoms):
-    assert example_atoms.traits().distinct_pairwise_distances
-    evenly = FiniteAtoms(atoms=((0.0, 0.3), (1.0, 0.3), (2.0, 0.4)))
-    assert not evenly.traits().distinct_pairwise_distances
+    # The atom rule needs distinct pairwise distances to recover the shift
+    # from several samples, and only then.
+    assert discrete_mle_estimator(example_atoms, Fraction(3, 4), 2).label == "discrete_exact(n=2)"
+    evenly = ((0, Fraction(3, 10)), (1, Fraction(3, 10)), (2, Fraction(2, 5)))
+    as_floats = tuple((float(z), float(m)) for z, m in evenly)
+    for atoms, delta in ((evenly, Fraction(1, 4)), (as_floats, 0.25)):
+        d = FiniteAtoms(atoms=atoms)
+        with pytest.raises(ValueError, match="distinct pairwise distances"):
+            discrete_mle_estimator(d, delta, 2)
+        assert discrete_mle_estimator(d, delta).n == 1
 
 
 @given(

@@ -13,8 +13,8 @@ from shiftq import (
     PiecewiseDensity,
     Uniform,
     constant_estimator,
-    discrete_n_sample_estimator,
-    discrete_one_sample_estimator,
+    discrete_mle_estimator,
+    exact_quality_discrete,
     invariant_extension,
     mean_estimator,
     min_shift_estimator,
@@ -22,7 +22,7 @@ from shiftq import (
     window_mle_estimator,
 )
 from shiftq import estimators
-from shiftq.estimators import SHIFT_INVARIANT, _window_center_batch
+from shiftq.estimators import SHIFT_INVARIANT, Estimator, _window_center_batch
 from shiftq.util import BISECT_TOL
 
 
@@ -221,14 +221,14 @@ def test_min_shift_evaluate():
 
 
 def test_discrete_one_sample_snaps_to_window_center(example_atoms):
-    e = discrete_one_sample_estimator(example_atoms, Fraction(3, 4))
+    e = discrete_mle_estimator(example_atoms, Fraction(3, 4))
     assert e.evaluate((10.5,)) == pytest.approx(10.0)
     assert e.evaluate((Fraction(21, 2),)) == Fraction(10)
     assert e.evaluate((Fraction(0),)) == Fraction(-1, 2)
 
 
 def test_discrete_n_sample_recovers_shift_exactly(example_atoms):
-    e = discrete_n_sample_estimator(example_atoms, Fraction(3, 4), 2)
+    e = discrete_mle_estimator(example_atoms, Fraction(3, 4), 2)
     rng = np.random.default_rng(17)
     locs = example_atoms.locations
     masses = [float(m) for m in example_atoms.masses]
@@ -245,6 +245,14 @@ def test_discrete_n_sample_recovers_shift_exactly(example_atoms):
             # Identical samples fall back to the one-sample window rule.
             assert guess == samples[0] - Fraction(1, 2)
     assert hits > 1000
+    # The fallback centre follows the interval convention: the closed window
+    # of half-width 1/2 covers atoms 0 and 1 (centre 1/2), the open one only 0.
+    d = FiniteAtoms(atoms=tuple((Fraction(z), Fraction(1, 3)) for z in (0, 1, 3)))
+    delta = Fraction(1, 2)
+    for closed, centre, q in ((False, 0, Fraction(7, 9)), (True, Fraction(1, 2), Fraction(8, 9))):
+        e = discrete_mle_estimator(d, delta, 2, closed_interval=closed)
+        assert e.evaluate((Fraction(3), Fraction(3))) == 3 - centre
+        assert exact_quality_discrete(e, d, Fraction(0), delta, closed_interval=True) == q
 
 
 def test_discrete_n_sample_requires_distinct_distances():
@@ -256,15 +264,15 @@ def test_discrete_n_sample_requires_distinct_distances():
         )
     )
     with pytest.raises(ValueError, match="distinct"):
-        discrete_n_sample_estimator(evenly, Fraction(1, 4), 2)
+        discrete_mle_estimator(evenly, Fraction(1, 4), 2)
 
 
 def test_discrete_n_sample_rejects_impossible_samples(example_atoms):
-    e = discrete_n_sample_estimator(example_atoms, Fraction(3, 4), 2)
+    e = discrete_mle_estimator(example_atoms, Fraction(3, 4), 2)
     with pytest.raises(ValueError, match="atom"):
         e.evaluate((Fraction(0), Fraction(1, 3)))
     # 0 and 1 pin the shift through their difference; 5 is still off the atoms.
-    e3 = discrete_n_sample_estimator(example_atoms, Fraction(3, 4), 3)
+    e3 = discrete_mle_estimator(example_atoms, Fraction(3, 4), 3)
     off_atom = (Fraction(0), Fraction(1), Fraction(5))
     for samples in (off_atom, off_atom[::-1], tuple(map(float, off_atom))):
         with pytest.raises(ValueError, match="no shift"):
@@ -301,6 +309,18 @@ def test_mixture_validation(example_atoms):
     assert values == {0.0, 100.0}
 
 
+def test_mixture_is_an_estimator_that_needs_a_generator():
+    a = min_shift_estimator(0.1)
+    m = mixture([(a, 0.5), (constant_estimator(0.0, n=2), 0.5)])
+    assert isinstance(m, Estimator) and m.n == 2 and m.invariance_claim != SHIFT_INVARIANT
+    assert m.parts == m.components and a.parts == ((a, 1),)
+    assert not hasattr(a, "components")
+    with pytest.raises(ValueError, match="needs a generator"):
+        m.evaluate((1.0, 2.0))
+    with pytest.raises(ValueError, match="needs a generator"):
+        m.evaluate_batch(np.ones((3, 2)))
+
+
 def test_mixture_component_split_is_weighted():
     a = constant_estimator(0.0)
     b = constant_estimator(1.0)
@@ -325,7 +345,7 @@ def test_shift_equivariance_of_invariant_estimators(example_atoms, c):
         (mean_estimator(gauss), (0.3, -0.8, 1.7)),
         (window_mle_estimator(gauss, 0.5), (0.3, -0.8, 1.7)),
         (min_shift_estimator(0.25), (0.3, -0.8, 1.7)),
-        (discrete_one_sample_estimator(example_atoms, Fraction(3, 4)), (1.0,)),
+        (discrete_mle_estimator(example_atoms, Fraction(3, 4)), (1.0,)),
     ]
     for e, x in estimators:
         base = float(e.evaluate(x))

@@ -17,8 +17,7 @@ from shiftq import (
     default_theta_grid,
     EnumerationLimitError,
     InvarianceError,
-    discrete_n_sample_estimator,
-    discrete_one_sample_estimator,
+    discrete_mle_estimator,
     exact_quality_discrete,
     invariant_extension,
     mean_estimator,
@@ -75,7 +74,7 @@ def test_quality_is_zero_for_far_constant_guess(mc_fast):
 
 def test_exact_quality_hand_enumerated(example_atoms):
     delta = Fraction(3, 4)
-    e = discrete_one_sample_estimator(example_atoms, delta)
+    e = discrete_mle_estimator(example_atoms, delta)
     # Window center 1/2 covers atoms 0 and 1: mass 1/4 + 7/20 = 3/5.
     assert exact_quality_discrete(e, example_atoms, Fraction(0), delta) == Fraction(3, 5)
     assert exact_quality_discrete(e, example_atoms, Fraction(22, 7), delta) == Fraction(3, 5)
@@ -101,7 +100,7 @@ def test_exact_quality_closed_interval_boundary(example_atoms):
 
 def test_exact_quality_of_mixture_is_weighted(example_atoms):
     delta = Fraction(3, 4)
-    good = discrete_one_sample_estimator(example_atoms, delta)
+    good = discrete_mle_estimator(example_atoms, delta)
     bad = constant_estimator(Fraction(-1000))
     m = mixture([(good, 0.5), (bad, 0.5)])
     got = exact_quality_discrete(m, example_atoms, Fraction(0), delta)
@@ -141,8 +140,8 @@ def test_mc_agrees_with_exact_on_random_atoms():
             atoms=tuple((float(z), float(m)) for z, m in exact_d.atoms)
         )
         delta = Fraction(int(rng.integers(1, 8)), 8)
-        e_exact = discrete_one_sample_estimator(exact_d, delta)
-        e_float = discrete_one_sample_estimator(float_d, float(delta))
+        e_exact = discrete_mle_estimator(exact_d, delta)
+        e_float = discrete_mle_estimator(float_d, float(delta))
         want = exact_quality_discrete(e_exact, exact_d, Fraction(0), delta)
         got, ci = quality_at(e_float, float_d, 0.0, float(delta), mc, n=1)
         assert abs(got - float(want)) <= 3 * ci + 1e-9
@@ -248,13 +247,13 @@ def test_window_on_a_bounded_law_holds_at_a_huge_shift(n, q):
 
 def test_discrete_mle_on_float_atoms_holds_at_large_shifts():
     d = FiniteAtoms(atoms=((0.0, 0.25), (0.1, 0.25), (0.4, 0.5)))
-    e = discrete_n_sample_estimator(d, 0.05, 2)
+    e = discrete_mle_estimator(d, 0.05, 2)
     for theta in (0.0, 1e7, 1e8, 1e9, -1e12):
         assert exact_quality_discrete(e, d, theta, 0.05, n=2) == pytest.approx(0.875, abs=1e-12)
 
 
 def test_quality_inf_uses_exact_path_on_atoms(example_atoms):
-    e = discrete_one_sample_estimator(example_atoms, Fraction(3, 4))
+    e = discrete_mle_estimator(example_atoms, Fraction(3, 4))
     mc = MCConfig(trials=1000, seed=1)
     report = quality_inf(e, example_atoms, Fraction(3, 4), (0.0, 1.5, 3.0), mc, n=1)
     assert all(t.exact and t.ci_half_width == 0.0 for t in report.per_theta)
@@ -290,7 +289,7 @@ def test_mc_config_validation():
 def test_randomized_estimator_mc_quality(example_atoms, mc_mid):
     # Mixing in a hopeless component halves the quality.
     float_d = FiniteAtoms(atoms=tuple((float(z), float(m)) for z, m in example_atoms.atoms))
-    good = discrete_one_sample_estimator(float_d, 0.75)
+    good = discrete_mle_estimator(float_d, 0.75)
     bad = constant_estimator(-1000.0)
     m = mixture([(good, 0.5), (bad, 0.5)])
     q, ci = quality_at(m, float_d, 0.0, 0.75, mc_mid, n=1)
@@ -335,7 +334,7 @@ def test_multiset_enumeration_matches_the_ordered_walk(case):
     rules = [
         mean_estimator(d),
         min_shift_estimator(delta),
-        discrete_n_sample_estimator(d, delta, n),
+        discrete_mle_estimator(d, delta, n),
         constant_estimator(theta + Fraction(1, 3), n=n),
     ]
     assert all(e.symmetric for e in rules)
@@ -397,7 +396,7 @@ def test_float_quality_does_not_depend_on_the_shift(rule, marks, weights, tenths
     elif rule == "mean":
         e = mean_estimator(d)
     else:
-        e, n = discrete_one_sample_estimator(d, delta), 1
+        e, n = discrete_mle_estimator(d, delta), 1
     for closed in (False, True):
         qs = {
             exact_quality_discrete(e, d, theta, delta, n=n, closed_interval=closed)
