@@ -31,9 +31,8 @@ def main(argv=None):
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["delta", "n", "q_mc", "ci_half_width", "q_closed_form", "gap_in_ci"])
     for delta in args.deltas:
-        e = min_shift_estimator(delta)
         for n in args.n:
-            report = quality_inf(e, d, delta, grid, mc, n=n)
+            report = quality_inf(min_shift_estimator(delta, n), d, delta, grid, mc)
             q, theta = report.worst_case
             ci = next(r.ci_half_width for r in report.per_theta if r.theta == theta)
             closed = 1.0 - math.exp(-2.0 * delta * args.rate * n)

@@ -274,7 +274,7 @@ def packing_bound_halfline(d: Distribution, n: int, delta) -> BoundReport:
     """
     traits = d.traits()
     if not traits.monotone_on_halfline:
-        raise ValueError("halfline packing bound needs a density decreasing on [0, inf)")
+        raise ValueError("halfline packing bound needs a density decreasing on [lo, inf)")
     if n < 1:
         raise ValueError("n must be at least 1")
     lo = d.support()[0]
@@ -308,8 +308,8 @@ def window_bound_log_concave(
     traits = d.traits()
     if not traits.log_concave_strict:
         raise ValueError("this bound needs a strictly log-concave density")
-    estimator = window_mle_estimator(d, delta)
-    q, ci = quality_at(estimator, d, 0.0, delta, mc, n=n, closed_interval=closed_interval)
+    estimator = window_mle_estimator(d, delta, n)
+    q, ci = quality_at(estimator, d, 0.0, delta, mc, closed_interval=closed_interval)
     return BoundReport(
         kind=WINDOW,
         n=n,
@@ -422,24 +422,26 @@ def _observed_qualities(
 
 
 def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: bool = False) -> SumsetAverageBound:
-    """Check the averaging ceiling for an arbitrary estimator on atoms.
+    """Check the averaging ceiling for an arbitrary one-sample estimator on atoms.
 
     The average of the exact quality over shifts in the coefficient sumset S
     of the atom locations Z cannot exceed the one-sample window bound scaled
-    by |S + Z| / |S|. Exact inputs are decided exactly; float inputs allow
-    1e-12 slack.
+    by |S + Z| / |S|. That ceiling holds for rules that see one sample, so a
+    rule with e.n != 1 is refused. Exact inputs are decided exactly; float
+    inputs allow 1e-12 slack.
 
     The check runs the way the averaging argument does when delta, the
-    locations and the masses are exact and the rule takes one sample: S + Z
-    is built once in integers over the lcm of the denominators, the rule is
-    evaluated once per observation x in S + Z, and its guess credits each
-    shift x - z in S that it lands within delta of. Float laws and
-    multi-sample rules are evaluated shift by shift with
+    locations and the masses are exact: S + Z is built once in integers over
+    the lcm of the denominators, the rule is evaluated once per observation
+    x in S + Z, and its guess credits each shift x - z in S that it lands
+    within delta of. Float laws are evaluated shift by shift with
     exact_quality_discrete, whose float band the pairing by x would not
     reproduce.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("the averaging check needs a finite atomic law")
+    if e.n != 1:
+        raise ValueError(f"the averaging check bounds one-sample rules; {e.label} takes n={e.n}")
     locs = list(d.locations)
     shifts = coefficient_sumset(locs, k)
     if is_exact(*locs):
@@ -449,7 +451,7 @@ def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: b
         grown = len(observed)
     else:
         grown = len(_float_sumset(shifts, locs))
-    if e.n == 1 and is_exact(delta, *locs, *d.masses):
+    if is_exact(delta, *locs, *d.masses):
         index = {s: i for i, s in enumerate(scaled_shifts)}
         qualities = _observed_qualities(e, d, delta, closed_interval, shifts, index, observed, scale)
     else:

@@ -110,9 +110,7 @@ def _run_quality(args) -> int:
         from .quality import default_theta_grid
 
         grid = default_theta_grid(cfg.delta, cfg.n)
-    report = quality_inf(
-        e, cfg.distribution, cfg.delta, grid, cfg.mc, n=cfg.n, closed_interval=cfg.closed_interval
-    )
+    report = quality_inf(e, cfg.distribution, cfg.delta, grid, cfg.mc, closed_interval=cfg.closed_interval)
 
     print(f"estimator: {e.label}")
     print(f"delta={float(cfg.delta):g}  n={cfg.n}  trials={cfg.mc.trials}  seed={cfg.mc.seed}")
@@ -316,8 +314,8 @@ def _suite_scenarios(mc: MCConfig, closed_interval: bool):
 
     # Window and mean estimators coincide on Gaussian data.
     d = Gaussian(0.0, 1.0)
-    window = window_mle_estimator(d, 0.5)
-    mean = mean_estimator(d)
+    window = window_mle_estimator(d, 0.5, 4)
+    mean = mean_estimator(d, 4)
     rng = np.random.default_rng(mc.seed)
     x = rng.normal(0.0, 1.0, size=(200, 4))
     gap = float(np.max(np.abs(window.evaluate_batch(x) - mean.evaluate_batch(x))))
@@ -330,7 +328,7 @@ def _suite_scenarios(mc: MCConfig, closed_interval: bool):
     }
 
     # Quality of the optimal Gaussian estimator at n=4, delta=0.5.
-    q, ci = quality_at(mean, d, 0.0, 0.5, mc, n=4)
+    q, ci = quality_at(mean, d, 0.0, 0.5, mc)
     yield {
         "scenario": "gaussian-quality-n4",
         "achieved": q,
@@ -342,9 +340,9 @@ def _suite_scenarios(mc: MCConfig, closed_interval: bool):
     # Min-shift on the exponential family matches its closed form.
     expo = Exponential(1.0)
     for n in (1, 2, 5):
-        e = min_shift_estimator(0.25)
+        e = min_shift_estimator(0.25, n)
         reference = 1.0 - math.exp(-0.5 * n)
-        report = quality_inf(e, expo, 0.25, (-5.0, 0.0, 3.0, 100.0), mc, n=n)
+        report = quality_inf(e, expo, 0.25, (-5.0, 0.0, 3.0, 100.0), mc)
         q, _ = report.worst_case
         ci = max(t.ci_half_width for t in report.per_theta)
         yield {
@@ -382,7 +380,7 @@ def _suite_scenarios(mc: MCConfig, closed_interval: bool):
 
     # Two samples with distinct pairwise atom distances do strictly better.
     e2 = discrete_mle_estimator(atoms, delta, 2, closed_interval=closed_interval)
-    q2 = exact_quality_discrete(e2, atoms, Fraction(0), delta, n=2, closed_interval=closed_interval)
+    q2 = exact_quality_discrete(e2, atoms, Fraction(0), delta, closed_interval=closed_interval)
     yield {
         "scenario": "discrete-two-sample",
         "achieved": float(q2),

@@ -235,7 +235,7 @@ def averaging_check(
     shifts = [i / anchor_grid for i in range(anchor_grid)]
     invariant = e.invariance_claim == SHIFT_INVARIANT
     pinned = [] if invariant else [_counter(CIRCLE, invariant_from_coset(e, a), 0.0, delta) for a in shifts]
-    rows = _mc_grid(CIRCLE, e, density, e.n, shifts, delta, mc, paired=pinned)
+    rows = _mc_grid(CIRCLE, e, density, shifts, delta, mc, paired=pinned)
     raw_rows = rows[:anchor_grid]
     pinned_rows = raw_rows if invariant else rows[anchor_grid:]
     # min keeps the first minimiser, as a strict < scan over the shifts does.

@@ -141,18 +141,18 @@ class EstimatorKind:
 # `mixture` takes a `parts` list of weighted specs instead of a parameter.
 ESTIMATORS: dict[str, dict[str, EstimatorKind]] = {
     "line": {
-        "mean": EstimatorKind(lambda spec, cfg: mean_estimator(cfg.distribution)),
+        "mean": EstimatorKind(lambda spec, cfg: mean_estimator(cfg.distribution, cfg.n)),
         "window_mle": EstimatorKind(
-            lambda spec, cfg: window_mle_estimator(cfg.distribution, float(cfg.delta))
+            lambda spec, cfg: window_mle_estimator(cfg.distribution, float(cfg.delta), cfg.n)
         ),
-        "min_shift": EstimatorKind(lambda spec, cfg: min_shift_estimator(cfg.delta)),
+        "min_shift": EstimatorKind(lambda spec, cfg: min_shift_estimator(cfg.delta, cfg.n)),
         "discrete_mle": EstimatorKind(
             lambda spec, cfg: discrete_mle_estimator(
                 cfg.distribution, cfg.delta, cfg.n, closed_interval=cfg.closed_interval
             )
         ),
         "constant": EstimatorKind(
-            lambda spec, cfg: constant_estimator(spec.value, n=cfg.n), "value", 0.0
+            lambda spec, cfg: constant_estimator(spec.value, cfg.n), "value", 0.0
         ),
         "mixture": EstimatorKind(
             lambda spec, cfg: mixture([(build_estimator(part, cfg), w) for w, part in spec.parts])

@@ -341,7 +341,6 @@ class PiecewiseDensity(ContinuousDistribution):
 
     def traits(self):
         fs = [f for _, f in self.knots]
-        xs = [x for x, _ in self.knots]
         peak = fs.index(max(fs))
         rises = all(a <= b for a, b in zip(fs[: peak + 1], fs[1 : peak + 1]))
         falls = all(a >= b for a, b in zip(fs[peak:], fs[peak + 1 :]))
@@ -353,7 +352,7 @@ class PiecewiseDensity(ContinuousDistribution):
                 for (x0, f0), (x1, f1) in zip(self.knots, self.knots[1:])
             ]
             log_concave = all(s1 < s0 for s0, s1 in zip(slopes, slopes[1:]))
-        monotone = xs[0] >= -MATCH_ATOL and all(a >= b for a, b in zip(fs, fs[1:])) and fs[0] > 0
+        monotone = all(a >= b for a, b in zip(fs, fs[1:])) and fs[0] > 0
         return FamilyTraits(
             unimodal=unimodal,
             log_concave_strict=log_concave,

@@ -1,8 +1,8 @@
 """Location estimators: constructions, invariance metadata, mixtures.
 
 An Estimator wraps a plain evaluation function together with the sample count
-it accepts and the invariance it claims; it is the one rule type of the line,
-the circle (compact_circle.CircleEstimator) and the tree (group_tree's
+it is built for and the invariance it claims; it is the one rule type of the
+line, the circle (compact_circle.CircleEstimator) and the tree (group_tree's
 builders), and a mixture (RandomizedEstimator) is one too. Constructions
 that admit a vectorized form also carry a batch evaluator, which is what
 keeps the Monte Carlo loops fast; anything else falls back to a per-row
@@ -16,6 +16,7 @@ shift, so it can be measured once at shift zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -44,14 +45,15 @@ NO_CLAIM = "none"
 class Estimator:
     """A location estimator.
 
-    fn maps a length-n sample sequence to an estimate: a real number on the
-    line and the circle, a reduced word on the tree. n is either a fixed int
-    or "any". batch_fn, when present, maps an (m, n) float array to m
-    estimates and must agree with fn row by row; a rule with a batch_fn may
-    leave fn out, and then evaluate is one row of evaluate_batch. symmetric
-    declares that fn's value does not depend on the order of the samples, so
-    exact enumeration may visit each multiset of samples once instead of
-    every ordering of it.
+    n is the sample count the rule sees, an int >= 1 fixed when the rule is
+    built; the quality functions read it from the rule and take no n of
+    their own. fn maps a length-n sample sequence to an estimate: a real
+    number on the line and the circle, a reduced word on the tree. batch_fn,
+    when present, maps an (m, n) float array to m estimates and must agree
+    with fn row by row; a rule with a batch_fn may leave fn out, and then
+    evaluate is one row of evaluate_batch. symmetric declares that fn's value
+    does not depend on the order of the samples, so exact enumeration may
+    visit each multiset of samples once instead of every ordering of it.
 
     parts are the deterministic rules it is made of, with their weights:
     ((self, 1),) for a plain rule, the components for a mixture.
@@ -59,10 +61,15 @@ class Estimator:
 
     label: str
     fn: Callable[[Sequence], object] | None = None
-    n: object = "any"
+    n: int = field(kw_only=True)
     invariance_claim: str = NO_CLAIM
     batch_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     symmetric: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool) or self.n < 1:
+            raise ValueError(f"{self.label} needs a sample count n >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def parts(self) -> tuple:
@@ -70,7 +77,7 @@ class Estimator:
 
     def evaluate(self, samples):
         samples = tuple(samples)
-        if self.n != "any" and len(samples) != self.n:
+        if len(samples) != self.n:
             raise ValueError(f"{self.label} expects {self.n} samples, got {len(samples)}")
         if self.fn is None:
             return float(self.evaluate_batch(np.asarray([samples], dtype=float))[0])
@@ -79,7 +86,7 @@ class Estimator:
     def evaluate_batch(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         """Estimates for the rows of x; only a mixture reads rng, to draw each row's component."""
         x = np.asarray(x, dtype=float)
-        if self.n != "any" and x.shape[1] != self.n:
+        if x.shape[1] != self.n:
             raise ValueError(f"{self.label} expects {self.n} samples, got {x.shape[1]}")
         if self.batch_fn is not None:
             return np.asarray(self.batch_fn(x), dtype=float)
@@ -90,8 +97,9 @@ class Estimator:
 class RandomizedEstimator(Estimator):
     """A finite mixture of estimators; evaluation first draws a component.
 
-    n and invariance_claim are set from the components. Each row's component
-    is drawn from the generator evaluate_batch is given, which is required.
+    Every component sees the mixture's n; invariance_claim is set from the
+    components. Each row's component is drawn from the generator
+    evaluate_batch is given, which is required.
     """
 
     label: str = "mixture"
@@ -105,10 +113,9 @@ class RandomizedEstimator(Estimator):
             raise ValueError("mixture weights must be positive")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
-        fixed = {e.n for e, _ in self.components} - {"any"}
-        if len(fixed) > 1:
+        super().__post_init__()
+        if any(e.n != self.n for e, _ in self.components):
             raise ValueError("mixture components disagree on sample count")
-        object.__setattr__(self, "n", fixed.pop() if fixed else "any")
         unanimous = all(e.invariance_claim == SHIFT_INVARIANT for e, _ in self.components)
         object.__setattr__(self, "invariance_claim", SHIFT_INVARIANT if unanimous else NO_CLAIM)
 
@@ -133,8 +140,8 @@ class RandomizedEstimator(Estimator):
         return out
 
 
-def mean_estimator(d: Distribution) -> Estimator:
-    """Sample mean recentred by the base law's mean. Shift equivariant."""
+def mean_estimator(d: Distribution, n: int) -> Estimator:
+    """Mean of n samples recentred by the base law's mean. Shift equivariant."""
     mu = d.expected_value()
     mu_f = float(mu)
 
@@ -144,7 +151,7 @@ def mean_estimator(d: Distribution) -> Estimator:
     return Estimator(
         label="mean",
         fn=fn,
-        n="any",
+        n=n,
         invariance_claim=SHIFT_INVARIANT,
         batch_fn=lambda x: x.mean(axis=1) - mu_f,
         symmetric=True,
@@ -279,8 +286,8 @@ def _solve_block(crossing, x, lo, hi, tol, out) -> int:
     return len(idx)
 
 
-def window_mle_estimator(d: ContinuousDistribution, delta: float) -> Estimator:
-    """Estimator that centers the best fixed-width likelihood window.
+def window_mle_estimator(d: ContinuousDistribution, delta: float, n: int) -> Estimator:
+    """Estimator on n samples that centers the best fixed-width likelihood window.
 
     Anchored at the first sample, it slides a window of half-width delta over
     the product density of the anchored samples and returns first sample minus
@@ -294,7 +301,9 @@ def window_mle_estimator(d: ContinuousDistribution, delta: float) -> Estimator:
     with a midpoint fallback (see _window_center_batch). That difference is
     smooth and monotone on strictly log-concave laws, so a batch row settles
     in a handful of steps (two after the bracket ends for the Gaussian, where
-    it is linear); flat or truncated stretches fall back to bisection.
+    it is linear); flat or truncated stretches fall back to bisection. At
+    n=1 every anchored sample is [0], so the centre c is solved once, when
+    the rule is built, and the rule is x - c.
     """
     traits = d.traits()
     if not (traits.log_concave_strict or traits.unimodal):
@@ -303,26 +312,28 @@ def window_mle_estimator(d: ContinuousDistribution, delta: float) -> Estimator:
     if not delta > 0:
         raise ValueError("delta must be positive")
     suffix = "" if traits.log_concave_strict else ", optimality unverified beyond n=1"
+    if n == 1:
+        center = _window_center_batch(d, delta, np.zeros((1, 1)))[0]
 
-    def batch(x):
-        x = np.asarray(x, dtype=float)
-        x1 = x[:, 0]
-        if x.shape[1] == 1:
-            # Every anchored row is [0]; rows are solved independently, so one solve is every row's.
-            return x1 - _window_center_batch(d, delta, np.zeros((1, 1)))[0]
-        t = _window_center_batch(d, delta, x - x1[:, None])
-        return x1 - t
+        def batch(x):
+            return x[:, 0] - center
+
+    else:
+
+        def batch(x):
+            x1 = x[:, 0]
+            return x1 - _window_center_batch(d, delta, x - x1[:, None])
 
     return Estimator(
         label=f"window(delta={delta:g}{suffix})",
-        n="any",
+        n=n,
         invariance_claim=SHIFT_INVARIANT,
         batch_fn=batch,
     )
 
 
-def min_shift_estimator(delta) -> Estimator:
-    """Smallest sample minus delta; matched to laws decreasing on [0, inf)."""
+def min_shift_estimator(delta, n: int) -> Estimator:
+    """Smallest of n samples minus delta; matched to laws decreasing on [0, inf)."""
     delta_f = float(delta)
 
     def fn(x):
@@ -331,7 +342,7 @@ def min_shift_estimator(delta) -> Estimator:
     return Estimator(
         label=f"min_shift(delta={delta_f:g})",
         fn=fn,
-        n="any",
+        n=n,
         invariance_claim=SHIFT_INVARIANT,
         batch_fn=lambda x: x.min(axis=1) - delta_f,
         symmetric=True,
@@ -423,8 +434,6 @@ def invariant_extension(f0: Callable[[tuple], object], n: int) -> Estimator:
     the negated estimate there; the extension is first sample minus f0 of the
     anchored vector, which is shift equivariant by construction.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
 
     def fn(x):
         first = x[0]
@@ -443,8 +452,8 @@ def invariant_extension(f0: Callable[[tuple], object], n: int) -> Estimator:
     )
 
 
-def constant_estimator(value, n="any") -> Estimator:
-    """Always guesses the same point; the canonical non-equivariant baseline."""
+def constant_estimator(value, n: int) -> Estimator:
+    """Always guesses the same point from n samples; the canonical non-equivariant baseline."""
     value_f = float(value)
     return Estimator(
         label=f"constant({value_f:g})",
@@ -458,4 +467,6 @@ def constant_estimator(value, n="any") -> Estimator:
 
 def mixture(components: Sequence[tuple[Estimator, float]], label: str = "mixture") -> RandomizedEstimator:
     """Weighted randomization over estimators; weights must sum to 1."""
-    return RandomizedEstimator(components=tuple(components), label=label)
+    components = tuple(components)
+    n = components[0][0].n if components else 1  # RandomizedEstimator refuses an empty list
+    return RandomizedEstimator(components=components, label=label, n=n)

@@ -190,29 +190,27 @@ def _counter(space: Space, e, theta, delta, closed: bool = False) -> HitCounter:
     return count
 
 
-def _mc_grid(
-    space: Space, e, d, n: int, thetas, delta, mc: MCConfig, closed: bool = False, paired=()
-) -> list:
+def _mc_grid(space: Space, e, d, thetas, delta, mc: MCConfig, closed: bool = False, paired=()) -> list:
     """Monte Carlo (q, ci_half_width) of e at each shift, then of each counter in paired.
 
-    Everything is scored on one noise draw. A rule that claims shift
-    invariance is checked at every shift (see _check_invariance) and then
-    scored once, at shift zero, and that row is every shift's row.
+    Everything is scored on one noise draw of e.n samples a row. A rule that
+    claims shift invariance is checked at every shift (see _check_invariance)
+    and then scored once, at shift zero, and that row is every shift's row.
     """
-    draw = _noise(d, n)
+    draw = _noise(d, e.n)
     if e.invariance_claim == SHIFT_INVARIANT:
-        _check_invariance(space, e, draw, n, thetas, mc)
+        _check_invariance(space, e, draw, thetas, mc)
         rows = _mc_counts(draw, [_counter(space, e, 0.0, delta, closed), *paired], mc)
         return rows[:1] * len(thetas) + rows[1:]
     return _mc_counts(draw, [*(_counter(space, e, t, delta, closed) for t in thetas), *paired], mc)
 
 
-def _check_invariance(space: Space, e, draw, n: int, thetas, mc: MCConfig) -> None:
+def _check_invariance(space: Space, e, draw, thetas, mc: MCConfig) -> None:
     """Raise InvarianceError unless e(act(x, theta)) - theta = e(x) row by row.
 
     x is the first INVARIANCE_CHECK_ROWS noise rows of chunk 0, theta runs
     over the grid, and the gap is measured in the space's distance. A row
-    passes within 4*n float spacings of |theta| + max|x_row|, the rounding
+    passes within 4*e.n float spacings of |theta| + max|x_row|, the rounding
     of adding theta and taking it away again (n times over for a rule that
     sums its samples), plus BISECT_TOL, the stopping width of a window
     solve. The rule is checked part by part, so a mixture draws nothing.
@@ -226,7 +224,7 @@ def _check_invariance(space: Space, e, draw, n: int, thetas, mc: MCConfig) -> No
             if theta_f == 0.0:
                 continue
             gap = space.distance(part.evaluate_batch(space.act(x, theta_f)) - theta_f, base)
-            bad = ~(gap <= 4 * n * np.spacing(abs(theta_f) + reach) + BISECT_TOL)
+            bad = ~(gap <= 4 * e.n * np.spacing(abs(theta_f) + reach) + BISECT_TOL)
             if bad.any():
                 raise InvarianceError(
                     f"{part.label} claims shift invariance but e(x + {theta_f:g}) - {theta_f:g} "
@@ -235,45 +233,15 @@ def _check_invariance(space: Space, e, draw, n: int, thetas, mc: MCConfig) -> No
                 )
 
 
-def _resolve_n(e, n):
-    fixed = e.n
-    if n is None:
-        if fixed == "any":
-            raise ValueError(f"{e.label} accepts any sample count; pass n explicitly")
-        return int(fixed)
-    n = int(n)
-    if fixed != "any" and n != fixed:
-        raise ValueError(f"{e.label} expects n={fixed}, got n={n}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return n
-
-
 def quality_at(
-    e,
-    d: Distribution,
-    theta,
-    delta,
-    mc: MCConfig,
-    *,
-    n: int | None = None,
-    closed_interval: bool = False,
+    e, d: Distribution, theta, delta, mc: MCConfig, *, closed_interval: bool = False
 ) -> tuple[float, float]:
-    """Monte Carlo estimate (q, ci_half_width) of the quality at one shift."""
-    n = _resolve_n(e, n)
-    return _mc_counts(_noise(d, n), [_counter(LINE, e, theta, delta, closed_interval)], mc)[0]
+    """Monte Carlo estimate (q, ci_half_width) of the quality at one shift; e.n samples a trial."""
+    return _mc_counts(_noise(d, e.n), [_counter(LINE, e, theta, delta, closed_interval)], mc)[0]
 
 
-def exact_quality_discrete(
-    e,
-    d: FiniteAtoms,
-    theta,
-    delta,
-    *,
-    n: int | None = None,
-    closed_interval: bool = False,
-):
-    """Exact quality for an atomic base law by enumerating sample tuples.
+def exact_quality_discrete(e, d: FiniteAtoms, theta, delta, *, closed_interval: bool = False):
+    """Exact quality for an atomic base law by enumerating tuples of e.n samples.
 
     Stays in rational arithmetic when the atoms, theta, and delta are exact,
     so boundary cases are decided without float tolerance. A symmetric rule
@@ -292,7 +260,7 @@ def exact_quality_discrete(
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("exact evaluation needs a finite atomic law")
-    n = _resolve_n(e, n)
+    n = e.n
     r = len(d.atoms)
     exact = is_exact(theta, delta, *d.locations, *d.masses)
     shifted = tuple((theta + z, m) for z, m in d.atoms)
@@ -361,16 +329,9 @@ def default_theta_grid(delta, n: int, k: int = 10) -> tuple:
 
 
 def quality_inf(
-    e,
-    d: Distribution,
-    delta,
-    theta_grid: Sequence,
-    mc: MCConfig,
-    *,
-    n: int | None = None,
-    closed_interval: bool = False,
+    e, d: Distribution, delta, theta_grid: Sequence, mc: MCConfig, *, closed_interval: bool = False
 ) -> QualityReport:
-    """Worst-case quality over a shift grid.
+    """Worst-case quality over a shift grid, each shift seen through e.n samples.
 
     An atomic law is enumerated shift by shift; any other law is scored by
     Monte Carlo, every shift on the same noise. Shift-equivariant estimators
@@ -390,14 +351,14 @@ def quality_inf(
     if isinstance(d, FiniteAtoms):
         entries = [
             ThetaQuality(
-                *_exact_pair(t, exact_quality_discrete(e, d, t, delta, n=n, closed_interval=closed_interval)),
+                *_exact_pair(t, exact_quality_discrete(e, d, t, delta, closed_interval=closed_interval)),
                 0.0,
                 True,
             )
             for t in thetas
         ]
     else:
-        rows = _mc_grid(LINE, e, d, _resolve_n(e, n), thetas, delta, mc, closed_interval)
+        rows = _mc_grid(LINE, e, d, thetas, delta, mc, closed_interval)
         entries = [ThetaQuality(float(t), q, ci, False) for t, (q, ci) in zip(thetas, rows)]
 
     if invariant:

@@ -113,7 +113,7 @@ def test_a2_exponential_min_shift_matches_closed_form_at_1e6_trials():
     grid = (-5.0, 0.0, 3.0, 100.0)
     mc = MCConfig(trials=1_000_000, seed=424242)
     for n, want in ((1, 0.3934693402873666), (2, 0.6321205588285577), (5, 0.9179150013761012)):
-        report = quality_inf(min_shift_estimator(delta), d, delta, grid, mc, n=n)
+        report = quality_inf(min_shift_estimator(delta, n), d, delta, grid, mc)
         q, ci = worst_row(report)
         assert abs(q - want) <= 3.0 * ci
     assert time.perf_counter() - start < 30.0
@@ -127,12 +127,12 @@ def test_a3_gaussian_window_estimator_equals_recentred_mean():
         n = int(rng.integers(1, 9))
         d = Gaussian(0.0, sigma)
         x = tuple(rng.normal(rng.uniform(-3, 3), sigma, size=n).tolist())
-        window = window_mle_estimator(d, delta).evaluate(x)
-        mean = mean_estimator(d).evaluate(x)
+        window = window_mle_estimator(d, delta, n).evaluate(x)
+        mean = mean_estimator(d, n).evaluate(x)
         assert abs(window - mean) < 1e-6
     d = Gaussian(0.0, 1.0)
     mc = MCConfig(trials=300_000, seed=33)
-    q, ci = quality_at(window_mle_estimator(d, delta), d, 0.0, delta, mc, n=4)
+    q, ci = quality_at(window_mle_estimator(d, delta, 4), d, 0.0, delta, mc)
     assert abs(q - 0.6826894921370859) <= 3.0 * ci
 
 
@@ -211,24 +211,23 @@ def test_a7a_no_estimator_beats_the_applicable_bound():
     delta = 0.25
     grid = (-2.0, 0.0, 1.5)
     blend = mixture(
-        ((min_shift_estimator(delta), 0.5), (constant_estimator(0.5, n=1), 0.5))
+        ((min_shift_estimator(delta, 1), 0.5), (constant_estimator(0.5, n=1), 0.5))
     )
-    for e, n in ((min_shift_estimator(delta), 1), (min_shift_estimator(delta), 2),
-                 (min_shift_estimator(delta), 5), (constant_estimator(0.5, n=1), 1),
-                 (blend, 1)):
-        bound = packing_bound_halfline(expo, n, delta)
-        q, ci = worst_row(quality_inf(e, expo, delta, grid, mc, n=n))
+    for e in (min_shift_estimator(delta, 1), min_shift_estimator(delta, 2),
+              min_shift_estimator(delta, 5), constant_estimator(0.5, n=1), blend):
+        bound = packing_bound_halfline(expo, e.n, delta)
+        q, ci = worst_row(quality_inf(e, expo, delta, grid, mc))
         assert q <= float(bound.value) + 3.0 * ci
 
     gauss = Gaussian(0.0, 1.0)
     delta = 0.5
     one_sample_bound = window_bound_one_sample(gauss, delta)
-    for e in (mean_estimator(gauss), window_mle_estimator(gauss, delta),
+    for e in (mean_estimator(gauss, 1), window_mle_estimator(gauss, delta, 1),
               constant_estimator(0.3, n=1)):
-        q, ci = worst_row(quality_inf(e, gauss, delta, (-1.0, 0.0, 2.0), mc, n=1))
+        q, ci = worst_row(quality_inf(e, gauss, delta, (-1.0, 0.0, 2.0), mc))
         assert q <= one_sample_bound.value + 3.0 * ci
     four_bound = window_bound_log_concave(gauss, 4, delta, mc)
-    q, ci = worst_row(quality_inf(mean_estimator(gauss), gauss, delta, (0.0, 1.0), mc, n=4))
+    q, ci = worst_row(quality_inf(mean_estimator(gauss, 4), gauss, delta, (0.0, 1.0), mc))
     assert q <= four_bound.value + 3.0 * (four_bound.ci_half_width + ci)
 
     atoms = FiniteAtoms(
@@ -246,8 +245,8 @@ def test_a7a_no_estimator_beats_the_applicable_bound():
 def test_a7b_equivariant_estimators_certify_their_infimum():
     mc = MCConfig(trials=50_000, seed=17)
     report = quality_inf(
-        mean_estimator(Gaussian(0.0, 1.0)), Gaussian(0.0, 1.0), 0.5,
-        (-8.0, -1.0, 0.0, 3.0, 50.0), mc, n=3,
+        mean_estimator(Gaussian(0.0, 1.0), 3), Gaussian(0.0, 1.0), 0.5,
+        (-8.0, -1.0, 0.0, 3.0, 50.0), mc,
     )
     assert report.infimum_certified
     q0 = next(r for r in report.per_theta if r.theta == 0.0)
@@ -260,7 +259,7 @@ def test_a7c_results_are_bit_identical_across_parallelism():
     # chunks on any number of workers and summing gives the engine's
     # in-order (q, ci) bit for bit.
     d = Exponential(2.0)
-    e = min_shift_estimator(0.2)
+    e = min_shift_estimator(0.2, 3)
     mc = MCConfig(trials=150_000, seed=99)
     draw, count = _noise(d, 3), _counter(LINE, e, 1.5, 0.2, False)
     starts = range(0, mc.trials, CHUNK_TRIALS)
@@ -268,7 +267,7 @@ def test_a7c_results_are_bit_identical_across_parallelism():
     def chunk_hits(c):
         return count(draw(_chunk_rng(mc.seed, c), min(CHUNK_TRIALS, mc.trials - starts[c])), None)
 
-    expected = quality_at(e, d, 1.5, 0.2, mc, n=3)
+    expected = quality_at(e, d, 1.5, 0.2, mc)
     for workers in (1, 2, 8):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(chunk_hits, range(len(starts))))

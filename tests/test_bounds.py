@@ -166,7 +166,7 @@ def test_halfline_packing_closed_forms():
         r = packing_bound_halfline(ramp, n, 0.1)
         assert r.value == pytest.approx(1.0 - (1.0 - float(ramp.cdf(0.7))) ** n, abs=1e-12)
         assert r.value >= window - 1e-9
-    q, ci = quality_at(min_shift_estimator(0.6), ramp, 0.0, 0.1, MCConfig(trials=20_000, seed=3), n=3)
+    q, ci = quality_at(min_shift_estimator(0.6, 3), ramp, 0.0, 0.1, MCConfig(trials=20_000, seed=3))
     assert abs(q - packing_bound_halfline(ramp, 3, 0.1).value) <= 4 * ci
 
 
@@ -313,6 +313,12 @@ def test_sumset_average_bound_on_the_optimal_estimator(example_atoms):
     assert out.average_quality == Fraction(3, 5)
     assert isinstance(out.bound, Fraction)
     assert out.average_quality <= out.bound
+    # The ceiling is the one-sample window: the two-sample rule, which scores
+    # 21/25 against a bound of 4/5 at k = 6, is refused on exact and float atoms.
+    float_atoms = FiniteAtoms(atoms=tuple((float(z), float(m)) for z, m in example_atoms.atoms))
+    for d, dl in ((example_atoms, delta), (float_atoms, float(delta))):
+        with pytest.raises(ValueError, match="one-sample rules; discrete_exact\\(n=2\\) takes n=2"):
+            sumset_average_bound(discrete_mle_estimator(d, dl, 2), d, dl, 6)
 
 
 def test_sumset_average_bound_on_random_rules(example_atoms):

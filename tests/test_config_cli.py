@@ -9,10 +9,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftq import ConfigError, Gaussian, config, estimators, parse_config, serialize_config
+from shiftq import (
+    ConfigError,
+    Gaussian,
+    coefficient_sumset,
+    config,
+    estimators,
+    exact_quality_discrete,
+    parse_config,
+    serialize_config,
+    window_bound_one_sample,
+)
 from shiftq import cli
 from shiftq.cli import main
 from shiftq.config import ESTIMATORS, EstimatorSpec, build_estimator
+from shiftq.util import number_repr
 
 MINIMAL_QUALITY = """
 {
@@ -251,6 +262,14 @@ def test_cli_bounds_closed_interval_atoms_have_no_packing_row(tmp_path):
     assert [row["q"] for row in json.load(open(out))["per_theta"]] == ["1/1", "1/1"]
 
 
+@pytest.mark.parametrize("knots", [[[0.5, 4], [1, 0]], [[-1, 4], [-0.5, 0]]])
+def test_cli_bounds_halfline_rows_wherever_the_support_starts(tmp_path, capsys, knots):
+    doc = {"distribution": {"family": "piecewise", "knots": knots}, "delta": 0.1}
+    assert main(["bounds", "--config", write(tmp_path, "ramp.json", json.dumps(doc)), "--n", "3"]) == 0
+    rows = [line.split()[:3] for line in capsys.readouterr().out.splitlines()[2:]]
+    assert rows == [["window", "1", "0.640000"], ["packing", "3", "0.953344"]]
+
+
 def test_cli_lemma_check(tmp_path):
     cfg = write(
         tmp_path,
@@ -271,6 +290,29 @@ def test_cli_lemma_check(tmp_path):
     doc = json.load(open(out))
     assert doc["holds"] is True
     assert doc["average_quality"] == "3/5"
+
+
+@pytest.mark.parametrize("kind", ["mean", "min_shift"])
+def test_cli_lemma_check_with_any_one_sample_rule(tmp_path, kind):
+    # The CLI builds whichever rule the config names at n = 1.
+    doc = {
+        "distribution": {"family": "atoms", "points": [["0", "1/4"], ["1", "7/20"], ["10", "2/5"]]},
+        "estimator": {"kind": kind},
+        "delta": "3/4",
+        "k": 3,
+    }
+    out = str(tmp_path / "lemma.json")
+    assert main(["lemma-check", "--config", write(tmp_path, "l.json", json.dumps(doc)), "--out", out]) == 0
+    report = json.load(open(out))
+    cfg = parse_config(json.dumps({**doc, "command": "lemma-check"}))
+    d, delta = cfg.distribution, cfg.delta
+    rule = {"mean": estimators.mean_estimator(d, 1), "min_shift": estimators.min_shift_estimator(delta, 1)}[kind]
+    shifts = coefficient_sumset(d.locations, 3)
+    average = sum(exact_quality_discrete(rule, d, theta, delta) for theta in shifts) / len(shifts)
+    grown = len({s + z for s in shifts for z in d.locations})
+    bound = window_bound_one_sample(d, delta).value * Fraction(grown, len(shifts))
+    assert (report["average_quality"], report["bound"]) == (number_repr(average), number_repr(bound))
+    assert report["holds"] is True
 
 
 def test_cli_tree_demo_emits_rational_pairs(tmp_path):
@@ -557,10 +599,11 @@ def test_cli_false_invariance_claim_exits_1(tmp_path, monkeypatch, capsys):
     liar = estimators.Estimator(
         label="liar",
         fn=lambda x: 0.0,
+        n=1,
         invariance_claim=estimators.SHIFT_INVARIANT,
         batch_fn=lambda x: np.zeros(x.shape[0]),
     )
-    monkeypatch.setattr(config, "mean_estimator", lambda d: liar)
+    monkeypatch.setattr(config, "mean_estimator", lambda d, n: liar)
     doc = {
         "distribution": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},
         "estimator": {"kind": "mean"},

@@ -130,9 +130,9 @@ def test_classify_piecewise_traits():
     t = triangle.traits()
     assert t.unimodal and not t.monotone_on_halfline
 
-    ramp = PiecewiseDensity(knots=((0.0, 1.5), (1.0, 0.25), (2.0, 0.0)))
-    r = ramp.traits()
-    assert r.monotone_on_halfline
+    # Decreasing from where the support starts, wherever that is.
+    for knots in (((0.0, 1.5), (1.0, 0.25), (2.0, 0.0)), ((-1.0, 4.0), (-0.5, 0.0))):
+        assert PiecewiseDensity(knots=knots).traits().monotone_on_halfline
 
 
 def test_piecewise_renormalizes_small_errors_only():

@@ -27,12 +27,12 @@ from shiftq.util import BISECT_TOL
 
 
 def test_window_center_on_standard_gaussian_pair():
-    e = window_mle_estimator(Gaussian(0.0, 1.0), 0.5)
+    e = window_mle_estimator(Gaussian(0.0, 1.0), 0.5, 2)
     assert e.evaluate((0.0, 2.0)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_window_center_on_scaled_gaussian_single():
-    e = window_mle_estimator(Gaussian(3.0, 2.0), 1.0)
+    e = window_mle_estimator(Gaussian(3.0, 2.0), 1.0, 1)
     assert e.evaluate((5.0,)) == pytest.approx(2.0, abs=1e-6)
 
 
@@ -40,20 +40,20 @@ def test_window_equals_mean_on_gaussian_inputs():
     rng = np.random.default_rng(31)
     for sigma in (0.5, 1.0, 2.0):
         d = Gaussian(0.0, sigma)
-        w = window_mle_estimator(d, 0.5)
-        m = mean_estimator(d)
         for n in (1, 3, 8):
+            w = window_mle_estimator(d, 0.5, n)
+            m = mean_estimator(d, n)
             x = rng.normal(0.0, sigma, size=(40, n))
             assert np.max(np.abs(w.evaluate_batch(x) - m.evaluate_batch(x))) < 1e-6
 
 
 def test_window_requires_suitable_traits():
     with pytest.raises(ValueError):
-        window_mle_estimator(Exponential(1.0), 0.25)
+        window_mle_estimator(Exponential(1.0), 0.25, 1)
 
 
 def test_window_on_merely_unimodal_law_is_labeled():
-    e = window_mle_estimator(Uniform(0.0, 1.0), 0.1)
+    e = window_mle_estimator(Uniform(0.0, 1.0), 0.1, 1)
     assert "unverified" in e.label
     # Any center on the flat stretch is optimal; the guess must stay inside it.
     guess = e.evaluate((0.5,))
@@ -64,7 +64,7 @@ def test_window_on_merely_unimodal_law_is_labeled():
 def test_window_full_cover_picks_support_midpoint():
     # With 2*delta wider than the support every window covers it; the
     # positivity-interval midpoint is the canonical answer.
-    e = window_mle_estimator(Uniform(0.0, 1.0), 2.0)
+    e = window_mle_estimator(Uniform(0.0, 1.0), 2.0, 1)
     assert e.evaluate((0.25,)) == pytest.approx(0.25 - 0.5, abs=1e-9)
 
 
@@ -78,7 +78,7 @@ def test_window_spread_equal_to_the_support_width_is_solved():
 
 
 def test_window_evaluate_is_one_row_of_the_batch():
-    e = window_mle_estimator(Gaussian(0.3, 1.2), 0.4)
+    e = window_mle_estimator(Gaussian(0.3, 1.2), 0.4, 3)
     assert e.fn is None
     x = np.random.default_rng(4).normal(size=(5, 3))
     assert [e.evaluate(row) for row in x] == e.evaluate_batch(x).tolist()
@@ -86,7 +86,7 @@ def test_window_evaluate_is_one_row_of_the_batch():
 
 def test_one_sample_window_solve_is_shared_by_every_row():
     d = PiecewiseDensity(knots=((0.0, 0.0), (0.5, 0.34), (1.2, 0.85), (2.0, 0.226), (2.6, 0.0)))
-    e = window_mle_estimator(d, 0.25)
+    e = window_mle_estimator(d, 0.25, 1)
     x = d.ppf(np.random.default_rng(8).random((3000, 1)))
     per_row = x[:, 0] - _window_center_batch(d, 0.25, np.zeros_like(x))
     assert np.array_equal(e.evaluate_batch(x), per_row)
@@ -94,7 +94,7 @@ def test_one_sample_window_solve_is_shared_by_every_row():
 
 def test_window_batch_agrees_with_scalar_path():
     d = Gaussian(1.0, 1.5)
-    e = window_mle_estimator(d, 0.7)
+    e = window_mle_estimator(d, 0.7, 3)
     rng = np.random.default_rng(5)
     x = rng.normal(1.0, 1.5, size=(25, 3))
     batch = e.evaluate_batch(x)
@@ -181,7 +181,7 @@ def test_window_center_needs_few_log_product_evaluations():
 
     d = CountingGaussian(0.3, 1.2)
     x = np.random.default_rng(4).normal(0.3, 1.2, size=(4096, 4))
-    window_mle_estimator(d, 0.45).evaluate_batch(x)
+    window_mle_estimator(d, 0.45, 4).evaluate_batch(x)
     # Bisection to BISECT_TOL takes about 74 per row.
     assert sum(rows) <= 10 * len(x)
 
@@ -201,22 +201,22 @@ def test_window_center_of_a_row_does_not_depend_on_its_block(monkeypatch, d, n):
 
 def test_window_center_far_from_zero_stops_at_float_resolution():
     # Near 1e6 adjacent floats are 1.2e-10 apart, wider than BISECT_TOL.
-    e = window_mle_estimator(Gaussian(1e6, 1.0), 0.5)
+    e = window_mle_estimator(Gaussian(1e6, 1.0), 0.5, 2)
     assert e.evaluate((1e6 + 0.3, 1e6 - 0.2)) == pytest.approx(0.05, abs=1e-6)
 
 
 def test_window_search_that_hits_its_step_cap_raises(monkeypatch):
     monkeypatch.setattr(estimators, "WINDOW_MAX_STEPS", 1)
-    e = window_mle_estimator(Gaussian(0.0, 1.0), 0.5)
+    e = window_mle_estimator(Gaussian(0.0, 1.0), 0.5, 4)
     x = np.random.default_rng(2).normal(size=(30, 4))
     with pytest.raises(ConvergenceError, match=r"Gaussian left \d+ rows open"):
         e.evaluate_batch(x)
 
 
 def test_min_shift_evaluate():
-    e = min_shift_estimator(0.25)
+    e = min_shift_estimator(0.25, 3)
     assert e.evaluate((1.0, 0.3, 2.0)) == pytest.approx(0.05)
-    assert e.evaluate((Fraction(1), Fraction(3, 4))) == Fraction(1, 2)
+    assert min_shift_estimator(0.25, 2).evaluate((Fraction(1), Fraction(3, 4))) == Fraction(1, 2)
     assert e.invariance_claim == SHIFT_INVARIANT
 
 
@@ -282,7 +282,7 @@ def test_discrete_n_sample_rejects_impossible_samples(example_atoms):
 def test_invariant_extension_reproduces_min_shift():
     delta = 0.25
     e = invariant_extension(lambda x0: delta - min(x0), n=3)
-    ref = min_shift_estimator(delta)
+    ref = min_shift_estimator(delta, 3)
     rng = np.random.default_rng(23)
     for _ in range(50):
         x = tuple(rng.normal(5.0, 2.0, size=3))
@@ -291,15 +291,15 @@ def test_invariant_extension_reproduces_min_shift():
 
 
 def test_constant_estimator_ignores_samples():
-    e = constant_estimator(Fraction(7, 2))
+    e = constant_estimator(Fraction(7, 2), 1)
     assert e.evaluate((1.0,)) == Fraction(7, 2)
-    assert e.evaluate((1.0, 2.0, 3.0)) == Fraction(7, 2)
+    assert constant_estimator(Fraction(7, 2), 3).evaluate((1.0, 2.0, 3.0)) == Fraction(7, 2)
     assert e.invariance_claim != SHIFT_INVARIANT
 
 
 def test_mixture_validation(example_atoms):
-    a = constant_estimator(0.0)
-    b = constant_estimator(100.0)
+    a = constant_estimator(0.0, 1)
+    b = constant_estimator(100.0, 1)
     with pytest.raises(ValueError, match="sum"):
         mixture([(a, 0.5), (b, 0.4)])
     with pytest.raises(ValueError, match="positive"):
@@ -310,7 +310,7 @@ def test_mixture_validation(example_atoms):
 
 
 def test_mixture_is_an_estimator_that_needs_a_generator():
-    a = min_shift_estimator(0.1)
+    a = min_shift_estimator(0.1, 2)
     m = mixture([(a, 0.5), (constant_estimator(0.0, n=2), 0.5)])
     assert isinstance(m, Estimator) and m.n == 2 and m.invariance_claim != SHIFT_INVARIANT
     assert m.parts == m.components and a.parts == ((a, 1),)
@@ -321,9 +321,30 @@ def test_mixture_is_an_estimator_that_needs_a_generator():
         m.evaluate_batch(np.ones((3, 2)))
 
 
+def test_every_rule_is_built_with_its_sample_count():
+    d = Gaussian(0.0, 1.0)
+    for e, n in ((mean_estimator(d, 3), 3), (window_mle_estimator(d, 0.5, 1), 1),
+                 (min_shift_estimator(0.1, 2), 2), (constant_estimator(0.0, 4), 4)):
+        assert e.n == n
+        with pytest.raises(ValueError, match=f"expects {n} samples"):
+            e.evaluate_batch(np.zeros((2, n + 1)))
+    for e in (mean_estimator(d, np.int64(2)), window_mle_estimator(d, 0.5, np.int64(2)),
+              min_shift_estimator(0.1, np.int64(2)), constant_estimator(0.0, np.int64(2))):
+        assert type(e.n) is int and e.n == 2
+    for bad in (None, 0, True, "any", 2.0):
+        with pytest.raises(ValueError, match="needs a sample count"):
+            Estimator(label="rule", fn=lambda x: 0.0, n=bad)
+    with pytest.raises(TypeError, match="'n'"):
+        Estimator(label="rule", fn=lambda x: 0.0)
+    with pytest.raises(ValueError, match="needs a sample count"):
+        mean_estimator(d, 0)
+    with pytest.raises(ValueError, match="disagree on sample count"):
+        mixture([(mean_estimator(d, 1), 0.5), (mean_estimator(d, 2), 0.5)])
+
+
 def test_mixture_component_split_is_weighted():
-    a = constant_estimator(0.0)
-    b = constant_estimator(1.0)
+    a = constant_estimator(0.0, 1)
+    b = constant_estimator(1.0, 1)
     m = mixture([(a, 0.25), (b, 0.75)])
     rng = np.random.default_rng(8)
     out = m.evaluate_batch(np.zeros((20_000, 1)), rng)
@@ -331,10 +352,10 @@ def test_mixture_component_split_is_weighted():
 
 
 def test_mixture_inherits_invariance_only_when_unanimous():
-    inv = min_shift_estimator(0.1)
-    m_inv = mixture([(inv, 0.5), (min_shift_estimator(0.2), 0.5)])
+    inv = min_shift_estimator(0.1, 1)
+    m_inv = mixture([(inv, 0.5), (min_shift_estimator(0.2, 1), 0.5)])
     assert m_inv.invariance_claim == SHIFT_INVARIANT
-    m_plain = mixture([(inv, 0.5), (constant_estimator(0.0), 0.5)])
+    m_plain = mixture([(inv, 0.5), (constant_estimator(0.0, 1), 0.5)])
     assert m_plain.invariance_claim != SHIFT_INVARIANT
 
 
@@ -342,9 +363,9 @@ def test_mixture_inherits_invariance_only_when_unanimous():
 def test_shift_equivariance_of_invariant_estimators(example_atoms, c):
     gauss = Gaussian(0.0, 1.0)
     estimators = [
-        (mean_estimator(gauss), (0.3, -0.8, 1.7)),
-        (window_mle_estimator(gauss, 0.5), (0.3, -0.8, 1.7)),
-        (min_shift_estimator(0.25), (0.3, -0.8, 1.7)),
+        (mean_estimator(gauss, 3), (0.3, -0.8, 1.7)),
+        (window_mle_estimator(gauss, 0.5, 3), (0.3, -0.8, 1.7)),
+        (min_shift_estimator(0.25, 3), (0.3, -0.8, 1.7)),
         (discrete_mle_estimator(example_atoms, Fraction(3, 4)), (1.0,)),
     ]
     for e, x in estimators:
@@ -359,7 +380,7 @@ def test_shift_equivariance_of_invariant_estimators(example_atoms, c):
 )
 def test_mean_estimator_is_exactly_equivariant_in_expectation(xs, c):
     d = Gaussian(0.0, 1.0)
-    e = mean_estimator(d)
+    e = mean_estimator(d, len(xs))
     x = tuple(xs)
     assert float(e.evaluate(tuple(v + c for v in x))) - c == pytest.approx(
         float(e.evaluate(x)), abs=1e-7
@@ -369,7 +390,7 @@ def test_mean_estimator_is_exactly_equivariant_in_expectation(xs, c):
 @given(st.floats(min_value=-4, max_value=4), st.floats(min_value=-4, max_value=4))
 def test_window_guess_lies_in_the_positive_density_region(a, b):
     d = Gaussian(0.0, 1.0)
-    e = window_mle_estimator(d, 0.5)
+    e = window_mle_estimator(d, 0.5, 2)
     guess = float(e.evaluate((a, b)))
     # The balanced window center never leaves the sample span by more than
     # the half-window plus the mode pull.

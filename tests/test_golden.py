@@ -26,6 +26,10 @@ CASES = [
     ("lemma_check_rational", "lemma-check", "csv"),
     ("lemma_check_float_atoms", "lemma-check", "json"),
     ("quality_exact_atoms", "quality", "csv"),
+    ("bounds_exponential_n5", "bounds", "csv"),
+    ("bounds_gaussian_n4", "bounds", "csv"),
+    ("bounds_atoms_rational", "bounds", "json"),
+    ("paper_suite", "paper-suite", "json"),
 ]
 
 

@@ -51,24 +51,23 @@ def test_wilson_halfwidth_shrinks_with_trials():
 
 def test_gaussian_mean_quality_matches_normal_mass(mc_mid):
     d = Gaussian(0.0, 1.0)
-    q, ci = quality_at(mean_estimator(d), d, 0.0, 1.0, mc_mid, n=1)
+    q, ci = quality_at(mean_estimator(d, 1), d, 0.0, 1.0, mc_mid)
     assert abs(q - UNIT_WINDOW_MASS) <= 3 * ci
     # Four samples halve the standard error: same mass at half the threshold.
-    q4, ci4 = quality_at(mean_estimator(d), d, 0.0, 0.5, mc_mid, n=4)
+    q4, ci4 = quality_at(mean_estimator(d, 4), d, 0.0, 0.5, mc_mid)
     assert abs(q4 - UNIT_WINDOW_MASS) <= 3 * ci4
 
 
 def test_min_shift_quality_matches_closed_form(mc_mid):
     d = Exponential(1.0)
-    e = min_shift_estimator(0.25)
     for n, want in ((1, EXPO_HALF_MASS), (2, EXPO_FULL_MASS)):
-        q, ci = quality_at(e, d, 0.0, 0.25, mc_mid, n=n)
+        q, ci = quality_at(min_shift_estimator(0.25, n), d, 0.0, 0.25, mc_mid)
         assert abs(q - want) <= 3 * ci
 
 
 def test_quality_is_zero_for_far_constant_guess(mc_fast):
     d = Gaussian(0.0, 1.0)
-    q, ci = quality_at(constant_estimator(0.0), d, 10.0, 1.0, mc_fast, n=1)
+    q, ci = quality_at(constant_estimator(0.0, 1), d, 10.0, 1.0, mc_fast)
     assert q == 0.0
 
 
@@ -79,21 +78,17 @@ def test_exact_quality_hand_enumerated(example_atoms):
     assert exact_quality_discrete(e, example_atoms, Fraction(0), delta) == Fraction(3, 5)
     assert exact_quality_discrete(e, example_atoms, Fraction(22, 7), delta) == Fraction(3, 5)
 
-    const = constant_estimator(Fraction(0))
-    assert exact_quality_discrete(const, example_atoms, Fraction(0), delta, n=1) == 1
-    assert exact_quality_discrete(const, example_atoms, Fraction(10), delta, n=1) == 0
+    const = constant_estimator(Fraction(0), 1)
+    assert exact_quality_discrete(const, example_atoms, Fraction(0), delta) == 1
+    assert exact_quality_discrete(const, example_atoms, Fraction(10), delta) == 0
 
 
 def test_exact_quality_closed_interval_boundary(example_atoms):
     delta = Fraction(3, 4)
-    const = constant_estimator(Fraction(0))
+    const = constant_estimator(Fraction(0), 1)
     # |guess - theta| lands exactly on the threshold.
-    open_q = exact_quality_discrete(
-        const, example_atoms, delta, delta, n=1, closed_interval=False
-    )
-    closed_q = exact_quality_discrete(
-        const, example_atoms, delta, delta, n=1, closed_interval=True
-    )
+    open_q = exact_quality_discrete(const, example_atoms, delta, delta, closed_interval=False)
+    closed_q = exact_quality_discrete(const, example_atoms, delta, delta, closed_interval=True)
     assert open_q == 0
     assert closed_q == 1
 
@@ -101,7 +96,7 @@ def test_exact_quality_closed_interval_boundary(example_atoms):
 def test_exact_quality_of_mixture_is_weighted(example_atoms):
     delta = Fraction(3, 4)
     good = discrete_mle_estimator(example_atoms, delta)
-    bad = constant_estimator(Fraction(-1000))
+    bad = constant_estimator(Fraction(-1000), 1)
     m = mixture([(good, 0.5), (bad, 0.5)])
     got = exact_quality_discrete(m, example_atoms, Fraction(0), delta)
     assert got == pytest.approx(0.5 * 0.6, abs=1e-12)
@@ -113,10 +108,10 @@ def test_mc_determinism_across_parallelism():
     # own counts, each recomputed from (seed, chunk index) alone and visited
     # here in reverse order.
     d = Exponential(2.0)
-    e = min_shift_estimator(0.2)
+    e = min_shift_estimator(0.2, 3)
     sizes = [CHUNK_TRIALS, CHUNK_TRIALS, 5_000]
     mc = MCConfig(trials=sum(sizes), seed=99)
-    q, _ = quality_at(e, d, 1.5, 0.2, mc, n=3)
+    q, _ = quality_at(e, d, 1.5, 0.2, mc)
     draw, count = _noise(d, 3), _counter(LINE, e, 1.5, 0.2, False)
     hits = [count(draw(_chunk_rng(99, c), sizes[c]), None) for c in reversed(range(3))]
     assert 0 < min(hits) and q == sum(hits) / mc.trials
@@ -124,9 +119,9 @@ def test_mc_determinism_across_parallelism():
 
 def test_mc_determinism_across_runs(mc_fast):
     d = Exponential(2.0)
-    e = min_shift_estimator(0.3)
-    a = quality_at(e, d, 1.5, 0.3, mc_fast, n=2)
-    b = quality_at(e, d, 1.5, 0.3, mc_fast, n=2)
+    e = min_shift_estimator(0.3, 2)
+    a = quality_at(e, d, 1.5, 0.3, mc_fast)
+    b = quality_at(e, d, 1.5, 0.3, mc_fast)
     assert a == b
 
 
@@ -143,14 +138,14 @@ def test_mc_agrees_with_exact_on_random_atoms():
         e_exact = discrete_mle_estimator(exact_d, delta)
         e_float = discrete_mle_estimator(float_d, float(delta))
         want = exact_quality_discrete(e_exact, exact_d, Fraction(0), delta)
-        got, ci = quality_at(e_float, float_d, 0.0, float(delta), mc, n=1)
+        got, ci = quality_at(e_float, float_d, 0.0, float(delta), mc)
         assert abs(got - float(want)) <= 3 * ci + 1e-9
 
 
 def test_quality_inf_certifies_invariant_estimators(mc_fast):
     d = Exponential(1.0)
-    e = min_shift_estimator(0.25)
-    report = quality_inf(e, d, 0.25, (-5.0, 3.0, 100.0), mc_fast, n=2)
+    e = min_shift_estimator(0.25, 2)
+    report = quality_inf(e, d, 0.25, (-5.0, 3.0, 100.0), mc_fast)
     assert report.infimum_certified
     assert report.worst_case[1] == 0.0
     thetas = [t.theta for t in report.per_theta]
@@ -161,8 +156,8 @@ def test_quality_inf_certifies_invariant_estimators(mc_fast):
 
 def test_quality_inf_reports_grid_minimum_for_plain_estimators(mc_fast):
     d = Gaussian(0.0, 1.0)
-    e = constant_estimator(0.0)
-    report = quality_inf(e, d, 1.0, (0.0, 5.0), mc_fast, n=1)
+    e = constant_estimator(0.0, 1)
+    report = quality_inf(e, d, 1.0, (0.0, 5.0), mc_fast)
     assert not report.infimum_certified
     assert report.worst_case[1] == 5.0
     assert report.worst_case[0] == 0.0
@@ -171,28 +166,28 @@ def test_quality_inf_reports_grid_minimum_for_plain_estimators(mc_fast):
 def test_quality_inf_rejects_false_invariance_claims(mc_fast):
     d = Gaussian(0.0, 1.0)
     liar = Estimator(
-        label="liar", fn=lambda x: 0.0, n="any", invariance_claim=SHIFT_INVARIANT
+        label="liar", fn=lambda x: 0.0, n=1, invariance_claim=SHIFT_INVARIANT
     )
     with pytest.raises(RuntimeError, match="invariance"):
-        quality_inf(liar, d, 1.0, (0.0, 6.0), mc_fast, n=1)
+        quality_inf(liar, d, 1.0, (0.0, 6.0), mc_fast)
 
 
 @pytest.mark.parametrize("rule", ["mean", "min_shift", "window"])
 def test_equivariant_rows_are_identical_at_every_shift(rule):
     d = Gaussian(0.0, 1.0)
     e = {
-        "mean": mean_estimator(d),
-        "min_shift": min_shift_estimator(0.5),
-        "window": window_mle_estimator(d, 0.5),
+        "mean": mean_estimator(d, 4),
+        "min_shift": min_shift_estimator(0.5, 4),
+        "window": window_mle_estimator(d, 0.5, 4),
     }[rule]
     mc = MCConfig(trials=60_000, seed=3)
-    report = quality_inf(e, d, 0.5, (0.0, 1e3, 1e9, 1e13, 1e15), mc, n=4)
+    report = quality_inf(e, d, 0.5, (0.0, 1e3, 1e9, 1e13, 1e15), mc)
     rows = {(t.q, t.ci_half_width) for t in report.per_theta}
     assert len(report.per_theta) == 5 and len(rows) == 1
-    assert rows == {quality_at(e, d, 0.0, 0.5, mc, n=4)}
+    assert rows == {quality_at(e, d, 0.0, 0.5, mc)}
 
 
-def _sly_estimator(delta):
+def _sly_estimator(delta, n):
     """The mean, moved by delta/10 on the rows whose first sample has fractional part below 0.01."""
 
     def batch(x):
@@ -202,6 +197,7 @@ def _sly_estimator(delta):
     return Estimator(
         label="sly",
         fn=lambda s: float(batch(np.asarray([s], dtype=float))[0]),
+        n=n,
         invariance_claim=SHIFT_INVARIANT,
         batch_fn=batch,
     )
@@ -212,25 +208,25 @@ def test_quality_inf_catches_a_rule_off_on_one_percent_of_rows():
     # so only a row-by-row comparison shows that the rule moves with the shift.
     d = Gaussian(0.0, 1.0)
     with pytest.raises(InvarianceError, match="sly claims shift invariance"):
-        quality_inf(_sly_estimator(0.5), d, 0.5, (0.0, 0.5, 3.0), MCConfig(trials=60_000, seed=3), n=4)
+        quality_inf(_sly_estimator(0.5, 4), d, 0.5, (0.0, 0.5, 3.0), MCConfig(trials=60_000, seed=3))
 
 
 def test_invariance_check_covers_every_part_of_a_mixture(mc_fast):
     d = Gaussian(0.0, 1.0)
-    m = mixture([(mean_estimator(d), 0.5), (_sly_estimator(1.0), 0.5)])
+    m = mixture([(mean_estimator(d, 2), 0.5), (_sly_estimator(1.0, 2), 0.5)])
     assert m.invariance_claim == SHIFT_INVARIANT
     with pytest.raises(InvarianceError, match="sly"):
-        quality_inf(m, d, 1.0, (0.0, 0.5), mc_fast, n=2)
+        quality_inf(m, d, 1.0, (0.0, 0.5), mc_fast)
 
 
 def test_non_invariant_mixture_rows_match_separate_runs():
     d = Gaussian(-0.4, 1.1)
-    m = mixture([(constant_estimator(0.3), 0.375), (mean_estimator(d), 0.625)])
+    m = mixture([(constant_estimator(0.3, 2), 0.375), (mean_estimator(d, 2), 0.625)])
     mc = MCConfig(trials=40_000, seed=9)
     grid = (-2.0, -0.25, 0.0, 0.5, 1.75)
-    report = quality_inf(m, d, 0.3125, grid, mc, n=2)
+    report = quality_inf(m, d, 0.3125, grid, mc)
     assert [(t.theta, t.q, t.ci_half_width) for t in report.per_theta] == [
-        (theta, *quality_at(m, d, theta, 0.3125, mc, n=2)) for theta in grid
+        (theta, *quality_at(m, d, theta, 0.3125, mc)) for theta in grid
     ]
 
 
@@ -240,7 +236,7 @@ def test_window_on_a_bounded_law_holds_at_a_huge_shift(n, q):
     # the support width; the solve must still give the row at shift 0.
     d = Uniform(0.0, 1.0)
     report = quality_inf(
-        window_mle_estimator(d, 0.25), d, 0.25, (0.0, 1e15), MCConfig(trials=1024, seed=5), n=n
+        window_mle_estimator(d, 0.25, n), d, 0.25, (0.0, 1e15), MCConfig(trials=1024, seed=5)
     )
     assert [row.q for row in report.per_theta] == [q, q]
 
@@ -249,13 +245,13 @@ def test_discrete_mle_on_float_atoms_holds_at_large_shifts():
     d = FiniteAtoms(atoms=((0.0, 0.25), (0.1, 0.25), (0.4, 0.5)))
     e = discrete_mle_estimator(d, 0.05, 2)
     for theta in (0.0, 1e7, 1e8, 1e9, -1e12):
-        assert exact_quality_discrete(e, d, theta, 0.05, n=2) == pytest.approx(0.875, abs=1e-12)
+        assert exact_quality_discrete(e, d, theta, 0.05) == pytest.approx(0.875, abs=1e-12)
 
 
 def test_quality_inf_uses_exact_path_on_atoms(example_atoms):
     e = discrete_mle_estimator(example_atoms, Fraction(3, 4))
     mc = MCConfig(trials=1000, seed=1)
-    report = quality_inf(e, example_atoms, Fraction(3, 4), (0.0, 1.5, 3.0), mc, n=1)
+    report = quality_inf(e, example_atoms, Fraction(3, 4), (0.0, 1.5, 3.0), mc)
     assert all(t.exact and t.ci_half_width == 0.0 for t in report.per_theta)
     assert report.worst_case[0] == pytest.approx(0.6, abs=1e-15)
 
@@ -290,9 +286,9 @@ def test_randomized_estimator_mc_quality(example_atoms, mc_mid):
     # Mixing in a hopeless component halves the quality.
     float_d = FiniteAtoms(atoms=tuple((float(z), float(m)) for z, m in example_atoms.atoms))
     good = discrete_mle_estimator(float_d, 0.75)
-    bad = constant_estimator(-1000.0)
+    bad = constant_estimator(-1000.0, 1)
     m = mixture([(good, 0.5), (bad, 0.5)])
-    q, ci = quality_at(m, float_d, 0.0, 0.75, mc_mid, n=1)
+    q, ci = quality_at(m, float_d, 0.0, 0.75, mc_mid)
     assert abs(q - 0.3) <= 3 * ci + 1e-9
 
 
@@ -332,15 +328,15 @@ def rational_cases(draw):
 def test_multiset_enumeration_matches_the_ordered_walk(case):
     d, n, delta, theta, closed = case
     rules = [
-        mean_estimator(d),
-        min_shift_estimator(delta),
+        mean_estimator(d, n),
+        min_shift_estimator(delta, n),
         discrete_mle_estimator(d, delta, n),
         constant_estimator(theta + Fraction(1, 3), n=n),
     ]
     assert all(e.symmetric for e in rules)
     rules.append(mixture([(rules[0], Fraction(1, 3)), (rules[2], Fraction(2, 3))]))
     for e in rules:
-        got = exact_quality_discrete(e, d, theta, delta, n=n, closed_interval=closed)
+        got = exact_quality_discrete(e, d, theta, delta, closed_interval=closed)
         assert isinstance(got, (int, Fraction))
         assert got == _ordered_reference(e, d, theta, delta, n, closed)
 
@@ -371,7 +367,7 @@ def test_enumeration_cap_counts_multisets_for_symmetric_rules():
         sums = step
     mu = Fraction(sum(locs), 4)
     want = sum(p for s, p in sums.items() if abs(s - n * mu) < n * delta)
-    assert exact_quality_discrete(mean_estimator(d), d, Fraction(5, 3), delta, n=n) == want
+    assert exact_quality_discrete(mean_estimator(d, n), d, Fraction(5, 3), delta) == want
     ordered = invariant_extension(lambda x0: -x0[1], n=n)
     with pytest.raises(EnumerationLimitError, match="4\\^10"):
         exact_quality_discrete(ordered, d, Fraction(0), delta)
@@ -392,14 +388,14 @@ def test_float_quality_does_not_depend_on_the_shift(rule, marks, weights, tenths
     d = FiniteAtoms(atoms=tuple((z / 10, 64 * w / total) for z, w in zip(sorted(marks), weights)))
     delta = tenths / 10
     if rule == "min_shift":
-        e = min_shift_estimator(delta)
+        e = min_shift_estimator(delta, n)
     elif rule == "mean":
-        e = mean_estimator(d)
+        e = mean_estimator(d, n)
     else:
-        e, n = discrete_mle_estimator(d, delta), 1
+        e = discrete_mle_estimator(d, delta)
     for closed in (False, True):
         qs = {
-            exact_quality_discrete(e, d, theta, delta, n=n, closed_interval=closed)
+            exact_quality_discrete(e, d, theta, delta, closed_interval=closed)
             for theta in (0.0, 1e3, -1e3, 1e6, -1e6, 1e9, -1e9)
         }
         assert len(qs) == 1, (closed, qs)

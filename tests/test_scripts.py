@@ -46,3 +46,93 @@ def test_run_paper_suite_matches_the_cli(capsys, monkeypatch):
         runpy.run_path(str(SCRIPTS / "run_paper_suite.py"), run_name="__main__")
     assert exit_info.value.code == expected_code
     assert capsys.readouterr().out == expected
+
+
+def test_bench_pairs_summary_on_synthetic_runs():
+    bench_pairs = load("bench_pairs")
+    end_to_end = [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "quality_s", "unit": "s", "better": "lower", "bound": 0.25},
+    ]
+
+    def run(side, seed, wall, quality, failed=0, correct=True):
+        return {"workload": "mc", "seed": seed, "side": side, "correct": correct, "attempted": 100,
+                "failed": failed, "metrics": {"wall_s": wall, "quality_s": quality}}
+
+    records = [
+        run("parent", 1, 1.0, 0.40), run("change", 1, 0.9, 0.60),
+        run("change", 2, 1.1, 0.55), run("parent", 2, 1.2, 0.40),
+        run("parent", 3, 0.8, 0.40), run("change", 3, 0.8, 0.50),
+        run("parent", 4, 5.0, 9.00),  # no change run at seed 4: not paired
+    ]
+    summary = bench_pairs.summarize(records, end_to_end)
+    mc = summary["mc"]
+    assert mc["seeds"] == [1, 2, 3]
+    assert mc["runs"]["parent"] == {"all_correct": True, "attempted": 300, "failed": 0, "failed_share": 0.0}
+    wall = mc["metrics"]["wall_s"]
+    assert wall["parent"]["median"] == 1.0 and wall["change"]["median"] == 0.9
+    assert wall["wins"] == 2 and wall["pairs"] == 3  # the tie at seed 3 counts for neither side
+    assert abs(wall["median_ratio"] - 11 / 12) < 1e-12 and wall["within_bound"]
+    quality = mc["metrics"]["quality_s"]
+    assert quality["wins"] == 0 and abs(quality["median_shift"] - 0.375) < 1e-12
+    assert not quality["within_bound"]
+    assert not bench_pairs.verdict(summary)
+
+    fixed = [dict(r, metrics={"wall_s": r["metrics"]["wall_s"], "quality_s": 0.4}) for r in records]
+    assert bench_pairs.verdict(bench_pairs.summarize(fixed, end_to_end))
+    failing = fixed + [run("change", 4, 5.0, 0.4, failed=1)]
+    assert not bench_pairs.verdict(bench_pairs.summarize(failing, end_to_end))
+    wrong = [dict(r, correct=r["side"] == "parent") for r in fixed]
+    assert not bench_pairs.verdict(bench_pairs.summarize(wrong, end_to_end))
+    assert "| mc | `wall_s` | 1.0000 [" in bench_pairs.table(summary)
+
+
+def test_bench_pairs_main_keeps_what_the_scratch_directory_holds(tmp_path, monkeypatch, capsys):
+    import io
+    import json
+    import tarfile
+
+    bench_pairs = load("bench_pairs")
+    root, scratch = tmp_path / "repo", tmp_path / "scratch"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7,
+        "workloads": [{"name": "mc"}, {"name": "exact"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}],
+    }))
+    for side in bench_pairs.SIDES:  # a user's own directories that happen to share the side names
+        (scratch / side).mkdir(parents=True)
+        (scratch / side / "keep.txt").write_text(side)
+    archive = io.BytesIO()
+    with tarfile.open(fileobj=archive, mode="w") as tar:
+        info = tarfile.TarInfo("perfbench/run.py")
+        tar.addfile(info, io.BytesIO(b""))
+
+    def git(*args):
+        return b"0" * 40 + b"\n" if args[0] == "rev-parse" else archive.getvalue()
+
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        assert (checkout / "perfbench" / "run.py").is_file()
+        runs.append((checkout.name.split("-")[0], workload, seed, seconds))
+        return {"workload": workload, "seed": seed, "returncode": 0, "correct": True,
+                "attempted": 10, "failed": 0, "metrics": {"wall_s": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "_git", git)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", "A", "--change", "B", "--label", "t", "--scratch", str(scratch), "--pairs", "2"]
+    assert bench_pairs.main(argv) == 0
+    for side in bench_pairs.SIDES:
+        assert (scratch / side / "keep.txt").read_text() == side
+        assert not (scratch / side / "perfbench").exists()
+    assert runs == [("parent", "mc", 1, 7), ("change", "mc", 1, 7), ("parent", "exact", 1, 7),
+                    ("change", "exact", 1, 7), ("change", "mc", 2, 7), ("parent", "mc", 2, 7),
+                    ("change", "exact", 2, 7), ("parent", "exact", 2, 7)]
+    doc = json.loads((root / "BENCH_t.json").read_text())
+    assert doc["ok"] and doc["seconds"] == 7 and doc["pairs"] == 2
+    assert sorted(doc["workloads"]) == ["exact", "mc"]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv + ["--seconds", "1"])
+    capsys.readouterr()
