@@ -22,8 +22,10 @@ median of the per-pair ratios change/parent, the pairs the change wins (ties
 count for neither), and whether the change's median stays within the
 metric's bound of the parent's. Per side it holds whether every run read
 `correct: true` and the share of operations that failed; then the seeds,
-both full revisions and every raw run record. The file is rewritten after
-each pair, so an interrupted set keeps the pairs it finished.
+both full revisions with the line count of each side's src/shiftq/*.py, and
+every raw run record. The file is rewritten after each pair, so an
+interrupted set keeps the pairs it finished. Both line counts are printed
+under the table.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ def export(spec: str, dest: Path) -> dict:
         (dest / name).write_bytes(data)
     head = _git("rev-parse", "HEAD").decode().strip()
     return {"spec": spec, "revision": head, "worktree_sha256": digest.hexdigest()}
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the package sources, src/shiftq/*.py, counted as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "shiftq").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -188,7 +195,8 @@ def main(argv=None) -> int:
 
     scratch.mkdir(parents=True, exist_ok=True)
     checkouts = {side: Path(tempfile.mkdtemp(prefix=f"{side}-", dir=scratch)) for side in SIDES}
-    sides = {side: export(spec, checkouts[side]) for side, spec in zip(SIDES, (args.parent, args.change))}
+    sides = {side: {**export(spec, checkouts[side]), "src_lines": src_lines(checkouts[side])}
+             for side, spec in zip(SIDES, (args.parent, args.change))}
     doc = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
@@ -210,6 +218,7 @@ def main(argv=None) -> int:
         doc.update(pairs=i + 1, ok=verdict(summary), workloads=summary, records=records)
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(table(doc["workloads"]))
+    print("src/shiftq lines: " + ", ".join(f"{side} {sides[side]['src_lines']}" for side in SIDES))
     print(f"{'ok' if doc['ok'] else 'NOT OK'}: wrote {out}")
     return 0 if doc["ok"] else 1
 

@@ -6,7 +6,14 @@ estimator: it is the largest probability a width-2*delta window can capture
 a Monte Carlo evaluation of the optimal window estimator for strictly
 log-concave laws with several samples). The packing bound caps all estimators,
 randomized included: it is the largest mass of a set disjoint from its own
-translates by nonzero multiples of 2*delta.
+translates by nonzero multiples of 2*delta. applicable_bounds decides which
+of these ceilings apply to a law.
+
+The one-sample window centre is found by the window rules' own searches in
+estimators: the atom window, and on a density that is unimodal or decreasing
+on a half-line the n = 1 window solve. So the one-sample window rule and the
+witness of its ceiling are one number. Densities with no shape guarantee get
+a grid refinement of the window mass instead.
 
 The discrete sumset checker ties the two together: averaging an arbitrary
 estimator's exact quality over a sumset of shifts can exceed the one-sample
@@ -23,19 +30,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
-from .estimators import window_mle_estimator
+from .estimators import _discrete_window_best, _window_center_batch, window_mle_estimator
 from .quality import MCConfig, exact_quality_discrete, quality_at
-from .util import (
-    BISECT_TOL,
-    EnumerationLimitError,
-    MATCH_ATOL,
-    is_exact,
-    within_threshold,
-)
+from .util import EnumerationLimitError, MATCH_ATOL, is_exact, within_threshold
 
 __all__ = [
     "BoundReport",
     "SumsetAverageBound",
+    "applicable_bounds",
     "window_bound_one_sample",
     "packing_bound_discrete",
     "packing_bound_halfline",
@@ -77,37 +79,6 @@ class SumsetAverageBound(NamedTuple):
     average_quality: object
     bound: object
     holds: bool
-
-
-def _discrete_window_best(d: FiniteAtoms, delta, closed_interval: bool):
-    """(mass, center) of the heaviest width-2*delta window over the atoms.
-
-    A window can cover a run of consecutive atoms whose span stays below
-    2*delta (boundary spans count only under the closed convention); ties go
-    to the leftmost run, and the center is the midpoint of the feasible
-    center interval.
-    """
-    locs = d.locations
-    masses = d.masses
-    exact = is_exact(*locs)
-    two_delta = 2 * delta
-    prefix = [0]
-    for m in masses:
-        prefix.append(prefix[-1] + m)
-    best_mass = None
-    best_center = None
-    j = 0
-    for i in range(len(locs)):
-        if j < i:
-            j = i
-        while j + 1 < len(locs) and within_threshold(locs[j + 1] - locs[i], two_delta, closed_interval):
-            j += 1
-        mass = prefix[j + 1] - prefix[i]
-        if best_mass is None or mass > best_mass:
-            best_mass = mass
-            edge_sum = locs[i] + locs[j]
-            best_center = Fraction(edge_sum, 2) if exact else edge_sum / 2
-    return best_mass, best_center
 
 
 def _conflict_multiple(z_a, z_b, delta) -> bool:
@@ -170,34 +141,12 @@ def _grid_refine_center(d: ContinuousDistribution, delta: float) -> float:
     return center
 
 
-def _bisect_center(d: ContinuousDistribution, delta: float) -> float:
-    """Best window center when the density rises then falls.
-
-    The window-mass derivative is pdf(c+delta) - pdf(c-delta), which changes
-    sign exactly once for such densities, so bisection applies; flat stretches
-    resolve to the lowest crossing.
-    """
-    slo, shi = d.finite_support()
-    lo = slo - delta
-    hi = shi + delta
-    for _ in range(200):
-        if hi - lo <= BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        g = float(d.pdf(mid + delta)) - float(d.pdf(mid - delta))
-        if g > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def window_bound_one_sample(d: Distribution, delta, *, closed_interval: bool = False) -> BoundReport:
     """Largest probability captured by one width-2*delta window.
 
     This is the quality ceiling for every shift-equivariant estimator seeing
     a single sample, and it is attained: the witness is an optimal window
-    center.
+    center, the one the one-sample window rule subtracts.
     """
     if not float(delta) > 0:
         raise ValueError("delta must be positive")
@@ -206,7 +155,7 @@ def window_bound_one_sample(d: Distribution, delta, *, closed_interval: bool = F
     traits = d.traits()
     delta_f = float(delta)
     if traits.unimodal or traits.monotone_on_halfline:
-        center = _bisect_center(d, delta_f)
+        center = float(_window_center_batch(d, delta_f, np.zeros((1, 1)))[0])
         method = "density bisection"
         certified = True
     else:
@@ -320,6 +269,28 @@ def window_bound_log_concave(
         witness=None,
         ci_half_width=ci,
     )
+
+
+def applicable_bounds(
+    d: Distribution, n: int, delta, mc: MCConfig, *, closed_interval: bool
+) -> list[BoundReport]:
+    """Every ceiling that applies to d at n samples, in report order.
+
+    Atoms get their one-sample window row and, under open windows, their
+    packing row, from one computation. A continuous law gets the one-sample
+    window row, the half-line packing row when its density decreases on
+    [lo, inf), and the Monte Carlo n-sample window row when it is strictly
+    log-concave and n > 1.
+    """
+    if isinstance(d, FiniteAtoms):
+        return _atom_bounds(d, delta, closed_interval)
+    traits = d.traits()
+    reports = [window_bound_one_sample(d, delta, closed_interval=closed_interval)]
+    if traits.monotone_on_halfline:
+        reports.append(packing_bound_halfline(d, n, delta))
+    if traits.log_concave_strict and n > 1:
+        reports.append(window_bound_log_concave(d, n, delta, mc, closed_interval=closed_interval))
+    return reports
 
 
 def _float_sumset(a: Sequence, b: Sequence) -> list:

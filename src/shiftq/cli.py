@@ -132,26 +132,11 @@ def _run_quality(args) -> int:
     return 0
 
 
-def _applicable_bounds(cfg) -> list:
-    d, delta, n = cfg.distribution, cfg.delta, cfg.n
-    if isinstance(d, FiniteAtoms):
-        return bounds_mod._atom_bounds(d, delta, cfg.closed_interval)
-    traits = d.traits()
-    reports = [bounds_mod.window_bound_one_sample(d, delta, closed_interval=cfg.closed_interval)]
-    if traits.monotone_on_halfline:
-        reports.append(bounds_mod.packing_bound_halfline(d, n, delta))
-    if traits.log_concave_strict and n > 1:
-        reports.append(
-            bounds_mod.window_bound_log_concave(
-                d, n, delta, cfg.mc, closed_interval=cfg.closed_interval
-            )
-        )
-    return reports
-
-
 def _run_bounds(args) -> int:
     cfg = _merged_config(args, "bounds")
-    reports = _applicable_bounds(cfg)
+    reports = bounds_mod.applicable_bounds(
+        cfg.distribution, cfg.n, cfg.delta, cfg.mc, closed_interval=cfg.closed_interval
+    )
     print(f"delta={float(cfg.delta):g}  n={cfg.n}")
     print(f"{'kind':>8}  {'n':>3}  {'value':>12}  certified  method")
     for r in reports:
@@ -182,7 +167,7 @@ def _run_bounds(args) -> int:
 def _run_lemma_check(args) -> int:
     cfg = _merged_config(args, "lemma-check")
     spec = cfg.estimator or EstimatorSpec(kind="discrete_mle")
-    e = build_estimator(spec, dataclasses.replace(cfg, n=1))
+    e = build_estimator(spec, cfg)
     result = bounds_mod.sumset_average_bound(
         e, cfg.distribution, cfg.delta, cfg.k, closed_interval=cfg.closed_interval
     )

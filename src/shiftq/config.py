@@ -489,6 +489,8 @@ def parse_config(
             errs.add(key, f"{command} needs this field")
     if command == "lemma-check" and not isinstance(distribution, (FiniteAtoms, type(None))):
         errs.add("distribution", "lemma-check needs the atoms family")
+    if command == "lemma-check" and n != 1:
+        errs.add("n", "lemma-check bounds one-sample rules; n must be 1")
     _check_rational_mixing(distribution, delta, theta_grid, errs)
 
     if errs.errors:

@@ -40,10 +40,10 @@ class FamilyTraits:
 
     The flags are routing metadata, set analytically for the named families
     and numerically (from the knot table) for PiecewiseDensity. A density that
-    is decreasing on the half-line is reported via monotone_on_halfline alone,
-    even though its level sets are convex too; the constructions treat that
-    trait as the stronger piece of information. FiniteAtoms sets no flag:
-    atomic laws are told apart by their type.
+    decreases on [lo, inf) sets monotone_on_halfline. Exponential sets it
+    alone, so the window rule, which needs unimodal or log_concave_strict,
+    refuses it; PiecewiseDensity also sets unimodal on a decreasing table.
+    FiniteAtoms sets no flag: atomic laws are told apart by their type.
     """
 
     unimodal: bool = False
@@ -88,13 +88,13 @@ class ContinuousDistribution(Distribution):
     def mode_interval(self) -> tuple[float, float]:
         """Leftmost and rightmost maximizers of the density."""
 
-    def finite_support(self, eps: float = 1e-12) -> tuple[float, float]:
-        """Support with infinite endpoints replaced by extreme quantiles."""
+    def finite_support(self) -> tuple[float, float]:
+        """Support with infinite endpoints replaced by the 1e-12 and 1 - 1e-12 quantiles."""
         lo, hi = self.support()
         if not math.isfinite(lo):
-            lo = float(self.ppf(eps))
+            lo = float(self.ppf(1e-12))
         if not math.isfinite(hi):
-            hi = float(self.ppf(1.0 - eps))
+            hi = float(self.ppf(1.0 - 1e-12))
         return lo, hi
 
 

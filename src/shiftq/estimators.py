@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
-from .util import BISECT_TOL, MATCH_ATOL, ConvergenceError, is_exact
+from .util import BISECT_TOL, MATCH_ATOL, ConvergenceError, is_exact, within_threshold
 
 __all__ = [
     "Estimator",
@@ -173,7 +174,8 @@ def _window_center_batch(d: ContinuousDistribution, delta: float, x0: np.ndarray
     x0 has first column zero. The derivative of the window integral changes
     sign where g(t) = sum log f(x0 + t + delta) - sum log f(x0 + t - delta)
     crosses zero, which is monotone for strictly log-concave laws and
-    single-crossing for unimodal one-sample inputs, so a bracketed root
+    single-crossing for one-sample inputs of a unimodal law or one that
+    decreases on a half-line, so a bracketed root
     solve applies: g > 0 moves the lower end, anything else (NaN included)
     the upper end, so flat stretches resolve to the lowest root.
 
@@ -349,6 +351,37 @@ def min_shift_estimator(delta, n: int) -> Estimator:
     )
 
 
+def _discrete_window_best(d: FiniteAtoms, delta, closed_interval: bool):
+    """(mass, center) of the heaviest width-2*delta window over the atoms.
+
+    A window can cover a run of consecutive atoms whose span stays below
+    2*delta (boundary spans count only under the closed convention); ties go
+    to the leftmost run, and the center is the midpoint of the feasible
+    center interval.
+    """
+    locs = d.locations
+    masses = d.masses
+    exact = is_exact(*locs)
+    two_delta = 2 * delta
+    prefix = [0]
+    for m in masses:
+        prefix.append(prefix[-1] + m)
+    best_mass = None
+    best_center = None
+    j = 0
+    for i in range(len(locs)):
+        if j < i:
+            j = i
+        while j + 1 < len(locs) and within_threshold(locs[j + 1] - locs[i], two_delta, closed_interval):
+            j += 1
+        mass = prefix[j + 1] - prefix[i]
+        if best_mass is None or mass > best_mass:
+            best_mass = mass
+            edge_sum = locs[i] + locs[j]
+            best_center = Fraction(edge_sum, 2) if exact else edge_sum / 2
+    return best_mass, best_center
+
+
 def discrete_mle_estimator(d: FiniteAtoms, delta, n: int = 1, *, closed_interval: bool = False) -> Estimator:
     """The atom rule: the window rule on one sample, exact shift recovery on several.
 
@@ -367,13 +400,13 @@ def discrete_mle_estimator(d: FiniteAtoms, delta, n: int = 1, *, closed_interval
     spacings of the sample where those are coarser: a sample far from zero
     carries the rounding of its shift.
     """
-    from .bounds import window_bound_one_sample  # deferred: bounds builds estimators too
-
     if not isinstance(d, FiniteAtoms):
         raise TypeError("discrete_mle needs a finite atomic law")
     if n < 1:
         raise ValueError("n must be at least 1")
-    center = window_bound_one_sample(d, delta, closed_interval=closed_interval).witness
+    if not float(delta) > 0:
+        raise ValueError("delta must be positive")
+    center = _discrete_window_best(d, delta, closed_interval)[1]
     center_f = float(center)
     if n == 1:
         return Estimator(
@@ -465,8 +498,8 @@ def constant_estimator(value, n: int) -> Estimator:
     )
 
 
-def mixture(components: Sequence[tuple[Estimator, float]], label: str = "mixture") -> RandomizedEstimator:
-    """Weighted randomization over estimators; weights must sum to 1."""
+def mixture(components: Sequence[tuple[Estimator, float]]) -> RandomizedEstimator:
+    """Weighted randomization over estimators, labelled "mixture"; weights must sum to 1."""
     components = tuple(components)
     n = components[0][0].n if components else 1  # RandomizedEstimator refuses an empty list
-    return RandomizedEstimator(components=components, label=label, n=n)
+    return RandomizedEstimator(components=components, n=n)

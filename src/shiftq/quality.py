@@ -312,8 +312,8 @@ def _exact_pair(theta, q) -> tuple:
     return float(theta), float(q)
 
 
-def default_theta_grid(delta, n: int, k: int = 10) -> tuple:
-    """41 shifts spread over +-10*delta*n plus the averaging points 2*delta*i.
+def default_theta_grid(delta, n: int) -> tuple:
+    """41 shifts spread over +-10*delta*n plus the averaging points 2*delta*i, i = 1..10.
 
     The points are built in rationals from delta's exact value. A Fraction
     delta keeps them as Fractions, so an exact law is evaluated exactly over
@@ -324,7 +324,7 @@ def default_theta_grid(delta, n: int, k: int = 10) -> tuple:
     step = delta if exact else Fraction(float(delta))
     span = 10 * step * n
     grid = {span * Fraction(i - 20, 20) for i in range(41)}
-    grid.update(2 * step * i for i in range(1, k + 1))
+    grid.update(2 * step * i for i in range(1, 11))
     return tuple(sorted(grid if exact else {float(t) for t in grid}))
 
 

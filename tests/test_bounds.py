@@ -26,6 +26,7 @@ from shiftq import (
     sumset_average_bound,
     window_bound_log_concave,
     window_bound_one_sample,
+    window_mle_estimator,
 )
 from shiftq.estimators import Estimator, mixture
 from shiftq.util import MATCH_ATOL, EnumerationLimitError, is_exact
@@ -85,6 +86,22 @@ def test_piecewise_window_bound_matches_grid_oracle():
     centers = np.linspace(-0.5, 3.5, 20_001)
     masses = d.cdf(centers + delta) - d.cdf(centers - delta)
     assert r.value == pytest.approx(float(np.max(masses)), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "d, delta",
+    [
+        (Gaussian(0.3, 1.2), 0.4),
+        (Uniform(-1.0, 2.0), 0.25),
+        (PiecewiseDensity(knots=((0.0, 0.0), (1.0, 0.75), (2.0, 0.25), (3.0, 0.0))), 0.4),
+        (PiecewiseDensity(knots=((-1.0, 1.5), (0.0, 0.25), (1.0, 0.0))), 0.2),
+    ],
+)
+def test_one_sample_window_rule_centre_is_the_bound_witness(d, delta):
+    # The rule is x - c, so at x = 0 it returns -c; the ceiling's witness is the same c, bit for bit.
+    rule = window_mle_estimator(d, delta, 1)
+    centre = -float(rule.evaluate_batch(np.zeros((1, 1)))[0])
+    assert centre == window_bound_one_sample(d, delta).witness
 
 
 def test_discrete_window_bound_hand_example(example_atoms):

@@ -393,14 +393,16 @@ def test_cli_validation_failures_exit_2(tmp_path):
         (["quality", "--delta", "-1"], "delta"),
         (["bounds", "--n", "0"], "n"),
         (["bounds", "--n", "-3"], "n"),
+        (["lemma-check"], "n"),  # the one-sample check refuses the file's n = 3
     ],
 )
 def test_cli_flags_are_validated_like_config_fields(tmp_path, capsys, argv, path):
     # "constant" is a kind on the line and on the circle, so the file suits every subcommand.
     doc = {
-        "distribution": {"family": "gaussian"},
+        "distribution": {"family": "atoms", "points": [[0.0, 0.25], [1.0, 0.75]]},
         "estimator": {"kind": "constant", "value": 0.25},
         "delta": 0.1,
+        "n": 3,
         "anchor_grid": 8,
         "mc": {"trials": 1000},
     }
@@ -551,9 +553,13 @@ def test_cli_window_search_without_convergence_exits_1(tmp_path, monkeypatch, ca
         "theta_grid": [0.0],
         "mc": {"trials": 1000, "seed": 3},
     }
-    assert main(["quality", "--config", write(tmp_path, "w.json", json.dumps(doc))]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("no convergence: window search on Gaussian")
+    # The one-sample window bound runs the window rule's search, so it fails as loudly.
+    expo = {"distribution": {"family": "exponential", "rate": 1.5}, "delta": 0.2, "n": 5}
+    cases = (("quality", "Gaussian", doc), ("bounds", "Gaussian", doc), ("bounds", "Exponential", expo))
+    for command, family, cfg in cases:
+        assert main([command, "--config", write(tmp_path, "w.json", json.dumps(cfg))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"no convergence: window search on {family}")
 
 
 def test_cli_repeated_shift_flags_one_worst_case_row(tmp_path):

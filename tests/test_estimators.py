@@ -225,6 +225,8 @@ def test_discrete_one_sample_snaps_to_window_center(example_atoms):
     assert e.evaluate((10.5,)) == pytest.approx(10.0)
     assert e.evaluate((Fraction(21, 2),)) == Fraction(10)
     assert e.evaluate((Fraction(0),)) == Fraction(-1, 2)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        discrete_mle_estimator(example_atoms, 0)
 
 
 def test_discrete_n_sample_recovers_shift_exactly(example_atoms):

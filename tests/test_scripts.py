@@ -107,6 +107,10 @@ def test_bench_pairs_main_keeps_what_the_scratch_directory_holds(tmp_path, monke
     with tarfile.open(fileobj=archive, mode="w") as tar:
         info = tarfile.TarInfo("perfbench/run.py")
         tar.addfile(info, io.BytesIO(b""))
+        source = b"a = 1\nb = 2\nc = 3\n"
+        info = tarfile.TarInfo("src/shiftq/core.py")
+        info.size = len(source)
+        tar.addfile(info, io.BytesIO(source))
 
     def git(*args):
         return b"0" * 40 + b"\n" if args[0] == "rev-parse" else archive.getvalue()
@@ -133,6 +137,8 @@ def test_bench_pairs_main_keeps_what_the_scratch_directory_holds(tmp_path, monke
     doc = json.loads((root / "BENCH_t.json").read_text())
     assert doc["ok"] and doc["seconds"] == 7 and doc["pairs"] == 2
     assert sorted(doc["workloads"]) == ["exact", "mc"]
+    assert [doc["sides"][side]["src_lines"] for side in bench_pairs.SIDES] == [3, 3]
+    assert "src/shiftq lines: parent 3, change 3" in capsys.readouterr().out.splitlines()
     with pytest.raises(SystemExit):
         bench_pairs.main(argv + ["--seconds", "1"])
     capsys.readouterr()
