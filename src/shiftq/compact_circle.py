@@ -18,6 +18,7 @@ import numpy as np
 from .distributions import PiecewiseDensity
 from .estimators import NO_CLAIM, SHIFT_INVARIANT, Estimator
 from .quality import MCConfig, Space, _counter, _mc_counts, _mc_grid, _noise
+from .util import sum_columns
 
 __all__ = [
     "wrap",
@@ -128,7 +129,7 @@ def biased_mean_circle_estimator(bias: float, n: int) -> CircleEstimator:
     def batch(x):
         offsets = wrap(x - x[:, :1]) if x.shape[1] > 1 else np.zeros_like(x)
         signed = np.where(offsets > 0.5, offsets - 1.0, offsets)
-        return x[:, 0] + signed.mean(axis=1) + bias
+        return x[:, 0] + sum_columns(signed.T) / x.shape[1] + bias
 
     return CircleEstimator(
         label=f"biased_mean(bias={bias:g})",

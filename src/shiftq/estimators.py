@@ -19,12 +19,13 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
-from .util import BISECT_TOL, MATCH_ATOL, ConvergenceError, is_exact, within_threshold
+from .util import BISECT_TOL, MATCH_ATOL, ConvergenceError, is_exact, sum_columns, within_threshold
 
 __all__ = [
     "Estimator",
@@ -154,12 +155,12 @@ def mean_estimator(d: Distribution, n: int) -> Estimator:
         fn=fn,
         n=n,
         invariance_claim=SHIFT_INVARIANT,
-        batch_fn=lambda x: x.mean(axis=1) - mu_f,
+        batch_fn=lambda x: sum_columns(x.T) / x.shape[1] - mu_f,
         symmetric=True,
     )
 
 
-# Rows solved together by _window_center_batch. One block's (rows, n)
+# Rows solved together by _window_center_batch. One block's (n, rows)
 # temporaries stay in the CPU cache, so a step neither streams through memory
 # nor maps fresh pages; timed from 1 024 to 32 768 rows on Gaussian,
 # piecewise and uniform laws (see CHANGES.md).
@@ -191,10 +192,19 @@ def _window_center_batch(d: ContinuousDistribution, delta: float, x0: np.ndarray
     rows of the batch; rows are solved in blocks of WINDOW_BLOCK_ROWS so the
     temporaries of a step stay in cache. A block still open after
     WINDOW_MAX_STEPS steps raises ConvergenceError.
+
+    Each block is held transposed, as a contiguous (n, rows) array: g then
+    sums the n sample rows of a log-density block with util.sum_columns,
+    one vector add per sample, where a sum over the short rows of an
+    (rows, n) array pays numpy's per-row reduce. The order of the additions
+    is numpy's pairwise one, so the centres are the same bits either way.
+    The one copy of a block is the open rows that _solve_block gathers; a
+    transposed copy of the whole batch, or a second one of the block, would
+    raise the peak memory of a Monte Carlo chunk.
     """
     slo, shi = d.support()
-    xmin = x0.min(axis=1)
-    xmax = x0.max(axis=1)
+    xmin = reduce(np.minimum, x0.T)
+    xmax = reduce(np.maximum, x0.T)
     span = xmax - xmin
     width = shi - slo
     # Far from zero a bounded law's samples can round onto both support ends;
@@ -217,15 +227,13 @@ def _window_center_batch(d: ContinuousDistribution, delta: float, x0: np.ndarray
     center = 0.5 * (lo + hi)
 
     def crossing(x, t):
-        upper = d.logpdf(x + (t + delta)[:, None]).sum(axis=1)
-        return upper - d.logpdf(x + (t - delta)[:, None]).sum(axis=1)
+        upper = sum_columns(d.logpdf(x + (t + delta)))
+        return upper - sum_columns(d.logpdf(x + (t - delta)))
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for start in range(0, len(center), WINDOW_BLOCK_ROWS):
             rows = slice(start, start + WINDOW_BLOCK_ROWS)
-            still_open = _solve_block(
-                crossing, x0[rows], lo[rows], hi[rows], tol[rows], center[rows]
-            )
+            still_open = _solve_block(crossing, x0[rows].T, lo[rows], hi[rows], tol[rows], center[rows])
             if still_open:
                 raise ConvergenceError(
                     f"window search on {type(d).__name__} left {still_open} rows open "
@@ -237,10 +245,14 @@ def _window_center_batch(d: ContinuousDistribution, delta: float, x0: np.ndarray
 def _solve_block(crossing, x, lo, hi, tol, out) -> int:
     """Narrow each row's bracket to its tolerance; write the midpoints into out.
 
-    Returns the number of rows still open after WINDOW_MAX_STEPS steps.
+    x is the (n, rows) block, one column per row, which may be a transposed
+    view. Returns the number of rows still open after WINDOW_MAX_STEPS steps.
+    The open columns are kept with take and compress, which write C-ordered
+    copies (x[:, idx] would keep a transposed layout), so each sample of the
+    block is one contiguous row.
     """
     idx = np.flatnonzero(hi - lo > tol)
-    x, lo, hi, tol = x[idx], lo[idx], hi[idx], tol[idx]
+    x, lo, hi, tol = x.take(idx, axis=1), lo[idx], hi[idx], tol[idx]
     # Later steps keep g(lo) > 0 and g(hi) <= 0 or NaN; an initial end value
     # of the wrong sign is stored as unusable, like a non-finite one.
     glo = crossing(x, lo)
@@ -255,8 +267,9 @@ def _solve_block(crossing, x, lo, hi, tol, out) -> int:
         if done.any():
             out[idx[done]] = 0.5 * (lo[done] + hi[done])
             keep = ~done
-            idx, x, lo, hi, tol, glo, ghi, width, width1, width2 = (
-                a[keep] for a in (idx, x, lo, hi, tol, glo, ghi, width, width1, width2)
+            x = x.compress(keep, axis=1)
+            idx, lo, hi, tol, glo, ghi, width, width1, width2 = (
+                a[keep] for a in (idx, lo, hi, tol, glo, ghi, width, width1, width2)
             )
             side = None if side is None else side[keep]
         if not len(idx) or step == WINDOW_MAX_STEPS:
@@ -303,7 +316,10 @@ def window_mle_estimator(d: ContinuousDistribution, delta: float, n: int) -> Est
     with a midpoint fallback (see _window_center_batch). That difference is
     smooth and monotone on strictly log-concave laws, so a batch row settles
     in a handful of steps (two after the bracket ends for the Gaussian, where
-    it is linear); flat or truncated stretches fall back to bisection. At
+    it is linear); flat or truncated stretches fall back to bisection. The
+    solver holds each block of anchored rows as an (n, rows) array, so the
+    log product is summed one sample column at a time in numpy's pairwise
+    order, bit for bit the (rows, n) row sum without its per-row cost. At
     n=1 every anchored sample is [0], so the centre c is solved once, when
     the rule is built, and the rule is x - c.
     """
@@ -346,7 +362,7 @@ def min_shift_estimator(delta, n: int) -> Estimator:
         fn=fn,
         n=n,
         invariance_claim=SHIFT_INVARIANT,
-        batch_fn=lambda x: x.min(axis=1) - delta_f,
+        batch_fn=lambda x: reduce(np.minimum, x.T) - delta_f,
         symmetric=True,
     )
 

@@ -27,6 +27,7 @@ enumeration and the invariance check walk the rule's weighted parts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -216,7 +217,7 @@ def _check_invariance(space: Space, e, draw, thetas, mc: MCConfig) -> None:
     solve. The rule is checked part by part, so a mixture draws nothing.
     """
     x = draw(_chunk_rng(mc.seed, 0), min(INVARIANCE_CHECK_ROWS, mc.trials))
-    reach = np.abs(x).max(axis=1)
+    reach = functools.reduce(np.maximum, np.abs(x).T)
     for part, _ in e.parts:
         base = part.evaluate_batch(x)
         for theta in thetas:

@@ -85,6 +85,44 @@ def within_threshold(
     return d < t
 
 
+def sum_columns(cols: np.ndarray) -> np.ndarray:
+    """cols[0] + ... + cols[n-1] elementwise, in numpy's pairwise order.
+
+    cols holds one sample column per entry of its first axis: an (n, rows)
+    block, or x.T for an (m, n) sample matrix x. The additions follow numpy's
+    pairwise summation from its identity +0.0: sequential below 8 terms,
+    eight strided accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    and then the remainder up to 128 terms, halving above that. That is the
+    order of x.sum(axis=1) on a C-ordered x, so the result equals it bit for
+    bit; but numpy pays one inner-loop call per short row, and this pays one
+    vector add per column. Minima and maxima need no such care:
+    functools.reduce(np.minimum, x.T) is x.min(axis=1) exactly.
+    """
+
+    def pairwise(c):
+        n = len(c)
+        if n < 8:
+            total = c[0].copy()
+            for col in c[1:]:
+                total += col
+            return total
+        if n <= 128:
+            r = [c[j].copy() for j in range(8)]
+            for i in range(8, n - n % 8, 8):
+                for j in range(8):
+                    r[j] += c[i + j]
+            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for col in c[n - n % 8 :]:
+                total += col
+            return total
+        half = n // 2 - (n // 2) % 8
+        return pairwise(c[:half]) + pairwise(c[half:])
+
+    total = pairwise(cols)
+    total += 0.0  # numpy's reduction starts from +0.0, which turns a -0.0 sum into +0.0
+    return total
+
+
 def within_threshold_array(distances, threshold, closed: bool = False) -> np.ndarray:
     """Vectorized within_threshold for float arrays."""
     d = np.asarray(distances, dtype=float)

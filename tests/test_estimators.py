@@ -176,7 +176,7 @@ def test_window_center_needs_few_log_product_evaluations():
 
     class CountingGaussian(Gaussian):
         def logpdf(self, x):
-            rows.append(len(x))
+            rows.append(x.shape[-1])  # the solver passes (n, rows) blocks
             return super().logpdf(x)
 
     d = CountingGaussian(0.3, 1.2)
@@ -188,7 +188,13 @@ def test_window_center_needs_few_log_product_evaluations():
 
 @pytest.mark.parametrize(
     "d, n",
-    [(Gaussian(0.5, 2.0), 3), (LOG_CONCAVE, 3), (UNIMODAL, 1), (Uniform(0.0, 1.0), 3)],
+    [
+        (Gaussian(0.5, 2.0), 3),
+        (LOG_CONCAVE, 3),
+        (UNIMODAL, 1),
+        (Uniform(0.0, 1.0), 3),
+        (Gaussian(0.5, 2.0), 11),  # eight accumulators and a remainder in each log-product sum
+    ],
 )
 def test_window_center_of_a_row_does_not_depend_on_its_block(monkeypatch, d, n):
     x0 = _anchored_rows(d, n, rows=50)
@@ -211,6 +217,23 @@ def test_window_search_that_hits_its_step_cap_raises(monkeypatch):
     x = np.random.default_rng(2).normal(size=(30, 4))
     with pytest.raises(ConvergenceError, match=r"Gaussian left \d+ rows open"):
         e.evaluate_batch(x)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        window_mle_estimator(Gaussian(0.3, 1.2), 0.4, 3),
+        mean_estimator(Gaussian(0.3, 1.2), 3),
+        min_shift_estimator(0.4, 3),
+    ],
+    ids=lambda e: e.label,
+)
+def test_batch_estimates_do_not_depend_on_the_input_layout(e):
+    wide = np.random.default_rng(6).normal(0.3, 1.2, size=(500, 7))
+    x = np.ascontiguousarray(wide[:, 2:5])
+    want = e.evaluate_batch(x).tolist()
+    assert e.evaluate_batch(wide[:, 2:5]).tolist() == want
+    assert e.evaluate_batch(np.asfortranarray(x)).tolist() == want
 
 
 def test_min_shift_evaluate():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from shiftq.util import (
     is_exact,
     number_repr,
     parse_number,
+    sum_columns,
     within_threshold,
     within_threshold_array,
 )
@@ -40,6 +42,27 @@ def test_vectorized_threshold_matches_scalar():
         got = within_threshold_array(d, 0.5, closed)
         want = [within_threshold(float(x), 0.5, closed) for x in d]
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 200, 300])
+def test_column_helpers_equal_numpy_row_reductions_bit_for_bit(n):
+    # Magnitudes over 24 decades and both signs: any other summation order
+    # than numpy's pairwise one changes the low bits of some row.
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((400, n)) * 10.0 ** rng.integers(-12, 12, (400, n))
+    x[0] = -0.0  # numpy's sum starts from +0.0 and returns it here
+    x[1, ::2] = 0.0
+    x[1, 1::2] = -0.0
+    cols = x.T
+
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+    assert bits(sum_columns(cols)) == bits(x.sum(axis=1))
+    assert bits(sum_columns(cols) / n) == bits(x.mean(axis=1))
+    assert bits(reduce(np.minimum, cols)) == bits(x.min(axis=1))
+    assert bits(reduce(np.maximum, cols)) == bits(x.max(axis=1))
+    assert bits(sum_columns(np.ascontiguousarray(cols))) == bits(x.sum(axis=1))
 
 
 def test_parse_number():
