@@ -37,11 +37,18 @@ __all__ = [
 
 
 def wrap(x):
-    """Reduce to the fundamental domain [0, 1)."""
+    """Reduce to the fundamental domain [0, 1), as a new array (0-d for a scalar).
+
+    x - floor(x), less 1.0 where that rounds up to 1.0 (tiny negatives such
+    as -1e-17 do). Both steps run in one output buffer; each is the same
+    rounded operation as on a temporary of its own, so the bits are those of
+    the plain expression. x itself is never written.
+    """
     x = np.asarray(x, dtype=float)
-    out = x - np.floor(x)
-    # floor(x) can round so that x - floor(x) == 1.0 for tiny negatives
-    return np.where(out >= 1.0, out - 1.0, out)
+    out = np.floor(x, out=np.empty_like(x))
+    np.subtract(x, out, out=out)
+    np.subtract(out, 1.0, out=out, where=out >= 1.0)
+    return out
 
 
 def circle_distance(u, v):

@@ -126,19 +126,29 @@ class RandomizedEstimator(Estimator):
         return self.components
 
     def evaluate_batch(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        """One rng.random(m) draw picks each row's component; each part scores its own rows.
+
+        A row takes the first component whose cumulative weight exceeds its
+        draw, the last one if none does (the float sum of the weights may end
+        below 1). The count of cumulative weights at or below the draw gives
+        that index without a search: the weights are positive, so the sums
+        never decrease, and the count equals searchsorted(side="right")
+        clamped to the last index. Each part gets its rows gathered by an
+        index list in their original order, the same block a boolean mask
+        would select, so every estimate keeps its bits.
+        """
         if rng is None:
             raise ValueError(f"{self.label} draws a component for each row and needs a generator")
         x = np.asarray(x, dtype=float)
         u = rng.random(x.shape[0])
-        idx = np.minimum(
-            np.searchsorted(np.cumsum([w for _, w in self.components]), u, side="right"),
-            len(self.components) - 1,
-        )
+        idx = np.zeros(x.shape[0], dtype=np.intp)
+        for c in np.cumsum([w for _, w in self.components])[:-1]:
+            idx += u >= c
         out = np.empty(x.shape[0])
         for j, (comp, _) in enumerate(self.components):
-            mask = idx == j
-            if mask.any():
-                out[mask] = comp.evaluate_batch(x[mask])
+            rows = np.flatnonzero(idx == j)
+            if rows.size:
+                out[rows] = comp.evaluate_batch(x.take(rows, axis=0))
         return out
 
 

@@ -186,7 +186,7 @@ def _counter(space: Space, e, theta, delta, closed: bool = False) -> HitCounter:
 
     def count(noise, rng):
         est = e.evaluate_batch(space.act(noise, theta_f), rng)
-        return int(within_threshold_array(space.distance(est, theta_f), delta_f, closed).sum())
+        return int(np.count_nonzero(within_threshold_array(space.distance(est, theta_f), delta_f, closed)))
 
     return count
 

@@ -124,8 +124,14 @@ def sum_columns(cols: np.ndarray) -> np.ndarray:
 
 
 def within_threshold_array(distances, threshold, closed: bool = False) -> np.ndarray:
-    """Vectorized within_threshold for float arrays."""
-    d = np.asarray(distances, dtype=float)
-    t = float(threshold)
-    boundary = np.abs(d - t) <= BOUNDARY_TOL
-    return np.where(boundary, bool(closed), d < t)
+    """Vectorized within_threshold for float arrays, as a bool array.
+
+    One subtraction and one comparison: gap = t - d is below -BOUNDARY_TOL
+    outside the threshold, within BOUNDARY_TOL of 0 on the boundary and above
+    BOUNDARY_TOL inside it. IEEE rounding is symmetric, so gap is exactly
+    -(d - t), and the result equals within_threshold's |d - t| <= band test
+    followed by d < t at every input, NaN and +-inf included (a NaN gap fails
+    both comparisons).
+    """
+    gap = float(threshold) - np.asarray(distances, dtype=float)
+    return gap >= -BOUNDARY_TOL if closed else gap > BOUNDARY_TOL

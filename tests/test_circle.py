@@ -39,6 +39,39 @@ def skewed_density() -> CircleDensity:
     return CircleDensity(knots=((0.1, 2.5), (0.3, 0.625), (0.9, 0.625)))
 
 
+def _three_temporary_wrap(x):
+    """wrap as it stood before it worked in one output buffer."""
+    x = np.asarray(x, dtype=float)
+    out = x - np.floor(x)
+    return np.where(out >= 1.0, out - 1.0, out)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def test_wrap_keeps_the_bits_of_the_three_temporary_form():
+    edges = [-1e-17, -5e-324, -1e-300, -0.0, 0.0, 3.0, -3.0, 1e15 + 0.5, -1e15 - 0.5,
+             0.25, -0.25, float(np.nextafter(1.0, 0.0)), 1.0 - 1e-17, 1e300, -1e300, np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(4)
+    x = np.concatenate([edges, rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200)])
+    before = x.copy()
+    with np.errstate(invalid="ignore"):  # inf - floor(inf)
+        got, want = wrap(x), _three_temporary_wrap(x)
+    assert _bits(got) == _bits(want)
+    assert got is not x and _bits(x) == _bits(before)  # the input is never written
+    assert 0.0 <= got[np.isfinite(x)].min() and got[np.isfinite(x)].max() < 1.0
+    block = x[len(edges):].reshape(20, 10)[:, ::3]  # a strided view, as a sample block's columns are
+    assert _bits(wrap(block)) == _bits(_three_temporary_wrap(block))
+    ints = np.array([-3, 0, 7, -1])
+    assert _bits(wrap(ints)) == _bits(_three_temporary_wrap(ints)) and ints.tolist() == [-3, 0, 7, -1]
+    for value in (-1e-17, -0.0, 2.75):
+        for scalar in (value, np.float64(value), np.array(value)):
+            got = wrap(scalar)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert _bits(got) == _bits(_three_temporary_wrap(scalar))
+
+
 def test_wrap_stays_in_the_unit_interval():
     assert wrap(0.25) == 0.25
     assert wrap(1.25) == pytest.approx(0.25)

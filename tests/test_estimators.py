@@ -376,6 +376,79 @@ def test_mixture_component_split_is_weighted():
     assert out.mean() == pytest.approx(0.75, abs=0.02)
 
 
+def _searchsorted_mixture(m, x, rng):
+    """The mixture kernel as it stood before index lists: a search for each draw, then boolean masks."""
+    x = np.asarray(x, dtype=float)
+    u = rng.random(x.shape[0])
+    cum = np.cumsum([w for _, w in m.components])
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(m.components) - 1)
+    out = np.empty(x.shape[0])
+    for j, (comp, _) in enumerate(m.components):
+        mask = idx == j
+        if mask.any():
+            out[mask] = comp.evaluate_batch(x[mask])
+    return out
+
+
+class _Draws:
+    """A generator stand-in whose random(m) returns the first m of the given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def random(self, m):
+        return self.draws[:m].copy()
+
+
+def _spy(calls, n):
+    def batch(x):
+        calls.append(len(x))
+        return x[:, 0] * 0.5
+
+    return Estimator(label="spy", n=n, batch_fn=batch)
+
+
+_G = Gaussian(0.3, 1.2)
+_MIXTURES = {
+    "fractions": [(constant_estimator(0.0, 2), Fraction(1, 3)), (mean_estimator(_G, 2), Fraction(1, 3)),
+                  (min_shift_estimator(0.1, 2), Fraction(1, 3))],
+    "window": [(window_mle_estimator(_G, 0.4, 2), 0.2), (mean_estimator(_G, 2), 0.3),
+               (constant_estimator(-1.0, 2), 0.5)],
+    "tenths": [(constant_estimator(float(j), 2), 0.1) for j in range(10)],  # the cumsum ends below 1
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXTURES))
+def test_mixture_kernel_keeps_the_bits_of_the_search_and_mask_kernel(name):
+    m = mixture(_MIXTURES[name])
+    x = np.random.default_rng(9).normal(0.3, 1.2, size=(3000, 2))
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    got = m.evaluate_batch(x, rng)
+    assert got.view(np.int64).tolist() == _searchsorted_mixture(m, x, ref_rng).view(np.int64).tolist()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # one rng.random(m) draw
+    # Draws on, and one float step either side of, every cumulative weight, and the extremes.
+    cum = [float(c) for c in np.cumsum([w for _, w in m.components])]
+    edges = [0.0, float(np.nextafter(1.0, 0.0))]
+    edges += [float(np.nextafter(c, side)) for c in cum for side in (-np.inf, np.inf)] + cum
+    draws = _Draws(edges)
+    rows = x[: len(edges)]
+    want = _searchsorted_mixture(m, rows, draws)
+    assert m.evaluate_batch(rows, draws).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_mixture_scores_no_part_that_no_row_draws():
+    calls = []
+    m = mixture([(constant_estimator(2.0, 2), 0.5), (_spy(calls, 2), 0.25), (mean_estimator(_G, 2), 0.25)])
+    x = np.random.default_rng(5).normal(size=(6, 2))
+    draws = _Draws([0.1, 0.9, 0.49, 0.75, 0.8, 0.0])  # none in [0.5, 0.75)
+    got = m.evaluate_batch(x, draws)
+    assert calls == []
+    assert got.view(np.int64).tolist() == _searchsorted_mixture(m, x, draws).view(np.int64).tolist()
+    assert got[[0, 2, 5]].tolist() == [2.0] * 3
+    m.evaluate_batch(x, _Draws([0.6, 0.1, 0.7, 0.2, 0.3, 0.4]))
+    assert calls == [2]
+
+
 def test_mixture_inherits_invariance_only_when_unanimous():
     inv = min_shift_estimator(0.1, 1)
     m_inv = mixture([(inv, 0.5), (min_shift_estimator(0.2, 1), 0.5)])

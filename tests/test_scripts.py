@@ -142,3 +142,59 @@ def test_bench_pairs_main_keeps_what_the_scratch_directory_holds(tmp_path, monke
     with pytest.raises(SystemExit):
         bench_pairs.main(argv + ["--seconds", "1"])
     capsys.readouterr()
+
+
+def test_report_digests_runs_each_operation_once_and_compares(tmp_path, monkeypatch, capsys):
+    import hashlib
+    import json
+    from types import SimpleNamespace
+
+    report_digests = load("report_digests")
+    root = tmp_path / "repo"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "mc"}, {"name": "exact"}]}))
+    calls = []
+
+    def build(workload, seed, run_dir):
+        def op(stem, check):
+            out = str(Path(run_dir) / f"{stem}.out.csv")
+            return SimpleNamespace(argv=[stem, "--out", out], out=out, check=check)
+
+        def wrong(path):
+            raise AssertionError(f"{workload} q too low")
+
+        probe = op("02-bounds", wrong)
+        return [op("01-quality", lambda path: None), probe, probe]  # a probe repeats in a pass
+
+    def main(argv):
+        calls.append(argv[0])
+        print("table on stdout")
+        if argv[0] == "02-bounds":
+            raise ValueError("no report")
+        Path(argv[2]).write_text("q\n")
+        return 0
+
+    monkeypatch.setattr(report_digests, "_load", lambda checkout: (SimpleNamespace(build=build), main))
+    a = tmp_path / "a.json"
+    assert report_digests.main(["--root", str(root), "--seeds", "1", "2", "--out", str(a)]) == 0
+    assert calls == ["01-quality", "02-bounds"] * 4
+    assert capsys.readouterr().out == ""
+    doc = json.loads(a.read_text())
+    ok = [0, hashlib.sha256(b"q\n").hexdigest(), "pass"]
+    assert doc["mc/2/01-quality.out.csv"] == doc["exact/1/01-quality.out.csv"] == ok
+    failed = ["ValueError: no report", None, "AssertionError: exact q too low"]
+    assert doc["exact/2/02-bounds.out.csv"] == failed
+    assert len(doc) == 8
+
+    b = tmp_path / "b.json"
+    changed = dict(doc)
+    changed["mc/1/01-quality.out.csv"] = [0, "0" * 64, "pass"]
+    del changed["exact/2/02-bounds.out.csv"]
+    b.write_text(json.dumps(changed))
+    assert report_digests.main(["--compare", str(a), str(a)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 of 8 reports differ"]
+    assert report_digests.main(["--compare", str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    differ = [line.split(":")[0] for line in lines[:-1]]
+    assert differ == ["exact/2/02-bounds.out.csv", "mc/1/01-quality.out.csv"]
+    assert lines[-1] == "2 of 8 reports differ"

@@ -44,6 +44,36 @@ def test_vectorized_threshold_matches_scalar():
         assert got.tolist() == want
 
 
+def _two_step_threshold(d, t, closed):
+    """The threshold test as it stood before the one-subtraction form: a band test, then d < t."""
+    d = np.asarray(d, dtype=float)
+    return np.where(np.abs(d - t) <= BOUNDARY_TOL, closed, d < t)
+
+
+def _threshold_edges(t: float) -> list[float]:
+    """t, t - BOUNDARY_TOL and t + BOUNDARY_TOL with a float step either side, and the special values."""
+    centres = [t, t - BOUNDARY_TOL, t + BOUNDARY_TOL]
+    steps = [float(np.nextafter(c, side)) for c in centres for side in (-np.inf, np.inf)]
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.nan, np.inf, -np.inf]
+    return centres + steps + special
+
+
+@given(
+    t=st.floats(allow_nan=False, allow_infinity=False, min_value=0.0, max_value=1e6)
+    | st.sampled_from([0.0, 5e-324, 1e-310, BOUNDARY_TOL, 0.5, 1e300, np.inf, np.nan]),
+    extra=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20),
+    closed=st.booleans(),
+)
+def test_threshold_predicate_equals_the_band_test_at_every_input(t, extra, closed):
+    d = np.array(_threshold_edges(t) + extra)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = within_threshold_array(d, t, closed)
+        want = _two_step_threshold(d, t, closed)
+    assert got.dtype == bool and got.shape == d.shape
+    assert got.tolist() == want.tolist()
+    assert got.tolist() == [within_threshold(float(v), t, closed) for v in d]
+
+
 @pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 200, 300])
 def test_column_helpers_equal_numpy_row_reductions_bit_for_bit(n):
     # Magnitudes over 24 decades and both signs: any other summation order
