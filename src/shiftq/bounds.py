@@ -441,24 +441,3 @@ def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: b
         bound = float(window_value) * grown / len(shifts)
         holds = average <= bound + 1e-12
     return SumsetAverageBound(average_quality=average, bound=bound, holds=holds)
-
-
-def bound_report_dict(report: BoundReport) -> dict:
-    """JSON-ready form; exact values become 'p/q' strings."""
-    from .util import number_repr
-
-    witness = report.witness
-    if isinstance(witness, tuple):
-        witness = [[number_repr(z), number_repr(m)] for z, m in witness]
-    elif witness is not None and not isinstance(witness, str):
-        witness = number_repr(witness)
-    return {
-        "kind": report.kind,
-        "n": report.n,
-        "delta": number_repr(report.delta),
-        "value": number_repr(report.value),
-        "method": report.method,
-        "equality_certified": report.equality_certified,
-        "witness": witness,
-        "ci_half_width": report.ci_half_width,
-    }

@@ -1,11 +1,13 @@
 """Command line experiment runner.
 
 Subcommands: quality | bounds | lemma-check | tree-demo | circle-avg |
-paper-suite. Each takes a JSON config (see config module) plus flag
-overrides, prints a human-readable summary to stdout, and optionally writes
-a machine-readable report (--out, --format csv|json). Flags are merged into
-the config document and validated with it. Identical configs, seeds
-included, produce byte-identical report files.
+paper-suite, one entry each of config.COMMANDS, which names their flags.
+Each takes a JSON config (see config module) plus flag overrides, prints a
+human-readable summary to stdout, and optionally writes a machine-readable
+report (--out, --format csv|json): the JSON document, or as CSV the named
+columns of its rows. Flags are merged into the config document and
+validated with it. Identical configs, seeds included, produce
+byte-identical report files.
 
 Exit status: 0 on success, 2 on config or validation problems, 1 on runtime
 failures (enumeration caps, a solver that does not converge, a false
@@ -22,11 +24,12 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import bounds as bounds_mod
 from . import group_tree
 from .compact_circle import averaging_check, biased_mean_circle_estimator, uniform_circle_density
-from .config import ConfigError, EstimatorSpec, ExperimentConfig, build_estimator, parse_config
+from .config import COMMANDS, ConfigError, ExperimentConfig, build_estimator, parse_config
 from .distributions import Exponential, FiniteAtoms, Gaussian
 from .estimators import (
     discrete_mle_estimator,
@@ -34,12 +37,23 @@ from .estimators import (
     min_shift_estimator,
     window_mle_estimator,
 )
-from .quality import MCConfig, quality_inf, quality_report_dict, quality_report_rows
-from .util import ConvergenceError, EnumerationLimitError, InvarianceError, number_repr
+from .quality import MCConfig, quality_inf
+from .util import ConvergenceError, EnumerationLimitError, InvarianceError, number_doc, number_repr
 
 __all__ = ["main"]
 
 _GAUSS_HALF_WIDTH_ONE = 0.6826894921370859  # mass of the unit window, standard normal
+# Tree distances are integers, so this delta stands for every delta in (0, 1).
+_TREE_DELTA = Fraction(1, 2)
+
+# How each field that a command takes as a flag (COMMANDS[...].flags) is read.
+_FLAGS = {
+    "delta": {"help": "override delta (number or 'p/q')"},
+    "n": {"type": int, "help": "override the sample count"},
+    "radius": {"type": int, "help": "ball radius for the shift table"},
+    "anchor_grid": {"type": int, "help": "number of anchors"},
+    "density": {"help": "JSON file with a piecewise-linear density table"},
+}
 
 
 def _cell(value) -> str:
@@ -54,56 +68,44 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path, fieldnames, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    _write_text(path, buf.getvalue())
-
-
-def _write_json(path, doc):
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _emit(args, cfg, doc, fieldnames, rows):
+def _emit(args, cfg, doc, rows, columns):
+    """Write the report: doc as JSON, or the named columns of the row dicts as CSV."""
     path = args.out or cfg.output.path
     if path is None:
         return
-    fmt = args.format or cfg.output.format
-    if fmt == "csv":
-        _write_csv(path, fieldnames, rows)
+    if (args.format or cfg.output.format) == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+        text = buf.getvalue()
     else:
-        _write_json(path, doc)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
     print(f"wrote {path}")
 
 
-def _merged_config(args, command: str) -> ExperimentConfig:
+def _merged_config(args) -> ExperimentConfig:
     """The config file, or an empty one, with the subcommand and its flags merged in."""
     text = "{}"
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
     flags = vars(args)
-    overrides = {k: flags[k] for k in ("delta", "n", "radius", "anchor_grid") if flags.get(k) is not None}
-    overrides["command"] = command
+    overrides = {k: flags[k] for k in COMMANDS[args.command].flags if flags[k] is not None}
+    if "density" in overrides:
+        with open(overrides["density"], encoding="utf-8") as fh:
+            overrides["density"] = json.load(fh)
+    overrides["command"] = args.command
     overrides["mc"] = {k: flags[k] for k in ("seed", "trials") if flags[k] is not None}
     if flags.get("closed_interval"):
         overrides["closed_interval"] = True
-    if flags.get("density"):
-        with open(args.density, encoding="utf-8") as fh:
-            overrides["density"] = json.load(fh)
     return parse_config(text, overrides=overrides)
 
 
 def _run_quality(args) -> int:
-    cfg = _merged_config(args, "quality")
+    cfg = _merged_config(args)
     e = build_estimator(cfg.estimator, cfg)
     grid = cfg.theta_grid
     if grid is None:
@@ -121,19 +123,47 @@ def _run_quality(args) -> int:
     certainty = "infimum" if report.infimum_certified else "grid minimum (upper bound)"
     print(f"worst case: {float(q):.6f} at theta={float(argmin):g} ({certainty})")
 
-    doc = quality_report_dict(report)
-    doc["estimator"] = e.label
-    doc["n"] = cfg.n
-    rows = quality_report_rows(report)
+    # Exact values are written as 'p/q' strings.
+    rows = [
+        {"theta": number_doc(t.theta), "q": number_doc(t.q), "ci_half_width": t.ci_half_width, "exact": t.exact}
+        for t in report.per_theta
+    ]
+    doc = {
+        "delta": report.delta,
+        "per_theta": rows,
+        "worst_case": {"q": number_doc(q), "theta": number_doc(argmin)},
+        "infimum_certified": report.infimum_certified,
+        "estimator": e.label,
+        "n": cfg.n,
+    }
     # Only the first row at the worst case is flagged, even when the grid repeats its shift.
-    worst = next((i for i, row in enumerate(rows) if row[0] == argmin and row[1] == q), None)
-    rows = [row + (i == worst,) for i, row in enumerate(rows)]
-    _emit(args, cfg, doc, ["theta", "q", "ci_half_width", "exact", "is_worst_case"], rows)
+    worst = next((i for i, t in enumerate(report.per_theta) if t.theta == argmin and t.q == q), None)
+    rows = [{**row, "is_worst_case": i == worst} for i, row in enumerate(rows)]
+    _emit(args, cfg, doc, rows, ["theta", "q", "ci_half_width", "exact", "is_worst_case"])
     return 0
 
 
+def _bound_row(r: bounds_mod.BoundReport) -> dict:
+    """One ceiling as a report row; exact values become 'p/q' strings."""
+    witness = r.witness
+    if isinstance(witness, tuple):
+        witness = [[number_repr(z), number_repr(m)] for z, m in witness]
+    elif witness is not None and not isinstance(witness, str):
+        witness = number_repr(witness)
+    return {
+        "kind": r.kind,
+        "n": r.n,
+        "delta": number_repr(r.delta),
+        "value": number_repr(r.value),
+        "method": r.method,
+        "equality_certified": r.equality_certified,
+        "witness": witness,
+        "ci_half_width": r.ci_half_width,
+    }
+
+
 def _run_bounds(args) -> int:
-    cfg = _merged_config(args, "bounds")
+    cfg = _merged_config(args)
     reports = bounds_mod.applicable_bounds(
         cfg.distribution, cfg.n, cfg.delta, cfg.mc, closed_interval=cfg.closed_interval
     )
@@ -145,29 +175,15 @@ def _run_bounds(args) -> int:
             f"{str(r.equality_certified):>9}  {r.method}"
         )
 
-    doc = {"bounds": [bounds_mod.bound_report_dict(r) for r in reports]}
-    fieldnames = ["kind", "n", "delta", "value", "method", "equality_certified", "witness", "ci_half_width"]
-    rows = [
-        (
-            r.kind,
-            r.n,
-            r.delta,
-            r.value,
-            r.method,
-            r.equality_certified,
-            bounds_mod.bound_report_dict(r)["witness"],
-            r.ci_half_width,
-        )
-        for r in reports
-    ]
-    _emit(args, cfg, doc, fieldnames, rows)
+    rows = [_bound_row(r) for r in reports]
+    columns = ["kind", "n", "delta", "value", "method", "equality_certified", "witness", "ci_half_width"]
+    _emit(args, cfg, {"bounds": rows}, rows, columns)
     return 0
 
 
 def _run_lemma_check(args) -> int:
-    cfg = _merged_config(args, "lemma-check")
-    spec = cfg.estimator or EstimatorSpec(kind="discrete_mle")
-    e = build_estimator(spec, cfg)
+    cfg = _merged_config(args)
+    e = build_estimator(cfg.estimator, cfg)
     result = bounds_mod.sumset_average_bound(
         e, cfg.distribution, cfg.delta, cfg.k, closed_interval=cfg.closed_interval
     )
@@ -184,8 +200,7 @@ def _run_lemma_check(args) -> int:
         "bound": number_repr(result.bound),
         "holds": result.holds,
     }
-    rows = [(cfg.k, result.average_quality, result.bound, result.holds)]
-    _emit(args, cfg, doc, ["k", "average_quality", "bound", "holds"], rows)
+    _emit(args, cfg, doc, [doc], ["k", "average_quality", "bound", "holds"])
     return 0 if result.holds else 1
 
 
@@ -194,65 +209,77 @@ def _rational_pair(q: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
 
 
-def _run_tree_demo(args) -> int:
-    cfg = _merged_config(args, "tree-demo")
-    radius = cfg.radius
-    delta = Fraction(1, 2)
+class _TreeComparison(NamedTuple):
+    rows: list  # (shift, truncation quality) over the ball, in ball order
+    argmin: str  # the first shift at the truncation's minimum
+    truncation_quality: Fraction
+    translate_max: Fraction
+    translate_count: int
+    holds: bool  # truncation reaches 2/3 and no translate exceeds 1/3
+
+
+def _tree_comparison(radius: int, word_radius: int) -> _TreeComparison:
+    """Truncation against every left and right translate by a word of length <= word_radius.
+
+    Each rule is scored over the radius ball. The truncation table is the
+    full sweep quality_inf_ball would make: min keeps the first minimiser in
+    ball order, as the sweep does.
+    """
     mu = group_tree.standard_tree_distribution()
     trunc = group_tree.truncation_estimator()
-
     rows = [
-        (theta, group_tree.exact_quality_tree(trunc, mu, theta, delta))
+        (theta, group_tree.exact_quality_tree(trunc, mu, theta, _TREE_DELTA))
         for theta in group_tree.ball(radius)
     ]
-    # The table is the full sweep quality_inf_ball would make: min keeps the
-    # first minimiser in ball order, as the sweep does.
-    arg, global_q = min(rows, key=lambda row: row[1])
+    argmin, global_q = min(rows, key=lambda row: row[1])
+    translates = [
+        group_tree.quality_inf_ball(make(word), mu, _TREE_DELTA, radius)[0]
+        for word in group_tree.ball(word_radius)
+        for make in (group_tree.left_translate_estimator, group_tree.right_translate_estimator)
+    ]
+    translate_max = max(translates)
+    holds = global_q == Fraction(2, 3) and translate_max <= Fraction(1, 3)
+    return _TreeComparison(rows, argmin, global_q, translate_max, len(translates), holds)
 
-    translate_rows = []
-    for word in group_tree.ball(4):
-        for make, kind in (
-            (group_tree.left_translate_estimator, "left"),
-            (group_tree.right_translate_estimator, "right"),
-        ):
-            q, _ = group_tree.quality_inf_ball(make(word), mu, delta, radius)
-            translate_rows.append((kind, word, q))
-    translate_max = max(q for _, _, q in translate_rows)
-    comparison_holds = global_q == Fraction(2, 3) and translate_max <= Fraction(1, 3)
 
-    print(f"truncation estimator, radius-{radius} ball ({len(rows)} shifts):")
+def _run_tree_demo(args) -> int:
+    cfg = _merged_config(args)
+    tree = _tree_comparison(cfg.radius, 4)
+    rows = tree.rows
+
+    print(f"truncation estimator, radius-{cfg.radius} ball ({len(rows)} shifts):")
     for theta, q in rows[:7]:
         label = theta if theta else "(identity)"
         print(f"  theta={label:<10}  q={number_repr(q)}")
     if len(rows) > 7:
         print(f"  ... {len(rows) - 7} more shifts, every remaining q = {number_repr(rows[-1][1])}")
-    print(f"global quality: {number_repr(global_q)} (at theta={arg or '(identity)'})")
+    print(f"global quality: {number_repr(tree.truncation_quality)} (at theta={tree.argmin or '(identity)'})")
     print(
-        f"best translate quality over {len(translate_rows)} estimators (|w| <= 4): "
-        f"{number_repr(translate_max)}"
+        f"best translate quality over {tree.translate_count} estimators (|w| <= 4): "
+        f"{number_repr(tree.translate_max)}"
     )
-    print(f"2/3 vs 1/3 comparison holds: {comparison_holds}")
+    print(f"2/3 vs 1/3 comparison holds: {tree.holds}")
 
     doc = {
-        "radius": radius,
-        "delta": _rational_pair(delta),
+        "radius": cfg.radius,
+        "delta": _rational_pair(_TREE_DELTA),
         "rows": [{"theta": theta, "q": _rational_pair(q)} for theta, q in rows],
-        "truncation_quality": _rational_pair(global_q),
-        "translate_max_quality": _rational_pair(translate_max),
-        "translate_count": len(translate_rows),
-        "comparison_holds": comparison_holds,
+        "truncation_quality": _rational_pair(tree.truncation_quality),
+        "translate_max_quality": _rational_pair(tree.translate_max),
+        "translate_count": tree.translate_count,
+        "comparison_holds": tree.holds,
     }
-    _emit(args, cfg, doc, ["theta", "q"], rows)
-    return 0 if comparison_holds else 1
+    # The CSV keeps each quality as one 'p/q' cell.
+    _emit(args, cfg, doc, [{"theta": theta, "q": q} for theta, q in rows], ["theta", "q"])
+    return 0 if tree.holds else 1
 
 
 def _run_circle_avg(args) -> int:
-    cfg = _merged_config(args, "circle-avg")
-    density = cfg.density or uniform_circle_density()
-    delta = float(cfg.delta) if cfg.delta is not None else 0.1
-    e = build_estimator(cfg.estimator or EstimatorSpec(kind="biased_mean", value=0.1), cfg)
+    cfg = _merged_config(args)
+    delta = float(cfg.delta)
+    e = build_estimator(cfg.estimator, cfg)
 
-    report = averaging_check(e, density, delta, cfg.anchor_grid, cfg.mc)
+    report = averaging_check(e, cfg.density, delta, cfg.anchor_grid, cfg.mc)
 
     print(f"estimator: {e.label}  delta={delta:g}  n={cfg.n}  anchors={cfg.anchor_grid}")
     print(
@@ -266,6 +293,7 @@ def _run_circle_avg(args) -> int:
     print(f"average pinned quality: {report.average_pinned_quality:.6f}")
     print(f"averaging check holds: {report.holds}")
 
+    rows = [{"anchor": a, "q": q, "ci_half_width": ci} for a, q, ci in report.anchor_qualities]
     doc = {
         "estimator": e.label,
         "delta": delta,
@@ -274,17 +302,14 @@ def _run_circle_avg(args) -> int:
         "q_e": report.q_e,
         "q_e_ci": report.q_e_ci,
         "theta_argmin": report.theta_argmin,
-        "anchor_qualities": [
-            {"anchor": a, "q": q, "ci_half_width": ci} for a, q, ci in report.anchor_qualities
-        ],
+        "anchor_qualities": rows,
         "best_anchor": report.best_anchor,
         "q_best": report.q_best,
         "q_best_ci": report.q_best_ci,
         "average_pinned_quality": report.average_pinned_quality,
         "holds": report.holds,
     }
-    rows = list(report.anchor_qualities)
-    _emit(args, cfg, doc, ["anchor", "q", "ci_half_width"], rows)
+    _emit(args, cfg, doc, rows, ["anchor", "q", "ci_half_width"])
     return 0 if report.holds else 1
 
 
@@ -387,30 +412,13 @@ def _suite_scenarios(mc: MCConfig, closed_interval: bool):
     }
 
     # Tree qualities: truncation hits 2/3 globally, translates stay at 1/3.
-    mu = group_tree.standard_tree_distribution()
-    trunc = group_tree.truncation_estimator()
-    tree_delta = Fraction(1, 2)
-    q_id = group_tree.exact_quality_tree(trunc, mu, "", tree_delta)
-    q_a = group_tree.exact_quality_tree(trunc, mu, "a", tree_delta)
-    q_b = group_tree.exact_quality_tree(trunc, mu, "b", tree_delta)
-    global_q, _ = group_tree.quality_inf_ball(trunc, mu, tree_delta, 6)
-    translate_max = max(
-        group_tree.quality_inf_ball(make(w), mu, tree_delta, 6)[0]
-        for w in group_tree.ball(2)
-        for make in (group_tree.left_translate_estimator, group_tree.right_translate_estimator)
-    )
-    passed = (
-        q_id == 1
-        and q_a == 1
-        and q_b == Fraction(2, 3)
-        and global_q == Fraction(2, 3)
-        and translate_max <= Fraction(1, 3)
-    )
+    tree = _tree_comparison(6, 2)
+    q = dict(tree.rows)
     yield {
         "scenario": "tree-qualities",
-        "achieved": float(global_q),
+        "achieved": float(tree.truncation_quality),
         "reference": float(Fraction(2, 3)),
-        "passed": passed,
+        "passed": tree.holds and q[""] == 1 and q["a"] == 1 and q["b"] == Fraction(2, 3),
         "note": "exact tree qualities and the 1/3 translate ceiling",
     }
 
@@ -430,7 +438,7 @@ def _suite_scenarios(mc: MCConfig, closed_interval: bool):
 
 
 def _run_paper_suite(args) -> int:
-    cfg = _merged_config(args, "paper-suite")
+    cfg = _merged_config(args)
     results = list(_suite_scenarios(cfg.mc, cfg.closed_interval))
     width = max(len(r["scenario"]) for r in results)
     for r in results:
@@ -444,24 +452,18 @@ def _run_paper_suite(args) -> int:
           f"({sum(r['passed'] for r in results)}/{len(results)})")
 
     doc = {"scenarios": results, "all_passed": all_passed}
-    rows = [(r["scenario"], r["achieved"], r["reference"], r["passed"]) for r in results]
-    _emit(args, cfg, doc, ["scenario", "achieved", "reference", "passed"], rows)
+    _emit(args, cfg, doc, results, ["scenario", "achieved", "reference", "passed"])
     return 0 if all_passed else 1
 
 
-def _add_common(p, *, closed=True):
-    p.add_argument("--config", help="JSON experiment config")
-    p.add_argument("--seed", type=int, help="override mc.seed")
-    p.add_argument("--trials", type=int, help="override mc.trials")
-    p.add_argument("--out", help="write the machine-readable report here")
-    p.add_argument("--format", choices=("csv", "json"), help="report format (default json)")
-    if closed:
-        p.add_argument(
-            "--closed-interval",
-            action="store_true",
-            dest="closed_interval",
-            help="count exact threshold hits as successes",
-        )
+_RUNS = {
+    "quality": _run_quality,
+    "bounds": _run_bounds,
+    "lemma-check": _run_lemma_check,
+    "tree-demo": _run_tree_demo,
+    "circle-avg": _run_circle_avg,
+    "paper-suite": _run_paper_suite,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -470,48 +472,28 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Worst-case threshold-quality experiments for shift estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("quality", help="per-shift quality of an estimator")
-    _add_common(p)
-    p.add_argument("--delta", help="override delta (number or 'p/q')")
-    p.add_argument("--n", type=int, help="override the sample count")
-    p.set_defaults(run=_run_quality)
-
-    p = sub.add_parser("bounds", help="applicable quality ceilings for a distribution")
-    _add_common(p)
-    p.add_argument("--delta", help="override delta (number or 'p/q')")
-    p.add_argument("--n", type=int, help="override the sample count")
-    p.set_defaults(run=_run_bounds)
-
-    p = sub.add_parser("lemma-check", help="sumset averaging bound on an atomic law")
-    _add_common(p)
-    p.add_argument("--delta", help="override delta (number or 'p/q')")
-    p.set_defaults(run=_run_lemma_check)
-
-    p = sub.add_parser("tree-demo", help="exact qualities on the trivalent tree")
-    _add_common(p, closed=False)
-    p.add_argument("--radius", type=int, help="ball radius for the shift table (default 8)")
-    p.set_defaults(run=_run_tree_demo)
-
-    p = sub.add_parser("circle-avg", help="anchor-averaging check on the circle")
-    _add_common(p, closed=False)
-    p.add_argument("--density", help="JSON file with a piecewise-linear density table")
-    p.add_argument("--delta", help="override delta")
-    p.add_argument("--n", type=int, help="override the sample count")
-    p.add_argument("--anchor-grid", type=int, dest="anchor_grid", help="number of anchors")
-    p.set_defaults(run=_run_circle_avg)
-
-    p = sub.add_parser("paper-suite", help="run every registered scenario")
-    _add_common(p)
-    p.set_defaults(run=_run_paper_suite)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON experiment config")
+        p.add_argument("--seed", type=int, help="override mc.seed")
+        p.add_argument("--trials", type=int, help="override mc.trials")
+        p.add_argument("--out", help="write the machine-readable report here")
+        p.add_argument("--format", choices=("csv", "json"), help="report format")
+        if command.closed_interval:
+            p.add_argument(
+                "--closed-interval",
+                action="store_true",
+                help="count exact threshold hits as successes",
+            )
+        for field in command.flags:
+            p.add_argument(f"--{field.replace('_', '-')}", **_FLAGS[field])
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        return _RUNS[args.command](args)
     except ConfigError as exc:
         for path, message in exc.errors:
             print(f"config error at {path}: {message}", file=sys.stderr)

@@ -19,6 +19,7 @@ from .compact_circle import (
     CircleDensity,
     biased_mean_circle_estimator,
     constant_circle_estimator,
+    uniform_circle_density,
     warped_circle_estimator,
 )
 from .distributions import (
@@ -41,6 +42,8 @@ from .quality import MCConfig
 from .util import is_exact, number_doc, parse_number
 
 __all__ = [
+    "COMMANDS",
+    "Command",
     "ConfigError",
     "ESTIMATORS",
     "EstimatorKind",
@@ -52,30 +55,23 @@ __all__ = [
     "serialize_config",
 ]
 
-COMMANDS = ("quality", "bounds", "lemma-check", "tree-demo", "circle-avg", "paper-suite")
 # Top-level keys of a config document. A key that no parser here names is an
 # error at every level, so a misspelled key cannot silently keep its default.
 _TOP_KEYS = (
     "command", "distribution", "density", "estimator", "delta", "n", "theta_grid", "k",
     "radius", "anchor_grid", "mc", "closed_interval", "output",
 )
-# Families whose JSON keys are their constructor's number fields, with defaults.
+# Families whose JSON keys are their constructor's number fields.
 _NUMBER_FAMILIES = {
-    "gaussian": (Gaussian, {"mean": 0.0, "sigma": 1.0}),
-    "exponential": (Exponential, {"rate": 1.0}),
-    "uniform": (Uniform, {"lo": 0.0, "hi": 1.0}),
+    "gaussian": (Gaussian, ("mean", "sigma")),
+    "exponential": (Exponential, ("rate",)),
+    "uniform": (Uniform, ("lo", "hi")),
 }
 # Keys each distribution family reads besides "family".
 _FAMILY_KEYS = {
-    **{family: tuple(params) for family, (_, params) in _NUMBER_FAMILIES.items()},
+    **{family: keys for family, (_, keys) in _NUMBER_FAMILIES.items()},
     "piecewise": ("knots",),
     "atoms": ("points",),
-}
-# Fields a command cannot run without; the other commands have defaults for all.
-_REQUIRED = {
-    "quality": ("distribution", "estimator", "delta"),
-    "bounds": ("distribution", "delta"),
-    "lemma-check": ("distribution", "delta"),
 }
 
 
@@ -135,8 +131,7 @@ class EstimatorKind:
     cast: Callable = lambda value: value
 
 
-# Every estimator kind, once per space. `circle-avg` runs on the circle and
-# every other command on the line. The circle's bias and strength are cast to
+# Every estimator kind, once per space. The circle's bias and strength are cast to
 # float because its labels format them with :g, which a Fraction refuses.
 # `mixture` takes a `parts` list of weighted specs instead of a parameter.
 ESTIMATORS: dict[str, dict[str, EstimatorKind]] = {
@@ -172,8 +167,62 @@ ESTIMATORS: dict[str, dict[str, EstimatorKind]] = {
 }
 
 
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: what its config must name, what it fills in, and its flags.
+
+    required lists the fields a config must give; defaults the values the
+    command fills in for absent fields, over ExperimentConfig's own; flags
+    the fields it also takes as command-line flags, besides the --config,
+    --seed, --trials, --out and --format that every command takes.
+    closed_interval says whether it counts closed windows, and so takes
+    --closed-interval and may set the field true; space names its table in
+    ESTIMATORS.
+    """
+
+    help: str
+    required: tuple[str, ...] = ()
+    defaults: dict = field(default_factory=dict)
+    flags: tuple[str, ...] = ()
+    closed_interval: bool = True
+    space: str = "line"
+
+
+COMMANDS: dict[str, Command] = {
+    "quality": Command(
+        "per-shift quality of an estimator",
+        required=("distribution", "estimator", "delta"),
+        flags=("delta", "n"),
+    ),
+    "bounds": Command(
+        "applicable quality ceilings for a distribution",
+        required=("distribution", "delta"),
+        flags=("delta", "n"),
+    ),
+    "lemma-check": Command(
+        "sumset averaging bound on an atomic law",
+        required=("distribution", "delta"),
+        defaults={"estimator": EstimatorSpec(kind="discrete_mle")},
+        flags=("delta",),
+    ),
+    "tree-demo": Command("exact qualities on the trivalent tree", flags=("radius",), closed_interval=False),
+    "circle-avg": Command(
+        "anchor-averaging check on the circle",
+        defaults={
+            "density": uniform_circle_density(),
+            "estimator": EstimatorSpec(kind="biased_mean", value=0.1),
+            "delta": 0.1,
+        },
+        flags=("density", "delta", "n", "anchor_grid"),
+        closed_interval=False,
+        space="circle",
+    ),
+    "paper-suite": Command("run every registered scenario"),
+}
+
+
 def _estimator_kinds(command: str) -> dict[str, EstimatorKind]:
-    return ESTIMATORS["circle" if command == "circle-avg" else "line"]
+    return ESTIMATORS[COMMANDS[command].space]
 
 
 def build_estimator(spec: EstimatorSpec, cfg: ExperimentConfig):
@@ -195,28 +244,47 @@ def _check_keys(doc: dict, keys, path: str, errs: _Collector):
             errs.add(f"{path}{key}", "unknown key")
 
 
+def _read_numbers(values, path: str, errs: _Collector, expected: Callable[[], str], read=parse_number):
+    """read(v) for every v, if each is a finite number; otherwise None after one error at path.
+
+    expected() is the error for a value that is no number at all. A number
+    too large for a float is not finite, so it is refused like inf and NaN.
+    """
+    try:
+        numbers = tuple(map(read, values))
+        finite = all(map(math.isfinite, numbers))
+    except OverflowError:
+        finite = False
+    except (ValueError, TypeError, ZeroDivisionError):
+        errs.add(path, expected())
+        return None
+    if not finite:
+        errs.add(path, f"{path.rsplit('.', 1)[-1]} must be finite")
+        return None
+    return numbers
+
+
 def _get_number(doc: dict, key: str, path: str, errs: _Collector, *, required=False, default=None):
     if key not in doc:
         if required:
             errs.add(f"{path}{key}", "required field is missing")
         return default
-    try:
-        return parse_number(doc[key])
-    except (ValueError, TypeError, ZeroDivisionError):
-        errs.add(f"{path}{key}", f"expected a number or 'p/q' string, got {doc[key]!r}")
-        return default
+    numbers = _read_numbers(
+        (doc[key],), f"{path}{key}", errs, lambda: f"expected a number or 'p/q' string, got {doc[key]!r}"
+    )
+    return default if numbers is None else numbers[0]
 
 
-def _get_int(doc: dict, key: str, path: str, errs: _Collector, *, default=None, minimum=None):
+def _get_int(doc: dict, key: str, path: str, errs: _Collector, *, minimum=None):
     if key not in doc:
-        return default
+        return None
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
         errs.add(f"{path}{key}", f"expected an integer, got {value!r}")
-        return default
+        return None
     if minimum is not None and value < minimum:
         errs.add(f"{path}{key}", f"must be at least {minimum}")
-        return default
+        return None
     return value
 
 
@@ -224,11 +292,12 @@ def _knot_pairs(knots: list, path: str, errs: _Collector) -> tuple | None:
     """The [position, value] pairs as floats; the first pair float() refuses is an error at path."""
     pairs = []
     for pair in knots:
-        try:
-            pairs.append((float(pair[0]), float(pair[1])))
-        except (TypeError, ValueError):
-            errs.add(path, f"expected numbers in [position, value] pairs, got {json.dumps(pair)}")
+        numbers = _read_numbers(
+            pair, path, errs, lambda: f"expected numbers in [position, value] pairs, got {json.dumps(pair)}", float
+        )
+        if numbers is None:
             return None
+        pairs.append(numbers)
     return tuple(pairs)
 
 
@@ -243,11 +312,9 @@ def _build_distribution(spec, path: str, errs: _Collector) -> Distribution | Non
     _check_keys(spec, ("family", *_FAMILY_KEYS[family]), f"{path}.", errs)
     try:
         if family in _NUMBER_FAMILIES:
-            cls, params = _NUMBER_FAMILIES[family]
-            return cls(**{
-                key: float(_get_number(spec, key, f"{path}.", errs, default=default))
-                for key, default in params.items()
-            })
+            cls, keys = _NUMBER_FAMILIES[family]
+            values = {key: _get_number(spec, key, f"{path}.", errs) for key in keys}
+            return cls(**{key: float(v) for key, v in values.items() if v is not None})
         if family == "piecewise":
             knots = spec.get("knots")
             if not isinstance(knots, list) or any(
@@ -264,15 +331,11 @@ def _build_distribution(spec, path: str, errs: _Collector) -> Distribution | Non
         ):
             errs.add(f"{path}.points", "expected a list of [location, mass] pairs")
             return None
-        pairs = []
-        for i, (z, m) in enumerate(points):
-            try:
-                pairs.append((parse_number(z), parse_number(m)))
-            except (ValueError, TypeError, ZeroDivisionError):
-                errs.add(f"{path}.points[{i}]", f"expected numbers or 'p/q' strings, got {[z, m]!r}")
-        if len(pairs) != len(points):
-            return None
-        return FiniteAtoms(atoms=tuple(pairs))
+        pairs = [
+            _read_numbers(p, f"{path}.points[{i}]", errs, lambda: f"expected numbers or 'p/q' strings, got {p!r}")
+            for i, p in enumerate(points)
+        ]
+        return None if None in pairs else FiniteAtoms(atoms=tuple(pairs))
     except ValueError as exc:
         errs.add(path, str(exc))
         return None
@@ -388,7 +451,8 @@ def parse_config(
     validation, so they are checked like the fields they replace; a nested
     dict, such as {"mc": {"seed": 3}}, replaces keys inside that object. A
     delta given there as text is read as the document would hold it for the
-    law (see _flag_delta).
+    law (see _flag_delta). A field the document leaves out takes the
+    command's default from COMMANDS, or else ExperimentConfig's own.
     """
     errs = _Collector()
     try:
@@ -406,49 +470,42 @@ def parse_config(
     _check_keys(doc, _TOP_KEYS, "", errs)
     command = doc.get("command", default_command)
     if command not in COMMANDS:
-        errs.add("command", f"unknown command {command!r}; expected one of {COMMANDS}")
+        errs.add("command", f"unknown command {command!r}; expected one of {tuple(COMMANDS)}")
         command = "quality"
+    spec = COMMANDS[command]
 
-    distribution = None
+    # The fields the document gives, each None if it is absent or invalid.
+    given = {}
     if "distribution" in doc:
-        distribution = _build_distribution(doc["distribution"], "distribution", errs)
+        given["distribution"] = _build_distribution(doc["distribution"], "distribution", errs)
     flag_delta = (overrides or {}).get("delta")
     if isinstance(flag_delta, str):
-        doc["delta"] = _flag_delta(flag_delta, distribution)
-    density = None
+        doc["delta"] = _flag_delta(flag_delta, given.get("distribution"))
     if "density" in doc:
-        density = _build_density(doc["density"], "density", errs)
-
-    estimator = None
+        given["density"] = _build_density(doc["density"], "density", errs)
     if "estimator" in doc:
-        estimator = _build_estimator_spec(
+        given["estimator"] = _build_estimator_spec(
             doc["estimator"], "estimator", errs, _estimator_kinds(command)
         )
 
-    delta = _get_number(doc, "delta", "", errs)
-    if delta is not None and not float(delta) > 0:
+    given["delta"] = _get_number(doc, "delta", "", errs)
+    if given["delta"] is not None and not given["delta"] > 0:
         errs.add("delta", "delta must be positive")
-    elif delta is not None and float(delta) == math.inf:
-        errs.add("delta", "delta must be finite")
 
-    n = _get_int(doc, "n", "", errs, default=1, minimum=1)
-    k = _get_int(doc, "k", "", errs, default=6, minimum=1)
-    radius = _get_int(doc, "radius", "", errs, default=8, minimum=2)
-    anchor_grid = _get_int(doc, "anchor_grid", "", errs, default=64, minimum=8)
+    for key, minimum in (("n", 1), ("k", 1), ("radius", 2), ("anchor_grid", 8)):
+        given[key] = _get_int(doc, key, "", errs, minimum=minimum)
 
-    theta_grid = None
     if doc.get("theta_grid") is not None:
         raw = doc["theta_grid"]
         if not isinstance(raw, list) or not raw:
             errs.add("theta_grid", "expected a nonempty list of shifts")
         else:
-            grid = []
-            for i, value in enumerate(raw):
-                try:
-                    grid.append(parse_number(value))
-                except (ValueError, TypeError, ZeroDivisionError):
-                    errs.add(f"theta_grid[{i}]", f"expected a number, got {value!r}")
-            theta_grid = tuple(grid)
+            grid = [
+                _read_numbers((value,), f"theta_grid[{i}]", errs, lambda: f"expected a number, got {value!r}")
+                for i, value in enumerate(raw)
+            ]
+            if None not in grid:
+                given["theta_grid"] = tuple(theta for theta, in grid)
 
     mc_doc = doc.get("mc", {})
     if not isinstance(mc_doc, dict):
@@ -456,66 +513,60 @@ def parse_config(
         mc_doc = {}
     # parallelism is accepted and ignored: older configs still carry it.
     _check_keys(mc_doc, ("trials", "seed", "ci_level", "parallelism"), "mc.", errs)
-    trials = _get_int(mc_doc, "trials", "mc.", errs, default=100_000, minimum=100)
-    seed = _get_int(mc_doc, "seed", "mc.", errs, default=42)
-    ci_level = _get_number(mc_doc, "ci_level", "mc.", errs, default=0.99)
+    mc = {
+        "trials": _get_int(mc_doc, "trials", "mc.", errs, minimum=100),
+        "seed": _get_int(mc_doc, "seed", "mc.", errs),
+        "ci_level": _get_number(mc_doc, "ci_level", "mc.", errs),
+    }
+    if mc["ci_level"] is not None:
+        mc["ci_level"] = float(mc["ci_level"])
     try:
-        mc = MCConfig(trials=trials, seed=seed, ci_level=float(ci_level))
+        given["mc"] = MCConfig(**_present(mc))
     except ValueError as exc:
         errs.add("mc", str(exc))
-        mc = MCConfig()
 
-    closed = doc.get("closed_interval", False)
-    if not isinstance(closed, bool):
-        errs.add("closed_interval", f"expected true or false, got {closed!r}")
-        closed = False
+    if isinstance(doc.get("closed_interval"), bool):
+        given["closed_interval"] = doc["closed_interval"]
+    elif "closed_interval" in doc:
+        errs.add("closed_interval", f"expected true or false, got {doc['closed_interval']!r}")
 
     out_doc = doc.get("output", {})
     if not isinstance(out_doc, dict):
         errs.add("output", "expected an object")
         out_doc = {}
     _check_keys(out_doc, ("format", "path"), "output.", errs)
-    fmt = out_doc.get("format", "json")
-    if fmt not in ("json", "csv"):
-        errs.add("output.format", f"expected 'json' or 'csv', got {fmt!r}")
-        fmt = "json"
-    path = out_doc.get("path")
-    if path is not None and not isinstance(path, str):
+    if "format" in out_doc and out_doc["format"] not in ("json", "csv"):
+        errs.add("output.format", f"expected 'json' or 'csv', got {out_doc['format']!r}")
+    if out_doc.get("path") is not None and not isinstance(out_doc["path"], str):
         errs.add("output.path", "expected a string path")
-        path = None
+    given["output"] = OutputSpec(**_present({key: out_doc.get(key) for key in ("format", "path")}))
 
-    for key in _REQUIRED.get(command, ()):
+    cfg = ExperimentConfig(command=command, **{**spec.defaults, **_present(given)})
+    for key in spec.required:
         if key not in doc:
             errs.add(key, f"{command} needs this field")
-    if command == "lemma-check" and not isinstance(distribution, (FiniteAtoms, type(None))):
+    if command == "lemma-check" and not isinstance(cfg.distribution, (FiniteAtoms, type(None))):
         errs.add("distribution", "lemma-check needs the atoms family")
-    if command == "lemma-check" and n != 1:
+    if command == "lemma-check" and cfg.n != 1:
         errs.add("n", "lemma-check bounds one-sample rules; n must be 1")
-    _check_rational_mixing(distribution, delta, theta_grid, errs)
+    if cfg.closed_interval and not spec.closed_interval:
+        errs.add("closed_interval", f"{command} has no closed windows; closed_interval must be false")
+    _check_rational_mixing(given.get("distribution"), given["delta"], given.get("theta_grid"), errs)
 
     if errs.errors:
         raise ConfigError(errs.errors)
-    return ExperimentConfig(
-        command=command,
-        distribution=distribution,
-        density=density,
-        estimator=estimator,
-        delta=delta,
-        n=n,
-        theta_grid=theta_grid,
-        k=k,
-        radius=radius,
-        anchor_grid=anchor_grid,
-        mc=mc,
-        closed_interval=closed,
-        output=OutputSpec(format=fmt, path=path),
-    )
+    return cfg
+
+
+def _present(fields: dict) -> dict:
+    """The fields that are not None: the rest keep their dataclass defaults."""
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 def _distribution_doc(d: Distribution) -> dict:
-    for family, (cls, params) in _NUMBER_FAMILIES.items():
+    for family, (cls, keys) in _NUMBER_FAMILIES.items():
         if isinstance(d, cls):
-            return {"family": family, **{key: getattr(d, key) for key in params}}
+            return {"family": family, **{key: getattr(d, key) for key in keys}}
     if isinstance(d, PiecewiseDensity):
         return {"family": "piecewise", "knots": [[x, f] for x, f in d.knots]}
     if isinstance(d, FiniteAtoms):

@@ -44,7 +44,6 @@ from .util import (
     EnumerationLimitError,
     InvarianceError,
     is_exact,
-    number_doc,
     within_threshold,
     within_threshold_array,
 )
@@ -58,8 +57,6 @@ __all__ = [
     "exact_quality_discrete",
     "quality_inf",
     "default_theta_grid",
-    "quality_report_rows",
-    "quality_report_dict",
 ]
 
 # Fixed chunk size; changing it changes the sampled streams, so treat it as
@@ -382,29 +379,3 @@ def quality_inf(
         worst_case=worst,
         infimum_certified=invariant,
     )
-
-
-def quality_report_rows(report: QualityReport) -> list[tuple]:
-    """CSV-ready rows: (theta, q, ci_half_width, exact)."""
-    return [(t.theta, t.q, t.ci_half_width, t.exact) for t in report.per_theta]
-
-
-def quality_report_dict(report: QualityReport) -> dict:
-    """JSON-ready form; exact values are written as 'p/q' strings."""
-    return {
-        "delta": report.delta,
-        "per_theta": [
-            {
-                "theta": number_doc(t.theta),
-                "q": number_doc(t.q),
-                "ci_half_width": t.ci_half_width,
-                "exact": t.exact,
-            }
-            for t in report.per_theta
-        ],
-        "worst_case": {
-            "q": number_doc(report.worst_case[0]),
-            "theta": number_doc(report.worst_case[1]),
-        },
-        "infimum_certified": report.infimum_certified,
-    }

@@ -690,3 +690,75 @@ def test_delta_flag_matches_the_config_field(tmp_path, command, doc, flags, docu
     expected = _report(tmp_path, "doc", [command], {**doc, "delta": document_delta})
     for i, text in enumerate(flags):
         assert _report(tmp_path, f"flag{i}", [command, "--delta", text], doc) == expected
+
+
+GAUSSIAN_MEAN = {"distribution": {"family": "gaussian"}, "estimator": {"kind": "mean"}, "delta": 0.5}
+
+
+@pytest.mark.parametrize(
+    "doc, path, name",
+    [
+        ({**GAUSSIAN_MEAN, "distribution": {"family": "gaussian", "mean": math.inf}}, "distribution.mean", "mean"),
+        ({**GAUSSIAN_MEAN, "distribution": {"family": "gaussian", "sigma": math.inf}}, "distribution.sigma", "sigma"),
+        ({**GAUSSIAN_MEAN, "distribution": {"family": "uniform", "hi": math.inf}}, "distribution.hi", "hi"),
+        ({**GAUSSIAN_MEAN, "distribution": {"family": "exponential", "rate": math.inf}}, "distribution.rate", "rate"),
+        ({**GAUSSIAN_MEAN, "distribution": {"family": "piecewise", "knots": [[0, 1], [1, math.nan]]}},
+         "distribution.knots", "knots"),
+        ({**GAUSSIAN_MEAN, "distribution": {"family": "atoms", "points": [[0, 0.5], [math.inf, 0.5]]},
+          "estimator": {"kind": "constant"}}, "distribution.points[1]", "points[1]"),
+        ({**GAUSSIAN_MEAN, "theta_grid": [0, math.inf]}, "theta_grid[1]", "theta_grid[1]"),
+        ({**GAUSSIAN_MEAN, "theta_grid": [0, math.nan]}, "theta_grid[1]", "theta_grid[1]"),
+        ({**GAUSSIAN_MEAN, "estimator": {"kind": "constant", "value": math.nan}}, "estimator.value", "value"),
+        ({**GAUSSIAN_MEAN, "delta": math.nan}, "delta", "delta"),
+        ({**GAUSSIAN_MEAN, "mc": {"ci_level": math.inf}}, "mc.ci_level", "ci_level"),
+        # Numbers too large for a float overflow where they are used.
+        ({**GAUSSIAN_MEAN, "distribution": {"family": "gaussian", "mean": 10**400}}, "distribution.mean", "mean"),
+        ({**GAUSSIAN_MEAN, "theta_grid": [0, 10**400]}, "theta_grid[1]", "theta_grid[1]"),
+        ({**GAUSSIAN_MEAN, "theta_grid": ["0", "1" + "0" * 400]}, "theta_grid[1]", "theta_grid[1]"),
+        ({**GAUSSIAN_MEAN, "distribution": {"family": "piecewise", "knots": [[0, 1], [10**400, 0]]}},
+         "distribution.knots", "knots"),
+    ],
+)
+def test_non_finite_numbers_are_field_errors(tmp_path, capsys, doc, path, name):
+    assert main(["quality", "--config", write(tmp_path, "c.json", json.dumps(doc))]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error at {path}: {name} must be finite"]
+
+
+def test_non_finite_circle_knots_are_field_errors(tmp_path, capsys):
+    dens = write(tmp_path, "dens.json", json.dumps({"knots": [[0, 1], [0.5, math.inf]]}))
+    assert main(["circle-avg", "--density", dens, "--trials", "1000"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error at density.knots: knots must be finite"]
+
+
+@pytest.mark.parametrize("command", ["circle-avg", "tree-demo"])
+def test_closed_interval_is_refused_where_nothing_counts_it(tmp_path, capsys, command):
+    doc = {"command": command, "closed_interval": True, "anchor_grid": 8, "mc": {"trials": 1000}}
+    assert main([command, "--config", write(tmp_path, "c.json", json.dumps(doc))]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error at closed_interval: {command} has no closed windows; closed_interval must be false"
+    ]
+    assert not parse_config(json.dumps({**doc, "closed_interval": False})).closed_interval
+
+
+def test_command_table_defaults_are_part_of_the_config():
+    circle = serialize_config(parse_config('{"command": "circle-avg"}'))
+    assert (circle["delta"], circle["estimator"]) == (0.1, {"kind": "biased_mean", "bias": 0.1})
+    assert circle["density"] == {"knots": [[0.0, 1.0], [1.0, 1.0]]}
+    lemma = {"command": "lemma-check", "distribution": {"family": "atoms", "points": [["0", "1"]]}, "delta": "1/2"}
+    assert serialize_config(parse_config(json.dumps(lemma)))["estimator"] == {"kind": "discrete_mle"}
+    # A field the document gives wins over the table's default.
+    assert parse_config('{"command": "circle-avg", "delta": 0.25}').delta == 0.25
+    with pytest.raises(ConfigError) as exc:
+        parse_config('{"command": "nope"}')
+    assert exc.value.errors[0] == ("command", f"unknown command 'nope'; expected one of {tuple(config.COMMANDS)}")
+    assert tuple(config.COMMANDS)[0] == "quality"
+
+
+@pytest.mark.parametrize("name", list(config.COMMANDS))
+def test_each_subcommand_takes_the_flags_its_table_entry_names(name):
+    command = config.COMMANDS[name]
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command").choices[name]
+    dests = {a.dest for a in sub._actions} - {"help"}
+    common = {"config", "seed", "trials", "out", "format"}
+    assert dests == common | set(command.flags) | ({"closed_interval"} if command.closed_interval else set())
