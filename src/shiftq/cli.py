@@ -466,14 +466,24 @@ _RUNS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: every subcommand with its help, only the invoked one with its arguments.
+
+    The top level takes no option but -h, so the first token of argv that
+    does not start with "-" names the subcommand; the others stay empty,
+    which keeps `shiftq -h` listing all six and `shiftq CMD -h` showing
+    CMD's flags.
+    """
     parser = argparse.ArgumentParser(
         prog="shiftq",
         description="Worst-case threshold-quality experiments for shift estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    invoked = next((a for a in argv if not a.startswith("-")), None)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        if name != invoked:
+            continue
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="override mc.seed")
         p.add_argument("--trials", type=int, help="override mc.trials")
@@ -491,7 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return _RUNS[args.command](args)
     except ConfigError as exc:

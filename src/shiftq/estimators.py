@@ -418,13 +418,15 @@ def discrete_mle_estimator(d: FiniteAtoms, delta, n: int = 1, *, closed_interval
     At n >= 2 the atom locations must have distinct pairwise distances, and
     two distinct sample values pin the shift uniquely: subtracting a
     candidate atom from the first sample must land every sample back on an
-    atom. All-equal samples fall back to the window rule. On exact inputs the candidate comes from one lookup: two
-    distinct samples a and b differ by z_j - z_i for exactly one atom pair,
-    because the signed differences of distinct atoms are distinct, so the
-    shift is a - z_i. Every sample is still checked against the atoms. Float
-    inputs try each atom in turn and match within MATCH_ATOL, or four float
-    spacings of the sample where those are coarser: a sample far from zero
-    carries the rounding of its shift.
+    atom. All-equal samples fall back to the window rule. On exact inputs
+    the gaps v - x_1 are taken once. The first nonzero gap equals z_j - z_i
+    for exactly one atom pair, because the signed differences of distinct
+    atoms are distinct, so x_1 sits on atom z_i and the shift is x_1 - z_i.
+    Every gap must then be one of the b - z_i, a set built per atom with the
+    rule: n subtractions per tuple in all. Float inputs try each atom in
+    turn and match within MATCH_ATOL, or four float spacings of the sample
+    where those are coarser: a sample far from zero carries the rounding of
+    its shift.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("discrete_mle needs a finite atomic law")
@@ -449,8 +451,9 @@ def discrete_mle_estimator(d: FiniteAtoms, delta, n: int = 1, *, closed_interval
     distances = sorted(b - a for i, a in enumerate(locs) for b in locs[i + 1 :])
     if any(hi - lo <= (0 if exact_locs else MATCH_ATOL) for lo, hi in zip(distances, distances[1:])):
         raise ValueError("atom locations must have distinct pairwise distances")
-    loc_set = frozenset(locs)
     lower_atom = {b - a: a for a in locs for b in locs if a != b}
+    # offsets[z]: every b - z, the gap from a sample on atom z to one on atom b.
+    offsets = {z: frozenset(b - z for b in locs) for z in locs}
 
     def matches_atom(sample, candidate):
         value = float(sample - candidate)
@@ -460,14 +463,13 @@ def discrete_mle_estimator(d: FiniteAtoms, delta, n: int = 1, *, closed_interval
     def fn(x):
         first = x[0]
         if exact_locs and is_exact(*x):
-            other = next((v for v in x if v != first), None)
-            if other is None:
+            gaps = [v - first for v in x[1:]]
+            step = next((g for g in gaps if g), None)
+            if step is None:
                 return first - center
-            z = lower_atom.get(other - first)
-            if z is not None:
-                candidate = first - z
-                if all(v - candidate in loc_set for v in x):
-                    return candidate
+            z = lower_atom.get(step)
+            if z is not None and all(g in offsets[z] for g in gaps):
+                return first - z
         elif all(abs(float(v) - float(first)) <= MATCH_ATOL for v in x):
             return first - center
         else:

@@ -41,6 +41,7 @@ from .estimators import SHIFT_INVARIANT
 from .util import (
     BISECT_TOL,
     BOUNDARY_TOL,
+    _PLAIN_EXACT,
     EnumerationLimitError,
     InvarianceError,
     is_exact,
@@ -241,66 +242,94 @@ def quality_at(
 def exact_quality_discrete(e, d: FiniteAtoms, theta, delta, *, closed_interval: bool = False):
     """Exact quality for an atomic base law by enumerating tuples of e.n samples.
 
-    Stays in rational arithmetic when the atoms, theta, and delta are exact,
-    so boundary cases are decided without float tolerance. A symmetric rule
-    on such a law is evaluated once per multiset of atoms, weighted by its
-    multinomial count, and the enumeration cap counts multisets; any other
-    rule, and every float law, walks the ordered tuples. Float sums depend on
-    their order, which is why float laws keep the ordered walk.
+    Cases are tuples of atom indices, streamed from itertools, and each one
+    costs the rule's evaluation on the shifted atoms and one threshold test.
+    A symmetric rule on an exact law (theta, delta, locations and masses all
+    ints or Fractions) is evaluated once per multiset of atoms, weighted by
+    its n!/prod(c_i!) orderings, counted from the runs of the sorted indices,
+    and the enumeration cap counts multisets; any other rule, and every float
+    law, walks the ordered tuples. Float sums depend on their order, which
+    is why float laws keep the ordered walk.
 
-    On a float law the boundary band is widened from BOUNDARY_TOL to 4*n
-    float spacings of the largest |sample|: adding theta to the samples and
-    taking it away again rounds at that scale (n times over for a rule that
-    sums its samples), so a narrower band would let a decision on the
-    boundary depend on theta.
+    Exact masses are held as integer numerators over M, the lcm of their
+    denominators: a hit adds ways * prod(M * m_i) as an int, and the sum is
+    divided once, by M^n. Nothing hit gives the int 0; otherwise the value is
+    a Fraction (an int if every mass is an int). Any other masses are
+    multiplied and summed as they are, in enumeration order.
+
+    With theta and delta exact, an exact guess g hits when theta - delta <
+    g < theta + delta (<= under closed_interval), both ends computed once. A
+    float guess goes through within_threshold. On a float law its boundary
+    band is widened from BOUNDARY_TOL to 4*n float spacings of the largest
+    |sample|: adding theta to the samples and taking it away again rounds at
+    that scale (n times over for a rule that sums its samples), so a
+    narrower band would let a decision on the boundary depend on theta.
 
     A rule's quality is the weighted sum of its parts' qualities.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("exact evaluation needs a finite atomic law")
     n = e.n
-    r = len(d.atoms)
-    exact = is_exact(theta, delta, *d.locations, *d.masses)
-    shifted = tuple((theta + z, m) for z, m in d.atoms)
+    locs, masses = d.locations, d.masses
+    r = len(locs)
+    exact = is_exact(theta, delta, *locs, *masses)
+    points = tuple(theta + z for z in locs)
     band = BOUNDARY_TOL
     if not exact:
-        reach = abs(float(theta)) + max(abs(float(z)) for z in d.locations)
+        reach = abs(float(theta)) + max(abs(float(z)) for z in locs)
         band = max(band, 4 * n * math.ulp(reach))
+    interval = is_exact(theta, delta)
+    if interval:
+        lo, hi = theta - delta, theta + delta
+    numerators = all(type(m) in _PLAIN_EXACT for m in masses)
+    if numerators:
+        scale = math.lcm(*(m.denominator for m in masses))
+        weight = tuple(m.numerator * (scale // m.denominator) for m in masses)
+    else:
+        weight = masses
+    # A Fraction only when some mass is one: int masses (one atom of mass 1) sum to an int.
+    fraction_sum = numerators and Fraction in map(type, masses)
 
     def hit_mass(part):
-        if exact and part.symmetric:
+        multisets = exact and part.symmetric
+        if multisets:
             count = math.comb(r + n - 1, n)
             if count > _EXACT_ENUM_CAP:
                 raise EnumerationLimitError(
                     f"{count} multisets of {n} samples from {r} atoms exceed the cap of {_EXACT_ENUM_CAP}"
                 )
-            cases = _multisets(shifted, n)
+            cases = itertools.combinations_with_replacement(range(r), n)
         else:
             if r**n > _EXACT_ENUM_CAP:
                 raise EnumerationLimitError(f"{r}^{n} sample tuples exceed the cap of {_EXACT_ENUM_CAP}")
-            cases = zip(itertools.product(shifted, repeat=n), itertools.repeat(1))
+            cases = itertools.product(range(r), repeat=n)
         total = 0
-        for combo, ways in cases:
-            samples, masses = zip(*combo)
-            if within_threshold(abs(part.evaluate(samples) - theta), delta, closed_interval, band=band):
-                total += math.prod(masses, start=ways)
-        return total
+        for idx in cases:
+            g = part.evaluate(tuple([points[i] for i in idx]))
+            if interval and type(g) in _PLAIN_EXACT:
+                hit = lo <= g <= hi if closed_interval else lo < g < hi
+            else:
+                hit = within_threshold(abs(g - theta), delta, closed_interval, band=band)
+            if hit:
+                ways = _orderings(idx) if multisets else 1
+                total += math.prod([weight[i] for i in idx], start=ways)
+        return Fraction(total, scale**n) if total and fraction_sum else total
 
     return sum(w * hit_mass(part) for part, w in e.parts)
 
 
-def _multisets(atoms, n: int):
-    """Each multiset of n atoms once, with the number of orderings it has.
+def _orderings(idx) -> int:
+    """n!/prod(c_i!) for a sorted index tuple: equal indices are adjacent, so each c_i is a run length.
 
-    combinations_with_replacement keeps equal atoms adjacent, so the
-    multiplicities c_i are run lengths and the count is n!/prod(c_i!).
+    Dividing by 2, 3, ..., c at the steps of a run divides by c!, and every
+    partial quotient is a multinomial count times a factorial, so // is exact.
     """
-    factorial = [math.factorial(k) for k in range(n + 1)]
-    for combo in itertools.combinations_with_replacement(atoms, n):
-        ways = factorial[n]
-        for _, run in itertools.groupby(combo):
-            ways //= factorial[len(tuple(run))]
-        yield combo, ways
+    ways = math.factorial(len(idx))
+    run = 1
+    for a, b in zip(idx, idx[1:]):
+        run = run + 1 if a == b else 1
+        ways //= run
+    return ways
 
 
 def _exact_pair(theta, q) -> tuple:

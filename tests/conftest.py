@@ -15,6 +15,10 @@ settings.register_profile(
 )
 settings.load_profile("repo")
 
+# Marks of a Golomb ruler: every subset has distinct pairwise distances, as
+# the shift-recovery rule needs.
+GOLOMB = (0, 1, 4, 10, 12, 17)
+
 # Critical value for the Kolmogorov-Smirnov statistic at alpha ~ 0.01.
 KS_CRIT = 1.63
 

@@ -757,8 +757,45 @@ def test_command_table_defaults_are_part_of_the_config():
 @pytest.mark.parametrize("name", list(config.COMMANDS))
 def test_each_subcommand_takes_the_flags_its_table_entry_names(name):
     command = config.COMMANDS[name]
-    parser = cli._build_parser()
+    parser = cli._build_parser([name])
     sub = next(a for a in parser._actions if a.dest == "command").choices[name]
     dests = {a.dest for a in sub._actions} - {"help"}
     common = {"config", "seed", "trials", "out", "format"}
     assert dests == common | set(command.flags) | ({"closed_interval"} if command.closed_interval else set())
+
+
+def test_parser_fills_only_the_invoked_subcommand():
+    choices = next(a for a in cli._build_parser(["bounds", "--n", "2"])._actions if a.dest == "command").choices
+    assert list(choices) == list(config.COMMANDS)
+    filled = {name for name, sub in choices.items() if {a.dest for a in sub._actions} != {"help"}}
+    assert filled == {"bounds"}
+
+
+def test_top_level_help_lists_every_subcommand_with_its_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, command in config.COMMANDS.items():
+        assert name in out and command.help in out
+
+
+@pytest.mark.parametrize("name", list(config.COMMANDS))
+def test_subcommand_help_shows_its_flags(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    command = config.COMMANDS[name]
+    own = [f"--{field.replace('_', '-')}" for field in command.flags]
+    for flag in ["--config", "--seed", "--trials", "--out", "--format", *own]:
+        assert flag in out
+    assert ("--closed-interval" in out) == command.closed_interval
+
+
+@pytest.mark.parametrize("argv", [["nope"], ["nope", "--config", "x.json"], []])
+def test_unknown_or_missing_subcommand_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: shiftq" in capsys.readouterr().err

@@ -24,6 +24,7 @@ from shiftq import (
 from shiftq import estimators
 from shiftq.estimators import SHIFT_INVARIANT, Estimator, _window_center_batch
 from shiftq.util import BISECT_TOL
+from tests.conftest import GOLOMB
 
 
 def test_window_center_on_standard_gaussian_pair():
@@ -278,6 +279,66 @@ def test_discrete_n_sample_recovers_shift_exactly(example_atoms):
         e = discrete_mle_estimator(d, delta, 2, closed_interval=closed)
         assert e.evaluate((Fraction(3), Fraction(3))) == 3 - centre
         assert exact_quality_discrete(e, d, Fraction(0), delta, closed_interval=True) == q
+
+
+def _recovery_reference(d, center, x):
+    """The exact branch of discrete_mle at n >= 2 as it was written before the anchored-gap check.
+
+    The first sample distinct from x_1 names a candidate shift through the
+    one atom pair at that distance, and every sample minus the candidate
+    must be an atom.
+    """
+    locs = d.locations
+    loc_set = frozenset(locs)
+    lower_atom = {b - a: a for a in locs for b in locs if a != b}
+    first = x[0]
+    other = next((v for v in x if v != first), None)
+    if other is None:
+        return first - center
+    z = lower_atom.get(other - first)
+    if z is not None:
+        candidate = first - z
+        if all(v - candidate in loc_set for v in x):
+            return candidate
+    raise ValueError("no shift places every sample on an atom of the base law")
+
+
+@st.composite
+def recovery_cases(draw):
+    """A Golomb-mark rational law, n in 2..4, and n samples: shifted atoms, some moved off them."""
+    r = draw(st.integers(2, 6))
+    marks = sorted(draw(st.permutations(GOLOMB))[:r])
+    scale = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    offset = Fraction(draw(st.integers(-20, 20)), 4)
+    d = FiniteAtoms(atoms=tuple((offset + scale * z, Fraction(1, r)) for z in marks))
+    n = draw(st.integers(2, 4))
+    theta = draw(st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=12)))
+    off = st.one_of(
+        st.fractions(-60, 60, max_denominator=12),  # anywhere
+        st.sampled_from([scale, -scale, scale / 2, Fraction(1, 7)]),  # a nudge off its atom
+    )
+    samples = []
+    for _ in range(n):
+        x = theta + d.locations[draw(st.integers(0, r - 1))]
+        samples.append(x + draw(off) if draw(st.integers(0, 3)) == 0 else x)
+    if draw(st.integers(0, 3)) == 0:  # a sample anywhere at all
+        samples[draw(st.integers(0, n - 1))] = draw(st.fractions(-60, 60, max_denominator=12))
+    return d, Fraction(draw(st.integers(1, 24)), 4), tuple(samples), draw(st.booleans())
+
+
+@given(recovery_cases())
+def test_anchored_gap_check_matches_the_candidate_check(case):
+    d, delta, x, closed = case
+    e = discrete_mle_estimator(d, delta, len(x), closed_interval=closed)
+    center = -discrete_mle_estimator(d, delta, 1, closed_interval=closed).evaluate((Fraction(0),))
+    try:
+        want = _recovery_reference(d, center, x)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            e.evaluate(x)
+        assert str(got.value) == str(exc)
+    else:
+        assert repr(e.evaluate(x)) == repr(want)
 
 
 def test_discrete_n_sample_requires_distinct_distances():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from shiftq import (
 )
 from shiftq.estimators import SHIFT_INVARIANT, Estimator
 from shiftq.quality import CHUNK_TRIALS, LINE, _chunk_rng, _counter, _noise
-from tests.conftest import random_rational_atoms
+from tests.conftest import GOLOMB, random_rational_atoms
 
 UNIT_WINDOW_MASS = 0.6826894921370859
 EXPO_HALF_MASS = 0.3934693402873666
@@ -293,20 +294,31 @@ def test_randomized_estimator_mc_quality(example_atoms, mc_mid):
 
 
 def _ordered_reference(e, d, theta, delta, n, closed):
-    """Plain walk over every ordered sample tuple, decided in exact arithmetic."""
+    """Plain walk over every ordered sample tuple, with the threshold rule written out.
+
+    An exact distance and delta compare exactly. A float one sits on the
+    boundary within a band of 1e-12, widened on a float law to 4*n float
+    spacings of |theta| + max|z|, and counts there only when closed. Masses
+    are multiplied in tuple order and summed in walk order.
+    """
     if hasattr(e, "components"):
         return sum(w * _ordered_reference(c, d, theta, delta, n, closed) for c, w in e.components)
+    exact = all(isinstance(v, (int, Fraction)) for v in (theta, delta, *d.locations, *d.masses))
+    band = 1e-12
+    if not exact:
+        band = max(band, 4 * n * math.ulp(abs(float(theta)) + max(abs(float(z)) for z in d.locations)))
     total = 0
     for combo in itertools.product(d.atoms, repeat=n):
-        dist = abs(e.fn(tuple(theta + z for z, _ in combo)) - theta)
-        if dist <= delta if closed else dist < delta:
+        dist = abs(e.evaluate(tuple(theta + z for z, _ in combo)) - theta)
+        if isinstance(dist, (int, Fraction)) and isinstance(delta, (int, Fraction)):
+            hit = dist <= delta if closed else dist < delta
+        elif abs(float(dist) - float(delta)) <= band:
+            hit = closed
+        else:
+            hit = float(dist) < float(delta)
+        if hit:
             total += math.prod(m for _, m in combo)
     return total
-
-
-# Marks of a Golomb ruler: every subset has distinct pairwise distances, as
-# the shift-recovery rule needs.
-GOLOMB = (0, 1, 4, 10, 12, 17)
 
 
 @st.composite
@@ -324,6 +336,11 @@ def rational_cases(draw):
     return d, n, delta, theta, draw(st.booleans())
 
 
+def _first_sample_batch_rule(n):
+    """x_1 - 1/2 as a rule with only a batch_fn: its guesses are floats, even on rational samples."""
+    return Estimator(label="first-minus-half", n=n, batch_fn=lambda x: x[:, 0] - 0.5)
+
+
 @given(rational_cases())
 def test_multiset_enumeration_matches_the_ordered_walk(case):
     d, n, delta, theta, closed = case
@@ -335,10 +352,98 @@ def test_multiset_enumeration_matches_the_ordered_walk(case):
     ]
     assert all(e.symmetric for e in rules)
     rules.append(mixture([(rules[0], Fraction(1, 3)), (rules[2], Fraction(2, 3))]))
+    rules.append(_first_sample_batch_rule(n))
     for e in rules:
         got = exact_quality_discrete(e, d, theta, delta, closed_interval=closed)
-        assert isinstance(got, (int, Fraction))
-        assert got == _ordered_reference(e, d, theta, delta, n, closed)
+        assert repr(got) == repr(_ordered_reference(e, d, theta, delta, n, closed))
+
+
+@pytest.mark.parametrize("mass", [Fraction(1), 1])
+def test_one_atom_law_keeps_the_type_of_its_mass(mass):
+    d = FiniteAtoms(atoms=((Fraction(5, 2), mass),))
+    theta, delta = Fraction(-7, 3), Fraction(1, 4)
+    for n in (1, 2, 3):
+        e = mean_estimator(d, n)
+        got = exact_quality_discrete(e, d, theta, delta)
+        assert repr(got) == repr(_ordered_reference(e, d, theta, delta, n, False))
+        assert repr(got) == ("Fraction(1, 1)" if isinstance(mass, Fraction) else "1")
+
+
+def test_nothing_hit_is_the_int_zero(example_atoms):
+    delta = Fraction(3, 4)
+    for n in (1, 2):
+        for e in (constant_estimator(Fraction(100), n), invariant_extension(lambda x0: Fraction(50), n=n)):
+            for closed in (False, True):
+                got = exact_quality_discrete(e, example_atoms, Fraction(1, 3), delta, closed_interval=closed)
+                assert repr(got) == "0"
+
+
+def test_float_guess_on_rational_atoms_takes_the_band():
+    # x_1 - 1/2 at theta = 1/3 lands exactly delta = 1/2 from theta on atoms 0
+    # and 1, but its float guess rounds just outside: only the band test puts
+    # it on the boundary, where it counts under the closed convention alone.
+    d = FiniteAtoms(atoms=tuple((Fraction(z), Fraction(1, 3)) for z in (0, 1, 2)))
+    e = _first_sample_batch_rule(2)
+    theta, delta = Fraction(1, 3), Fraction(1, 2)
+    assert float(theta) - 0.5 < theta - delta
+    assert repr(exact_quality_discrete(e, d, theta, delta)) == "0"
+    assert repr(exact_quality_discrete(e, d, theta, delta, closed_interval=True)) == "Fraction(2, 3)"
+
+
+@given(
+    marks=st.lists(st.sampled_from(GOLOMB), min_size=1, max_size=4, unique=True),
+    weights=st.lists(st.integers(1, 16), min_size=4, max_size=4),
+    tenths=st.integers(1, 30),
+    n=st.integers(1, 3),
+    theta=st.one_of(st.integers(-40, 40).map(lambda k: k / 10), st.floats(-1e6, 1e6)),
+    rational_locations=st.booleans(),
+    closed=st.booleans(),
+)
+def test_float_masses_sum_bit_for_bit_as_the_ordered_walk(marks, weights, tenths, n, theta, rational_locations, closed):
+    # Float masses (and, on the rational-location laws, a rational theta and
+    # delta too) keep the float products and the walk-order sum.
+    r = len(marks)
+    total = sum(weights[:r])
+    locs = [Fraction(z, 10) if rational_locations else z / 10 for z in sorted(marks)]
+    d = FiniteAtoms(atoms=tuple((z, w / total) for z, w in zip(locs, weights)))
+    delta = Fraction(tenths, 10) if rational_locations else tenths / 10
+    if rational_locations:
+        theta = Fraction(theta).limit_denominator(1000)
+    rules = [
+        mean_estimator(d, n),
+        min_shift_estimator(delta, n),
+        discrete_mle_estimator(d, delta, n),
+        constant_estimator(theta + 0.25, n),
+        _first_sample_batch_rule(n),
+    ]
+    rules.append(mixture([(rules[0], 0.25), (rules[1], 0.75)]))
+    for e in rules:
+        got = exact_quality_discrete(e, d, theta, delta, closed_interval=closed)
+        assert repr(got) == repr(_ordered_reference(e, d, theta, delta, n, closed))
+
+
+@given(rational_cases(), st.floats(-1e4, 1e4))
+def test_rational_masses_under_a_float_shift_sum_as_fractions(case, theta):
+    d, n, delta, _, closed = case
+    for e in (mean_estimator(d, n), min_shift_estimator(delta, n), _first_sample_batch_rule(n)):
+        got = exact_quality_discrete(e, d, theta, delta, closed_interval=closed)
+        assert repr(got) == repr(_ordered_reference(e, d, theta, delta, n, closed))
+
+
+def test_ordered_walk_streams_its_tuples():
+    # 10^5 ordered tuples of a rule that reads only its first sample: a list
+    # of the cases would hold some megabytes, the stream a few tuples.
+    d = FiniteAtoms(atoms=tuple((z, Fraction(1, 10)) for z in range(10)))
+    e = Estimator(label="first", fn=lambda x: x[0], n=5)
+    assert not e.symmetric
+    tracemalloc.start()
+    try:
+        got = exact_quality_discrete(e, d, 0, Fraction(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == Fraction(1, 10)
+    assert peak < 256 * 1024, peak
 
 
 def test_order_dependent_rule_walks_ordered_tuples(example_atoms):
