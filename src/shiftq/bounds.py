@@ -355,23 +355,29 @@ def _lattice_window(g, delta_scaled: Fraction, scale: int, closed: bool) -> tupl
     return (centre - reach) // den + 1, -((-centre - reach) // den) - 1
 
 
-def _observed_qualities(
+def _observed_total(
     e, d: FiniteAtoms, delta, closed: bool, shifts: list, index: dict, observed: list, scale: int
-) -> list:
-    """Exact one-sample quality at every shift of S, from one guess per observation.
+):
+    """Exact one-sample quality summed over the shifts of S, from one guess per observation.
 
     index maps scale * theta to theta's position in shifts, and observed is
     scale * (S + Z) as sorted ints. The guess g at an observation x credits
     the mass of atom z to theta = x - z when theta is in S and lies within
     delta of g. An exact guess makes that test an integer range on
     scale * theta; any other guess keeps the within_threshold decision of
-    exact_quality_discrete. The rule's parts are credited one by one and
-    combined as exact_quality_discrete combines their qualities.
+    exact_quality_discrete.
+
+    Masses are held as integer numerators over M, the lcm of their
+    denominators, so a credit is an int addition. A plain rule divides its
+    hit total once, by M. A mixture divides each shift's hits of each part by
+    M, which is that part's exact quality there, and combines the parts as
+    exact_quality_discrete does, so float weights keep their bits.
     """
-    atoms = list(zip(_scaled(d.locations, scale), d.masses))
+    mass_scale = _common_denominator(d.masses)
+    atoms = list(zip(_scaled(d.locations, scale), _scaled(d.masses, mass_scale)))
     as_int = all(type(z) is int for z in d.locations)
     delta_scaled = Fraction(delta * scale)
-    total = [0] * len(shifts)
+    qualities = [0] * len(shifts)
     for part, w in e.parts:
         q = [0] * len(shifts)
         for x in observed:
@@ -387,9 +393,10 @@ def _observed_qualities(
                     i = index.get(x - z)
                     if i is not None and within_threshold(abs(g - shifts[i]), delta, closed):
                         q[i] += m
-        # A plain rule is its only part, of weight 1, and 0 + 1*q is q: skip the per-shift sums.
-        total = q if part is e else [t + w * v for t, v in zip(total, q)]
-    return total
+        if part is e:
+            return Fraction(sum(q), mass_scale)
+        qualities = [t + w * Fraction(v, mass_scale) for t, v in zip(qualities, q)]
+    return sum(qualities)
 
 
 def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: bool = False) -> SumsetAverageBound:
@@ -405,9 +412,12 @@ def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: b
     locations and the masses are exact: S + Z is built once in integers over
     the lcm of the denominators, the rule is evaluated once per observation
     x in S + Z, and its guess credits each shift x - z in S that it lands
-    within delta of. Float laws are evaluated shift by shift with
+    within delta of. Masses are held as integer numerators over M, the lcm
+    of their denominators, and each part of the rule divides its hits once by
+    M (see _observed_total). Float laws are evaluated shift by shift with
     exact_quality_discrete, whose float band the pairing by x would not
-    reproduce.
+    reproduce. When the total and the window bound are exact, the average
+    is the rational total / |S|, a Fraction even when the total is an int.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("the averaging check needs a finite atomic law")
@@ -418,22 +428,19 @@ def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: b
     if is_exact(*locs):
         scale = _common_denominator(locs)
         scaled_shifts = _scaled(shifts, scale)
-        observed = sorted({s + z for s in scaled_shifts for z in _scaled(locs, scale)})
+        points = _scaled(locs, scale)
+        observed = sorted({s + z for s in scaled_shifts for z in points})
         grown = len(observed)
     else:
         grown = len(_float_sumset(shifts, locs))
     if is_exact(delta, *locs, *d.masses):
         index = {s: i for i, s in enumerate(scaled_shifts)}
-        qualities = _observed_qualities(e, d, delta, closed_interval, shifts, index, observed, scale)
+        total = _observed_total(e, d, delta, closed_interval, shifts, index, observed, scale)
     else:
-        qualities = [
-            exact_quality_discrete(e, d, theta, delta, closed_interval=closed_interval)
-            for theta in shifts
-        ]
-    total = sum(qualities)
+        total = sum(exact_quality_discrete(e, d, theta, delta, closed_interval=closed_interval) for theta in shifts)
     window_value = window_bound_one_sample(d, delta, closed_interval=closed_interval).value
     if is_exact(total, window_value):
-        average = total / len(shifts)
+        average = Fraction(total, len(shifts))
         bound = window_value * Fraction(grown, len(shifts))
         holds = average <= bound
     else:

@@ -248,7 +248,7 @@ def _reference_average_bound(e, d, delta, k, closed):
     window = window_bound_one_sample(d, delta, closed_interval=closed).value
     grown = len({t + z for t in shifts for z in d.locations})
     if is_exact(total, window):
-        average = total / len(shifts)
+        average = Fraction(total, len(shifts))
         bound = window * Fraction(grown, len(shifts))
         return average, bound, average <= bound
     average = float(total) / len(shifts)
@@ -308,6 +308,60 @@ def test_sumset_average_bound_matches_the_shift_by_shift_reference(data):
     e = data.draw(_one_sample_rules(d, delta, closed))
     out = sumset_average_bound(e, d, delta, k, closed_interval=closed)
     assert repr(tuple(out)) == repr(_reference_average_bound(e, d, delta, k, closed))
+
+
+def test_sumset_average_stays_rational_when_the_total_is_an_int():
+    # One atom of int mass 1: every shift is hit and the total is the int |S|.
+    one = FiniteAtoms(atoms=((0, 1),))
+    out = sumset_average_bound(discrete_mle_estimator(one, Fraction(1, 2)), one, Fraction(1, 2), 3)
+    assert repr(tuple(out)) == "(Fraction(1, 1), Fraction(1, 1), True)"
+    # A guess far from every shift hits nothing: the total is the int 0.
+    d = FiniteAtoms(atoms=((Fraction(0), Fraction(1, 3)), (Fraction(5, 2), Fraction(2, 3))))
+    out = sumset_average_bound(constant_estimator(1000, n=1), d, Fraction(3, 4), 3)
+    assert repr(out.average_quality) == "Fraction(0, 1)" and out.holds
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [((0, 1),), ((-2, Fraction(1, 4)), (3, Fraction(1, 2)), (7, Fraction(1, 4)))],
+    ids=["int mass", "fraction masses"],
+)
+@pytest.mark.parametrize("delta", [Fraction(1, 2), 1, Fraction(9, 4)])
+@pytest.mark.parametrize("closed", [False, True])
+def test_int_locations_are_observed_as_ints(atoms, delta, closed):
+    d = FiniteAtoms(atoms=atoms)
+    seen = []
+
+    def rule(x):
+        seen.append(type(x[0]))
+        v = x[0]
+        return v - Fraction(1, 4) if v % 3 < 2 else v + 1
+
+    e = Estimator(label="int table", fn=rule, n=1)
+    out = sumset_average_bound(e, d, delta, 3, closed_interval=closed)
+    assert seen and set(seen) == {int}
+    assert repr(tuple(out)) == repr(_reference_average_bound(e, d, delta, 3, closed))
+
+
+def test_float_guess_on_an_exact_law_takes_the_threshold_band():
+    # x - 1/2 in floats: the atom at 0 lands on the boundary, within the band,
+    # so it counts only under closed windows; the atom at 1/3 lands inside.
+    d = FiniteAtoms(atoms=((Fraction(0), Fraction(1, 4)), (Fraction(1, 3), Fraction(3, 4))))
+    e = Estimator(label="first-minus-half", n=1, batch_fn=lambda x: x[:, 0] - 0.5)
+    for closed, average in ((False, Fraction(3, 4)), (True, Fraction(1, 1))):
+        out = sumset_average_bound(e, d, Fraction(1, 2), 4, closed_interval=closed)
+        assert repr(out.average_quality) == repr(average)
+        assert repr(tuple(out)) == repr(_reference_average_bound(e, d, Fraction(1, 2), 4, closed))
+
+
+@pytest.mark.parametrize("count, k", [(7, 2), (6, 15)], ids=["7 points", "15^6 sums"])
+def test_sumset_average_bound_refuses_past_the_caps_before_any_evaluation(count, k):
+    calls = []
+    e = Estimator(label="counting", fn=lambda x: calls.append(x) or x[0], n=1)
+    d = FiniteAtoms(atoms=tuple((Fraction(i), Fraction(1, count)) for i in range(count)))
+    with pytest.raises(EnumerationLimitError):
+        sumset_average_bound(e, d, Fraction(1, 2), k)
+    assert calls == []
 
 
 def test_coefficient_sumset_keeps_the_point_types_and_order():

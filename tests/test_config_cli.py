@@ -308,11 +308,27 @@ def test_cli_lemma_check_with_any_one_sample_rule(tmp_path, kind):
     d, delta = cfg.distribution, cfg.delta
     rule = {"mean": estimators.mean_estimator(d, 1), "min_shift": estimators.min_shift_estimator(delta, 1)}[kind]
     shifts = coefficient_sumset(d.locations, 3)
-    average = sum(exact_quality_discrete(rule, d, theta, delta) for theta in shifts) / len(shifts)
+    average = Fraction(sum(exact_quality_discrete(rule, d, theta, delta) for theta in shifts), len(shifts))
     grown = len({s + z for s in shifts for z in d.locations})
     bound = window_bound_one_sample(d, delta).value * Fraction(grown, len(shifts))
     assert (report["average_quality"], report["bound"]) == (number_repr(average), number_repr(bound))
     assert report["holds"] is True
+
+
+@pytest.mark.parametrize(
+    "doc, average",
+    [
+        # One atom of int mass 1: the hit total is an int.
+        ({"distribution": {"family": "atoms", "points": [[0, 1]]}, "delta": "1/2", "k": 3}, "1/1"),
+        # A constant far from every shift: nothing hits, the total is the int 0.
+        ({"distribution": {"family": "atoms", "points": [["0", "1/3"], ["5/2", "2/3"]]},
+          "estimator": {"kind": "constant", "value": 1000}, "delta": "3/4", "k": 3}, "0/1"),
+    ],
+)
+def test_cli_lemma_check_writes_an_int_total_as_a_rational_average(tmp_path, doc, average):
+    out = str(tmp_path / "lemma.json")
+    assert main(["lemma-check", "--config", write(tmp_path, "l.json", json.dumps(doc)), "--out", out]) == 0
+    assert json.load(open(out))["average_quality"] == average
 
 
 def test_cli_tree_demo_emits_rational_pairs(tmp_path):
