@@ -20,7 +20,12 @@ For every workload and every end-to-end metric of BENCHMARK.json the file
 holds each side's median and quartiles (statistics.quantiles, n=4), the
 median of the per-pair ratios change/parent, the pairs the change wins (ties
 count for neither), and whether the change's median stays within the
-metric's bound of the parent's. Per side it holds whether every run read
+metric's bound of the parent's. It also states the claim rule: `spread` is
+the parent's quartile spread (q3 - q1) as a share of its median; `gain` is
+true when the change wins at least 9 pairs in 10 and its median beats the
+parent's by more than that quartile spread; `unresolved` is true when the
+spread exceeds the metric's bound and not every change run beats every
+parent run, so a shift within the bound cannot be told from noise. Per side it holds whether every run read
 `correct: true` and the share of operations that failed; then the seeds,
 both full revisions with the line count of each side's src/shiftq/*.py, and
 every raw run record. The file is rewritten after each pair, so an
@@ -133,6 +138,12 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> dict:
             change = _quartiles([c for _, c in pairs])
             shift = change["median"] / parent["median"] - 1.0 if parent["median"] else 0.0
             ratios = [c / p for p, c in pairs if p]
+            wins = sum((c < p) if lower else (c > p) for p, c in pairs)
+            gap = (parent["median"] - change["median"]) * (1 if lower else -1)
+            iqr = parent["q3"] - parent["q1"]
+            spread = iqr / parent["median"] if parent["median"] else 0.0
+            parents, changes = [p for p, _ in pairs], [c for _, c in pairs]
+            separated = max(changes) < min(parents) if lower else min(changes) > max(parents)
             metrics[name] = {
                 "unit": m["unit"],
                 "better": m["better"],
@@ -141,9 +152,12 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> dict:
                 "change": change,
                 "median_shift": shift,
                 "median_ratio": statistics.median(ratios) if ratios else None,
-                "wins": sum((c < p) if lower else (c > p) for p, c in pairs),
+                "wins": wins,
                 "pairs": len(pairs),
                 "within_bound": (shift if lower else -shift) <= m["bound"],
+                "spread": spread,
+                "gain": 10 * wins >= 9 * len(pairs) and gap > iqr,
+                "unresolved": spread > m["bound"] and not separated,
             }
         out[workload] = {"seeds": seeds, "runs": runs, "metrics": metrics}
     return out
@@ -163,15 +177,16 @@ def verdict(summary: dict) -> bool:
 
 
 def table(summary: dict) -> str:
-    """Markdown rows: medians [quartiles] per side, the median shift and the wins."""
-    lines = ["| workload | metric | parent | change | wins |", "|---|---|---|---|---|"]
+    """Markdown rows: medians [quartiles] per side, the median shift, the wins and the claim rule."""
+    lines = ["| workload | metric | parent | change | wins | spread | gain | unresolved |",
+             "|---|---|---|---|---|---|---|---|"]
     for workload, entry in summary.items():
         for name, m in entry["metrics"].items():
             p, c = m["parent"], m["change"]
             lines.append(
                 f"| {workload} | `{name}` | {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}] | "
                 f"{c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}] ({m['median_shift']:+.1%}) | "
-                f"{m['wins']}/{m['pairs']} |"
+                f"{m['wins']}/{m['pairs']} | {m['spread']:.1%} | {m['gain']} | {m['unresolved']} |"
             )
     return "\n".join(lines)
 

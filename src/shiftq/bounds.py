@@ -22,7 +22,6 @@ window bound only by the sumset growth factor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -32,7 +31,15 @@ import numpy as np
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
 from .estimators import _discrete_window_best, _window_center_batch, window_mle_estimator
 from .quality import MCConfig, exact_quality_discrete, quality_at
-from .util import EnumerationLimitError, MATCH_ATOL, is_exact, within_threshold
+from .util import (
+    _PLAIN_EXACT,
+    EnumerationLimitError,
+    MATCH_ATOL,
+    common_denominator,
+    is_exact,
+    lattice_ints,
+    within_threshold,
+)
 
 __all__ = [
     "BoundReport",
@@ -300,16 +307,6 @@ def _float_sumset(a: Sequence, b: Sequence) -> list:
     return arr[keep].tolist()
 
 
-def _common_denominator(points: Sequence) -> int:
-    """D, the lcm of the denominators of exact points; D * z is an integer for each."""
-    return math.lcm(*(z.denominator for z in points))
-
-
-def _scaled(points: Sequence, scale: int) -> list[int]:
-    """The exact points times scale, as Python ints; scale is a multiple of every denominator."""
-    return [z.numerator * (scale // z.denominator) for z in points]
-
-
 def coefficient_sumset(points: Sequence, k: int) -> list:
     """All sums of the points with integer coefficients in [0, k).
 
@@ -331,25 +328,25 @@ def coefficient_sumset(points: Sequence, k: int) -> list:
         for z in points:
             values = _float_sumset(values, [h * z for h in range(k)])
         return values
-    scale = _common_denominator(points)
+    scale = common_denominator(points)
     values = [0]
-    for z in _scaled(points, scale):
+    for z in lattice_ints(points, scale):
         values = sorted({v + h * z for v in values for h in range(k)})
     if all(type(z) is int for z in points):
         return values
     return [Fraction(v, scale) for v in values]
 
 
-def _lattice_window(g, delta_scaled: Fraction, scale: int, closed: bool) -> tuple[int, int]:
-    """The integers t with |g - t / scale| < delta (<= when closed), as lo <= t <= hi.
+def _lattice_window(p: int, q: int, a: int, b: int, closed: bool) -> tuple[int, int]:
+    """The integers t with |p / q - t| < a / b (<= when closed), as lo <= t <= hi.
 
-    g is exact and delta_scaled is delta * scale. With g = p / q and
-    delta_scaled = a / b the window's ends are (p * scale * b -+ a * q) / (q * b),
-    so floor and ceil are integer divisions.
+    p / q is a guess and a / b is delta, both in lattice units. The
+    window's ends are (p * b -+ a * q) / (q * b), so floor and ceil are
+    integer divisions.
     """
-    centre = g.numerator * scale * delta_scaled.denominator
-    reach = delta_scaled.numerator * g.denominator
-    den = g.denominator * delta_scaled.denominator
+    centre = p * b
+    reach = a * q
+    den = q * b
     if closed:
         return -((reach - centre) // den), (centre + reach) // den
     return (centre - reach) // den + 1, -((-centre - reach) // den) - 1
@@ -363,9 +360,13 @@ def _observed_total(
     index maps scale * theta to theta's position in shifts, and observed is
     scale * (S + Z) as sorted ints. The guess g at an observation x credits
     the mass of atom z to theta = x - z when theta is in S and lies within
-    delta of g. An exact guess makes that test an integer range on
-    scale * theta; any other guess keeps the within_threshold decision of
-    exact_quality_discrete.
+    delta of g. A part that carries scaled is built once as
+    part.scaled(scale) and evaluated on the observed ints, so its guess is
+    already in lattice units; any other part sees x / scale as a Fraction
+    (as an int when every location is one) and its guess is multiplied by
+    scale. An exact guess makes the test an integer range on scale * theta,
+    with delta * scale = a / b read once per call; any other guess keeps
+    the within_threshold decision of exact_quality_discrete.
 
     Masses are held as integer numerators over M, the lcm of their
     denominators, so a credit is an int addition. A plain rule divides its
@@ -373,17 +374,21 @@ def _observed_total(
     M, which is that part's exact quality there, and combines the parts as
     exact_quality_discrete does, so float weights keep their bits.
     """
-    mass_scale = _common_denominator(d.masses)
-    atoms = list(zip(_scaled(d.locations, scale), _scaled(d.masses, mass_scale)))
+    mass_scale = common_denominator(d.masses)
+    atoms = list(zip(lattice_ints(d.locations, scale), lattice_ints(d.masses, mass_scale)))
     as_int = all(type(z) is int for z in d.locations)
     delta_scaled = Fraction(delta * scale)
+    a, b = delta_scaled.numerator, delta_scaled.denominator
     qualities = [0] * len(shifts)
     for part, w in e.parts:
         q = [0] * len(shifts)
+        on_lattice = part.scaled is not None
+        rule = part.scaled(scale) if on_lattice else part
+        unit = 1 if on_lattice else scale  # lattice units per unit of the guess
         for x in observed:
-            g = part.evaluate((x if as_int else Fraction(x, scale),))
-            if is_exact(g):
-                lo, hi = _lattice_window(g, delta_scaled, scale, closed)
+            g = rule.evaluate((x if on_lattice or as_int else Fraction(x, scale),))
+            if type(g) in _PLAIN_EXACT:
+                lo, hi = _lattice_window(g.numerator * unit, g.denominator, a, b, closed)
                 for z, m in atoms:
                     theta = x - z
                     if lo <= theta <= hi and theta in index:
@@ -426,9 +431,9 @@ def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: b
     locs = list(d.locations)
     shifts = coefficient_sumset(locs, k)
     if is_exact(*locs):
-        scale = _common_denominator(locs)
-        scaled_shifts = _scaled(shifts, scale)
-        points = _scaled(locs, scale)
+        scale = common_denominator(locs)
+        scaled_shifts = lattice_ints(shifts, scale)
+        points = lattice_ints(locs, scale)
         observed = sorted({s + z for s in scaled_shifts for z in points})
         grown = len(observed)
     else:

@@ -8,6 +8,10 @@ that admit a vectorized form also carry a batch evaluator, which is what
 keeps the Monte Carlo loops fast; anything else falls back to a per-row
 Python loop.
 
+A rule built on an exact law may also carry scaled, the same rule rebuilt
+on the law scaled by an integer D, so that the exact engines can evaluate it
+on Python ints instead of Fractions.
+
 Shift equivariance is the load-bearing property here: e(x + c) = e(x) + c
 means the estimator's success probability does not depend on the unknown
 shift, so it can be measured once at shift zero.
@@ -57,6 +61,16 @@ class Estimator:
     does not depend on the order of the samples, so exact enumeration may
     visit each multiset of samples once instead of every ordering of it.
 
+    scaled, when present, rebuilds the rule on the law scaled by an integer
+    D: scaled(D) is an Estimator of the same n whose value at D*x is
+    D*evaluate(x), with the locations, delta and constants multiplied by D.
+    On int samples it returns an int or a Fraction, the guess in lattice
+    units. mean on a law with an exact mean, min_shift with an exact delta,
+    discrete_mle on exact locations and constant with an exact value set
+    it; every other rule leaves it None and the exact engines evaluate it on
+    Fractions. A mixture has none of its own: each of its parts carries its
+    own.
+
     parts are the deterministic rules it is made of, with their weights:
     ((self, 1),) for a plain rule, the components for a mixture.
     """
@@ -67,6 +81,7 @@ class Estimator:
     invariance_claim: str = NO_CLAIM
     batch_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     symmetric: bool = False
+    scaled: Callable[[int], Estimator] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool) or self.n < 1:
@@ -152,13 +167,36 @@ class RandomizedEstimator(Estimator):
         return out
 
 
+def _times(value, scale: int):
+    """value * scale for an exact value: an int when the product is whole, else a Fraction."""
+    product = Fraction(value) * scale
+    return product.numerator if product.denominator == 1 else product
+
+
+def _lattice_rule(label: str, n: int, claim: str, make_fn) -> Callable[[int], Estimator]:
+    """A builder's scaled: scaled(D) is the symmetric rule with fn make_fn(D) and this label, n and claim."""
+    return lambda scale: Estimator(label=label, fn=make_fn(scale), n=n, invariance_claim=claim, symmetric=True)
+
+
 def mean_estimator(d: Distribution, n: int) -> Estimator:
-    """Mean of n samples recentred by the base law's mean. Shift equivariant."""
+    """Mean of n samples recentred by the base law's mean. Shift equivariant.
+
+    An int sum is divided as a Fraction, so int samples keep an exact mean;
+    float samples keep their float division. With an exact mean mu the rule
+    on the scale-D lattice is (sum(X) * q - n * p) / (n * q), where
+    D * mu = p / q: one Fraction per evaluation.
+    """
     mu = d.expected_value()
     mu_f = float(mu)
 
     def fn(x):
-        return sum(x) / len(x) - mu
+        total = sum(x)
+        return Fraction(total, len(x)) - mu if type(total) is int else total / len(x) - mu
+
+    def on_lattice(scale):
+        shift = Fraction(mu) * scale
+        p, q = shift.numerator, shift.denominator
+        return lambda x: Fraction(sum(x) * q - len(x) * p, len(x) * q)
 
     return Estimator(
         label="mean",
@@ -167,6 +205,7 @@ def mean_estimator(d: Distribution, n: int) -> Estimator:
         invariance_claim=SHIFT_INVARIANT,
         batch_fn=lambda x: sum_columns(x.T) / x.shape[1] - mu_f,
         symmetric=True,
+        scaled=_lattice_rule("mean", n, SHIFT_INVARIANT, on_lattice) if is_exact(mu) else None,
     )
 
 
@@ -363,17 +402,23 @@ def window_mle_estimator(d: ContinuousDistribution, delta: float, n: int) -> Est
 def min_shift_estimator(delta, n: int) -> Estimator:
     """Smallest of n samples minus delta; matched to laws decreasing on [0, inf)."""
     delta_f = float(delta)
+    label = f"min_shift(delta={delta_f:g})"
 
     def fn(x):
         return min(x) - delta
 
+    def on_lattice(scale):
+        shift = _times(delta, scale)
+        return lambda x: min(x) - shift
+
     return Estimator(
-        label=f"min_shift(delta={delta_f:g})",
+        label=label,
         fn=fn,
         n=n,
         invariance_claim=SHIFT_INVARIANT,
         batch_fn=lambda x: reduce(np.minimum, x.T) - delta_f,
         symmetric=True,
+        scaled=_lattice_rule(label, n, SHIFT_INVARIANT, on_lattice) if is_exact(delta) else None,
     )
 
 
@@ -408,6 +453,35 @@ def _discrete_window_best(d: FiniteAtoms, delta, closed_interval: bool):
     return best_mass, best_center
 
 
+_NO_SHIFT = "no shift places every sample on an atom of the base law"
+
+
+def _shift_recovery(locs: Sequence, center):
+    """The exact recovery rule on exact atom locations with distinct pairwise distances.
+
+    The gaps v - x_1 are taken once. The first nonzero gap equals z_j - z_i
+    for exactly one atom pair, so x_1 sits on atom z_i and the estimate is
+    x_1 - z_i; every gap must then be one of the b - z_i, a set built per
+    atom here. All-equal samples give x_1 - center.
+    """
+    lower_atom = {b - a: a for a in locs for b in locs if a != b}
+    # offsets[z]: every b - z, the gap from a sample on atom z to one on atom b.
+    offsets = {z: frozenset(b - z for b in locs) for z in locs}
+
+    def recover(x):
+        first = x[0]
+        gaps = [v - first for v in x[1:]]
+        step = next((g for g in gaps if g), None)
+        if step is None:
+            return first - center
+        z = lower_atom.get(step)
+        if z is not None and all(g in offsets[z] for g in gaps):
+            return first - z
+        raise ValueError(_NO_SHIFT)
+
+    return recover
+
+
 def discrete_mle_estimator(d: FiniteAtoms, delta, n: int = 1, *, closed_interval: bool = False) -> Estimator:
     """The atom rule: the window rule on one sample, exact shift recovery on several.
 
@@ -419,14 +493,15 @@ def discrete_mle_estimator(d: FiniteAtoms, delta, n: int = 1, *, closed_interval
     two distinct sample values pin the shift uniquely: subtracting a
     candidate atom from the first sample must land every sample back on an
     atom. All-equal samples fall back to the window rule. On exact inputs
-    the gaps v - x_1 are taken once. The first nonzero gap equals z_j - z_i
-    for exactly one atom pair, because the signed differences of distinct
-    atoms are distinct, so x_1 sits on atom z_i and the shift is x_1 - z_i.
-    Every gap must then be one of the b - z_i, a set built per atom with the
-    rule: n subtractions per tuple in all. Float inputs try each atom in
-    turn and match within MATCH_ATOL, or four float spacings of the sample
-    where those are coarser: a sample far from zero carries the rounding of
-    its shift.
+    the signed differences of distinct atoms are distinct, so the first
+    nonzero gap names the atom under x_1 (see _shift_recovery): n
+    subtractions per tuple in all. Float inputs try each atom in turn and
+    match within MATCH_ATOL, or four float spacings of the sample where
+    those are coarser: a sample far from zero carries the rounding of its
+    shift.
+
+    On exact locations the rule carries scaled: both branches rebuilt on the
+    locations and the centre times D, the recovery maps keyed by those ints.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("discrete_mle needs a finite atomic law")
@@ -436,24 +511,30 @@ def discrete_mle_estimator(d: FiniteAtoms, delta, n: int = 1, *, closed_interval
         raise ValueError("delta must be positive")
     center = _discrete_window_best(d, delta, closed_interval)[1]
     center_f = float(center)
+    locs = d.locations
+    exact_locs = is_exact(*locs)
     if n == 1:
+        label = f"discrete_window(center={center_f:g})"
+
+        def window_on_lattice(scale):
+            shift = _times(center, scale)
+            return lambda x: x[0] - shift
+
         return Estimator(
-            label=f"discrete_window(center={center_f:g})",
+            label=label,
             fn=lambda x: x[0] - center,
             n=1,
             invariance_claim=SHIFT_INVARIANT,
             batch_fn=lambda x: x[:, 0] - center_f,
             symmetric=True,
+            scaled=_lattice_rule(label, 1, SHIFT_INVARIANT, window_on_lattice) if exact_locs else None,
         )
 
-    locs = d.locations
-    exact_locs = is_exact(*locs)
     distances = sorted(b - a for i, a in enumerate(locs) for b in locs[i + 1 :])
     if any(hi - lo <= (0 if exact_locs else MATCH_ATOL) for lo, hi in zip(distances, distances[1:])):
         raise ValueError("atom locations must have distinct pairwise distances")
-    lower_atom = {b - a: a for a in locs for b in locs if a != b}
-    # offsets[z]: every b - z, the gap from a sample on atom z to one on atom b.
-    offsets = {z: frozenset(b - z for b in locs) for z in locs}
+    label = f"discrete_exact(n={n})"
+    recover = _shift_recovery(locs, center) if exact_locs else None
 
     def matches_atom(sample, candidate):
         value = float(sample - candidate)
@@ -463,28 +544,25 @@ def discrete_mle_estimator(d: FiniteAtoms, delta, n: int = 1, *, closed_interval
     def fn(x):
         first = x[0]
         if exact_locs and is_exact(*x):
-            gaps = [v - first for v in x[1:]]
-            step = next((g for g in gaps if g), None)
-            if step is None:
-                return first - center
-            z = lower_atom.get(step)
-            if z is not None and all(g in offsets[z] for g in gaps):
-                return first - z
-        elif all(abs(float(v) - float(first)) <= MATCH_ATOL for v in x):
+            return recover(x)
+        if all(abs(float(v) - float(first)) <= MATCH_ATOL for v in x):
             return first - center
-        else:
-            for z in locs:
-                candidate = first - z
-                if all(matches_atom(v, candidate) for v in x):
-                    return candidate
-        raise ValueError("no shift places every sample on an atom of the base law")
+        for z in locs:
+            candidate = first - z
+            if all(matches_atom(v, candidate) for v in x):
+                return candidate
+        raise ValueError(_NO_SHIFT)
+
+    def recovery_on_lattice(scale):
+        return _shift_recovery([_times(z, scale) for z in locs], _times(center, scale))
 
     return Estimator(
-        label=f"discrete_exact(n={n})",
+        label=label,
         fn=fn,
         n=n,
         invariance_claim=SHIFT_INVARIANT,
         symmetric=True,
+        scaled=_lattice_rule(label, n, SHIFT_INVARIANT, recovery_on_lattice) if exact_locs else None,
     )
 
 
@@ -516,13 +594,20 @@ def invariant_extension(f0: Callable[[tuple], object], n: int) -> Estimator:
 def constant_estimator(value, n: int) -> Estimator:
     """Always guesses the same point from n samples; the canonical non-equivariant baseline."""
     value_f = float(value)
+    label = f"constant({value_f:g})"
+
+    def on_lattice(scale):
+        guess = _times(value, scale)
+        return lambda x: guess
+
     return Estimator(
-        label=f"constant({value_f:g})",
+        label=label,
         fn=lambda x: value,
         n=n,
         invariance_claim=NO_CLAIM,
         batch_fn=lambda x: np.full(x.shape[0], value_f),
         symmetric=True,
+        scaled=_lattice_rule(label, n, NO_CLAIM, on_lattice) if is_exact(value) else None,
     )
 
 

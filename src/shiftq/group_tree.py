@@ -14,12 +14,13 @@ reduced words to a word. Everything here is exact; qualities are Fractions.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .estimators import Estimator
-from .util import EnumerationLimitError
+from .util import EnumerationLimitError, common_denominator, lattice_ints
 
 __all__ = [
     "GENERATORS",
@@ -46,8 +47,20 @@ IDENTITY = ""
 _BALL_CAP = 1_000_000
 
 
+_NOT_A_LETTER = re.compile(f"[^{GENERATORS}]")
+_REPEATED_LETTER = re.compile(r"(.)\1")
+
+
 def _check_word(w: str) -> str:
-    if reduce_word(w) != w:
+    """w itself when it is a reduced word; raises what reduce_word raises on a stray letter.
+
+    Two scans and no rebuilt word: the first letter outside GENERATORS, then
+    any letter written twice in a row.
+    """
+    stray = _NOT_A_LETTER.search(w)
+    if stray:
+        raise ValueError(f"letter {stray.group()!r} is not one of {GENERATORS!r}")
+    if _REPEATED_LETTER.search(w):
         raise ValueError(f"word {w!r} is not reduced")
     return w
 
@@ -138,6 +151,13 @@ class TreeDistribution:
             raise ValueError(f"atom masses sum to {total}, expected 1")
         object.__setattr__(self, "atoms", atoms)
 
+    @functools.cached_property
+    def _numerators(self) -> tuple[tuple[tuple[str, int], ...], int]:
+        """((word, M * mass), ...) and M, the lcm of the mass denominators."""
+        words, masses = zip(*self.atoms)
+        scale = common_denominator(masses)
+        return tuple(zip(words, lattice_ints(masses, scale))), scale
+
 
 def standard_tree_distribution() -> TreeDistribution:
     """Equal mass 1/3 on each single-letter word."""
@@ -184,17 +204,19 @@ def exact_quality_tree(e: Estimator, mu: TreeDistribution, theta: str, delta: Fr
     e is a one-sample rule on reduced words, as the builders above make; its
     words were checked when it was built. delta must lie strictly between 0
     and 1; distances are integers, so success is exact equality with the
-    shift.
+    shift. The masses of the atoms that hit are added as integer numerators
+    over M, the lcm of their denominators (cached on mu), and divided once.
     """
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
     _check_word(theta)
-    total = Fraction(0)
-    for z, m in mu.atoms:
+    atoms, scale = mu._numerators
+    total = 0
+    for z, m in atoms:
         if e.fn((_mul(theta, z),)) == theta:
             total += m
-    return total
+    return Fraction(total, scale)
 
 
 def quality_inf_ball(

@@ -44,7 +44,9 @@ from .util import (
     _PLAIN_EXACT,
     EnumerationLimitError,
     InvarianceError,
+    common_denominator,
     is_exact,
+    lattice_ints,
     within_threshold,
     within_threshold_array,
 )
@@ -251,15 +253,22 @@ def exact_quality_discrete(e, d: FiniteAtoms, theta, delta, *, closed_interval: 
     law, walks the ordered tuples. Float sums depend on their order, which
     is why float laws keep the ordered walk.
 
+    When theta, delta and the locations are exact, a part that carries
+    scaled (see estimators.Estimator) is evaluated on the integer lattice:
+    D is the lcm of the denominators of theta, delta and the locations, the
+    points are the ints D*(theta + z), the part's scaled(D) is built once
+    per call, and its guess, in lattice units, hits when D*(theta - delta) <
+    g < D*(theta + delta) (<= under closed_interval), both ends ints. A part
+    without scaled (invariant_extension, a float constant, a batch-only
+    rule) sees the Fraction points theta + z and the ends theta -+ delta.
+
     Exact masses are held as integer numerators over M, the lcm of their
     denominators: a hit adds ways * prod(M * m_i) as an int, and the sum is
     divided once, by M^n. Nothing hit gives the int 0; otherwise the value is
     a Fraction (an int if every mass is an int). Any other masses are
     multiplied and summed as they are, in enumeration order.
 
-    With theta and delta exact, an exact guess g hits when theta - delta <
-    g < theta + delta (<= under closed_interval), both ends computed once. A
-    float guess goes through within_threshold. On a float law its boundary
+    A float guess goes through within_threshold. On a float law its boundary
     band is widened from BOUNDARY_TOL to 4*n float spacings of the largest
     |sample|: adding theta to the samples and taking it away again rounds at
     that scale (n times over for a rule that sums its samples), so a
@@ -279,12 +288,18 @@ def exact_quality_discrete(e, d: FiniteAtoms, theta, delta, *, closed_interval: 
         reach = abs(float(theta)) + max(abs(float(z)) for z in locs)
         band = max(band, 4 * n * math.ulp(reach))
     interval = is_exact(theta, delta)
+    lo = hi = None
     if interval:
         lo, hi = theta - delta, theta + delta
+    lattice = interval and is_exact(*locs)
+    if lattice:
+        scale = common_denominator((theta, delta, *locs))
+        lattice_points = lattice_ints(points, scale)
+        lattice_lo, lattice_hi = lattice_ints((lo, hi), scale)
     numerators = all(type(m) in _PLAIN_EXACT for m in masses)
     if numerators:
-        scale = math.lcm(*(m.denominator for m in masses))
-        weight = tuple(m.numerator * (scale // m.denominator) for m in masses)
+        mass_scale = common_denominator(masses)
+        weight = lattice_ints(masses, mass_scale)
     else:
         weight = masses
     # A Fraction only when some mass is one: int masses (one atom of mass 1) sum to an int.
@@ -303,17 +318,21 @@ def exact_quality_discrete(e, d: FiniteAtoms, theta, delta, *, closed_interval: 
             if r**n > _EXACT_ENUM_CAP:
                 raise EnumerationLimitError(f"{r}^{n} sample tuples exceed the cap of {_EXACT_ENUM_CAP}")
             cases = itertools.product(range(r), repeat=n)
+        if lattice and part.scaled is not None:
+            rule, at, low, high = part.scaled(scale), lattice_points, lattice_lo, lattice_hi
+        else:
+            rule, at, low, high = part, points, lo, hi
         total = 0
         for idx in cases:
-            g = part.evaluate(tuple([points[i] for i in idx]))
+            g = rule.evaluate(tuple([at[i] for i in idx]))
             if interval and type(g) in _PLAIN_EXACT:
-                hit = lo <= g <= hi if closed_interval else lo < g < hi
+                hit = low <= g <= high if closed_interval else low < g < high
             else:
                 hit = within_threshold(abs(g - theta), delta, closed_interval, band=band)
             if hit:
                 ways = _orderings(idx) if multisets else 1
                 total += math.prod([weight[i] for i in idx], start=ways)
-        return Fraction(total, scale**n) if total and fraction_sum else total
+        return Fraction(total, mass_scale**n) if total and fraction_sum else total
 
     return sum(w * hit_mass(part) for part, w in e.parts)
 

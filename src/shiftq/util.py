@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 
@@ -37,6 +38,16 @@ def is_exact(*values) -> bool:
     times slower and this runs once per enumerated sample tuple.
     """
     return all(type(v) in _PLAIN_EXACT or isinstance(v, Rational) for v in values)
+
+
+def common_denominator(values) -> int:
+    """D, the lcm of the denominators of exact values; D * v is an integer for each."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def lattice_ints(values, scale: int) -> list[int]:
+    """The exact values times scale, as Python ints; scale is a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def parse_number(value):

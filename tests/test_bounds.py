@@ -19,6 +19,7 @@ from shiftq import (
     constant_estimator,
     discrete_mle_estimator,
     exact_quality_discrete,
+    mean_estimator,
     min_shift_estimator,
     packing_bound_discrete,
     packing_bound_halfline,
@@ -281,7 +282,8 @@ def _table_rule(offset, modulus):
 @st.composite
 def _one_sample_rules(draw, d, delta, closed):
     """A one-sample rule: exact or float table rules, constants, discrete_mle, or mixtures of them."""
-    kind = draw(st.sampled_from(["table", "float table", "mle", "constant", "float constant", "mixture"]))
+    kinds = ["table", "float table", "mle", "mean", "min_shift", "constant", "float constant", "mixture"]
+    kind = draw(st.sampled_from(kinds))
     offset = Fraction(draw(st.integers(-40, 40)), 8)
     modulus = Fraction(draw(st.integers(2, 12)), 2)
     value = Fraction(draw(st.integers(-60, 60)), 6)
@@ -291,6 +293,10 @@ def _one_sample_rules(draw, d, delta, closed):
         return _table_rule(float(offset), float(modulus))
     if kind == "mle":
         return discrete_mle_estimator(d, delta, closed_interval=closed)
+    if kind == "mean":
+        return mean_estimator(d, 1)
+    if kind == "min_shift":
+        return min_shift_estimator(delta, 1)
     if kind == "constant":
         return constant_estimator(value, n=1)
     if kind == "float constant":
@@ -341,6 +347,27 @@ def test_int_locations_are_observed_as_ints(atoms, delta, closed):
     out = sumset_average_bound(e, d, delta, 3, closed_interval=closed)
     assert seen and set(seen) == {int}
     assert repr(tuple(out)) == repr(_reference_average_bound(e, d, delta, 3, closed))
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_a_rule_with_scaled_sees_the_observed_ints(closed):
+    # Locations over 6 and delta 1/4: the observations are 6 * (S + Z) and
+    # the scaled rule, built once, sees those ints and answers in the same units.
+    atoms = ((Fraction(0), Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 6)), (Fraction(5, 3), Fraction(1, 2)))
+    d = FiniteAtoms(atoms=atoms)
+    delta = Fraction(1, 4)
+    plain = discrete_mle_estimator(d, delta, closed_interval=closed)
+    built, seen = [], []
+
+    def scaled(scale):
+        built.append(scale)
+        rule = plain.scaled(scale)
+        return Estimator(label=rule.label, fn=lambda x: seen.extend(x) or rule.fn(x), n=1)
+
+    e = Estimator(label=plain.label, fn=lambda x: 1 / 0, n=1, scaled=scaled)
+    out = sumset_average_bound(e, d, delta, 3, closed_interval=closed)
+    assert built == [6] and seen and {type(v) for v in seen} == {int}
+    assert repr(tuple(out)) == repr(_reference_average_bound(plain, d, delta, 3, closed))
 
 
 def test_float_guess_on_an_exact_law_takes_the_threshold_band():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -339,6 +340,91 @@ def test_anchored_gap_check_matches_the_candidate_check(case):
         assert str(got.value) == str(exc)
     else:
         assert repr(e.evaluate(x)) == repr(want)
+
+
+def _times(value, scale):
+    product = Fraction(value) * scale
+    assert product.denominator == 1, "scale must clear every denominator"
+    return int(product)
+
+
+@given(recovery_cases(), st.integers(1, 6), st.fractions(-50, 50, max_denominator=12))
+def test_scaled_rule_is_the_rule_times_the_scale(case, factor, value):
+    """e.scaled(D).evaluate(D * x) == D * e.evaluate(x) for every builder that sets scaled.
+
+    D is a random multiple of every denominator in sight, so D * x are ints;
+    a sample off the atoms raises the same "no shift" error on both sides.
+    """
+    d, delta, x, closed = case
+    n = len(x)
+    denominators = (Fraction(v).denominator for v in (delta, value, *d.locations, *x))
+    scale = factor * math.lcm(*denominators)
+    window = discrete_mle_estimator(d, delta, 1, closed_interval=closed)
+    cases = [
+        (mean_estimator(d, n), x),
+        (min_shift_estimator(delta, n), x),
+        (constant_estimator(value, n), x),
+        (discrete_mle_estimator(d, delta, n, closed_interval=closed), x),
+        (window, x[:1]),
+    ]
+    for e, sample in cases:
+        s = e.scaled(scale)
+        assert (s.label, s.n, s.invariance_claim, s.symmetric) == (e.label, e.n, e.invariance_claim, e.symmetric)
+        lattice = tuple(_times(v, scale) for v in sample)
+        try:
+            want = e.evaluate(sample)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                s.evaluate(lattice)
+            assert str(got.value) == str(exc)
+        else:
+            got = s.evaluate(lattice)
+            assert type(got) in (int, Fraction) and got == scale * want
+
+
+def test_scaled_recovery_refuses_samples_off_the_atoms(example_atoms):
+    e = discrete_mle_estimator(example_atoms, Fraction(3, 4), 3).scaled(20)
+    assert e.evaluate((20, 40, 220)) == 20  # atoms 0, 1 and 10 at shift 1, times 20
+    for samples in ((0, 20, 100), (100, 20, 0), (0, 1, 200)):
+        with pytest.raises(ValueError, match="no shift places every sample on an atom"):
+            e.evaluate(samples)
+
+
+def test_only_rules_with_exact_constants_carry_scaled(example_atoms):
+    float_atoms = FiniteAtoms(atoms=((0.0, 0.5), (1.0, 0.5)))
+    float_masses = FiniteAtoms(atoms=((Fraction(0), 0.5), (Fraction(1), 0.5)))
+    with_scaled = [
+        mean_estimator(example_atoms, 2),
+        min_shift_estimator(Fraction(1, 4), 2),
+        constant_estimator(3, 1),
+        discrete_mle_estimator(example_atoms, Fraction(3, 4), 1),
+        discrete_mle_estimator(float_masses, 0.25, 1),  # the window centre comes from the locations
+        discrete_mle_estimator(example_atoms, Fraction(3, 4), 2),
+    ]
+    assert all(e.scaled is not None for e in with_scaled)
+    without = [
+        mean_estimator(Gaussian(0.0, 1.0), 2),
+        mean_estimator(float_masses, 2),
+        min_shift_estimator(0.25, 2),
+        constant_estimator(0.5, 1),
+        discrete_mle_estimator(float_atoms, 0.25, 1),
+        discrete_mle_estimator(float_atoms, 0.25, 2),
+        invariant_extension(lambda x0: 0, 1),
+        window_mle_estimator(Gaussian(0.0, 1.0), 0.5, 1),
+        mixture([(with_scaled[0], 0.5), (with_scaled[5], 0.5)]),
+    ]
+    assert all(e.scaled is None for e in without)
+
+
+def test_mean_of_int_samples_stays_rational():
+    d = FiniteAtoms(atoms=((0, Fraction(1, 3)), (1, Fraction(1, 3)), (3, Fraction(1, 3))))
+    e = mean_estimator(d, 2)
+    got = e.evaluate((0, 1))
+    assert type(got) is Fraction and got == Fraction(-5, 6)
+    assert type(e.evaluate((3, 4))) is Fraction
+    # Float samples keep their float division, bit for bit.
+    assert repr(e.evaluate((0.0, 1.0))) == repr(0.5 - float(Fraction(4, 3)))
+    assert repr(mean_estimator(Gaussian(0.25, 1.0), 3).evaluate((1, 2, 4))) == repr(7 / 3 - 0.25)
 
 
 def test_discrete_n_sample_requires_distinct_distances():

@@ -430,6 +430,58 @@ def test_rational_masses_under_a_float_shift_sum_as_fractions(case, theta):
         assert repr(got) == repr(_ordered_reference(e, d, theta, delta, n, closed))
 
 
+@st.composite
+def lattice_cases(draw):
+    """A rational case whose shift may be huge: 10**9 + 1/11 and the like."""
+    d, n, delta, _, closed = draw(rational_cases())
+    base = draw(st.sampled_from((0, 10**9, -(10**12), 10**18)))
+    theta = base + Fraction(draw(st.integers(-300, 300)), draw(st.sampled_from((1, 3, 7, 11, 13))))
+    return d, n, delta, theta, closed
+
+
+@given(lattice_cases())
+def test_lattice_enumeration_matches_the_plain_fraction_walk(case):
+    d, n, delta, theta, closed = case
+    mean = mean_estimator(d, n)
+    anchored = invariant_extension(lambda x0: Fraction(sum(x0), len(x0)), n=n)  # no scaled: Fractions
+    rules = [
+        mean,
+        min_shift_estimator(delta, n),
+        discrete_mle_estimator(d, delta, n, closed_interval=closed),
+        constant_estimator(theta + Fraction(1, 3), n=n),
+        constant_estimator(float(theta) + 0.5, n=n),
+        anchored,
+        _first_sample_batch_rule(n),
+    ]
+    rules.append(mixture([(mean, Fraction(1, 3)), (anchored, Fraction(1, 6)), (rules[1], Fraction(1, 2))]))
+    for e in rules:
+        got = exact_quality_discrete(e, d, theta, delta, closed_interval=closed)
+        assert repr(got) == repr(_ordered_reference(e, d, theta, delta, n, closed))
+
+
+def test_a_rule_with_scaled_is_enumerated_on_ints_and_built_once_per_call():
+    d = FiniteAtoms(atoms=((Fraction(0), Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 4))))
+    theta, delta = Fraction(1, 3), Fraction(1, 4)
+    built, seen = [], []
+
+    def scaled(scale):
+        built.append(scale)
+
+        def fn(x):
+            seen.extend(x)
+            return min(x) - scale * delta
+
+        return Estimator(label="min", fn=fn, n=2, symmetric=True)
+
+    e = Estimator(label="min", fn=lambda x: 1 / 0, n=2, symmetric=True, scaled=scaled)
+    # Every guess min(x) - delta lies exactly delta from theta: at -1/4 when
+    # some sample sits on atom 0, at +1/4 when both sit on atom 1/2.
+    assert exact_quality_discrete(e, d, theta, delta) == 0
+    assert exact_quality_discrete(e, d, theta, delta, closed_interval=True) == 1
+    assert built == [12, 12]  # the lcm of 3, 4 and 2, once per call
+    assert {type(v) for v in seen} == {int} and set(seen) == {4, 10}  # 12 * (1/3 + 0), 12 * (1/3 + 1/2)
+
+
 def test_ordered_walk_streams_its_tuples():
     # 10^5 ordered tuples of a rule that reads only its first sample: a list
     # of the cases would hold some megabytes, the stream a few tuples.

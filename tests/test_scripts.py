@@ -86,6 +86,28 @@ def test_bench_pairs_summary_on_synthetic_runs():
     assert not bench_pairs.verdict(bench_pairs.summarize(wrong, end_to_end))
     assert "| mc | `wall_s` | 1.0000 [" in bench_pairs.table(summary)
 
+    # The claim rule: the parent's quartile spread, gain and unresolved.
+    assert abs(wall["spread"] - 0.4) < 1e-12  # quartiles 0.8 and 1.2 around the median 1.0
+    assert not wall["gain"] and wall["unresolved"]  # 2 wins of 3; spread above the bound, runs overlap
+    assert quality["spread"] == 0.0 and not quality["gain"] and not quality["unresolved"]
+    assert "| 2/3 | 40.0% | False | True |" in bench_pairs.table(summary)
+
+    def paired(parents, changes):
+        return [rec for seed, (p, c) in enumerate(zip(parents, changes))
+                for rec in (run("parent", seed, p, 0.4), run("change", seed, c, 0.4))]
+
+    def claim(parents, changes):
+        m = bench_pairs.summarize(paired(parents, changes), end_to_end)["mc"]["metrics"]["wall_s"]
+        return m["gain"], m["unresolved"]
+
+    tight = [1.0 + 0.01 * i for i in range(10)]
+    assert claim(tight, [0.8 * p for p in tight[:9]] + [2.0]) == (True, False)  # 9 of 10, gap 0.2 > 0.05
+    assert claim(tight, [0.8 * p for p in tight[:8]] + [2.0, 2.0]) == (False, False)  # 8 of 10
+    wide = [1.0 + 0.1 * i for i in range(10)]
+    assert claim(wide, [p - 0.01 for p in wide]) == (False, True)  # 10 of 10, gap 0.01 < spread
+    assert claim(wide, [0.5 + 0.01 * i for i in range(10)]) == (True, False)  # every change run below every parent
+    assert bench_pairs.verdict(bench_pairs.summarize(paired(wide, [p - 0.01 for p in wide]), end_to_end))
+
 
 def test_bench_pairs_main_keeps_what_the_scratch_directory_holds(tmp_path, monkeypatch, capsys):
     import io
