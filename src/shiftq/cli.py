@@ -223,7 +223,9 @@ def _tree_comparison(radius: int, word_radius: int) -> _TreeComparison:
 
     Each rule is scored over the radius ball. The truncation table is the
     full sweep quality_inf_ball would make: min keeps the first minimiser in
-    ball order, as the sweep does.
+    ball order, as the sweep does. The translates are scored by
+    max_quality_inf_ball, which stops a rule's sweep once the rule cannot
+    raise the largest minimum found before it; the maximum stays exact.
     """
     mu = group_tree.standard_tree_distribution()
     trunc = group_tree.truncation_estimator()
@@ -233,11 +235,11 @@ def _tree_comparison(radius: int, word_radius: int) -> _TreeComparison:
     ]
     argmin, global_q = min(rows, key=lambda row: row[1])
     translates = [
-        group_tree.quality_inf_ball(make(word), mu, _TREE_DELTA, radius)[0]
+        make(word)
         for word in group_tree.ball(word_radius)
         for make in (group_tree.left_translate_estimator, group_tree.right_translate_estimator)
     ]
-    translate_max = max(translates)
+    translate_max = group_tree.max_quality_inf_ball(translates, mu, _TREE_DELTA, radius)
     holds = global_q == Fraction(2, 3) and translate_max <= Fraction(1, 3)
     return _TreeComparison(rows, argmin, global_q, translate_max, len(translates), holds)
 
@@ -251,8 +253,14 @@ def _run_tree_demo(args) -> int:
     for theta, q in rows[:7]:
         label = theta if theta else "(identity)"
         print(f"  theta={label:<10}  q={number_repr(q)}")
-    if len(rows) > 7:
-        print(f"  ... {len(rows) - 7} more shifts, every remaining q = {number_repr(rows[-1][1])}")
+    rest = [q for _, q in rows[7:]]
+    if rest and all(q == rest[0] for q in rest):
+        print(f"  ... {len(rest)} more shifts, every remaining q = {number_repr(rest[0])}")
+    elif rest:
+        print(
+            f"  ... {len(rest)} more shifts, remaining q from {number_repr(min(rest))} "
+            f"to {number_repr(max(rest))}"
+        )
     print(f"global quality: {number_repr(tree.truncation_quality)} (at theta={tree.argmin or '(identity)'})")
     print(
         f"best translate quality over {tree.translate_count} estimators (|w| <= 4): "

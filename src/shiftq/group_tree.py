@@ -17,7 +17,7 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .estimators import Estimator
 from .util import EnumerationLimitError, common_denominator, lattice_ints
@@ -39,6 +39,7 @@ __all__ = [
     "evaluate_tree_estimator",
     "exact_quality_tree",
     "quality_inf_ball",
+    "max_quality_inf_ball",
 ]
 
 GENERATORS = "abc"
@@ -112,10 +113,16 @@ def ball(radius: int) -> tuple[str, ...]:
 
     Each radius is built once per process; the result is a tuple, so the
     cached ball cannot be changed by a caller. The cap keeps the cache small:
-    radii past it raise, and errors are not cached.
+    the ball has 1 + 3 + 6 + ... + 3*2^(radius-1) = 3*2^radius - 2 words, and
+    a radius whose ball would exceed the cap raises before any word is built.
+    Errors are not cached.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    # 3*2^radius - 2 > cap once 2^radius > cap; testing that first keeps a
+    # huge radius from building a huge power.
+    if radius >= _BALL_CAP.bit_length() or 3 * 2**radius - 2 > _BALL_CAP:
+        raise EnumerationLimitError(f"ball exceeds {_BALL_CAP} words")
     words = [IDENTITY]
     frontier = [IDENTITY]
     for _ in range(radius):
@@ -126,8 +133,6 @@ def ball(radius: int) -> tuple[str, ...]:
                     nxt.append(w + ch)
         words.extend(nxt)
         frontier = nxt
-        if len(words) > _BALL_CAP:
-            raise EnumerationLimitError(f"ball exceeds {_BALL_CAP} words")
     return tuple(words)
 
 
@@ -204,11 +209,15 @@ def exact_quality_tree(e: Estimator, mu: TreeDistribution, theta: str, delta: Fr
     e is a one-sample rule on reduced words, as the builders above make; its
     words were checked when it was built. delta must lie strictly between 0
     and 1; distances are integers, so success is exact equality with the
-    shift. The masses of the atoms that hit are added as integer numerators
-    over M, the lcm of their denominators (cached on mu), and divided once.
+    shift. A delta that is not a Fraction is converted first; the test reads
+    its numerator and denominator (the denominator is always positive), so a
+    Fraction delta builds no new Fraction. The masses of the atoms that hit
+    are added as integer numerators over M, the lcm of their denominators
+    (cached on mu), and divided once.
     """
-    delta = Fraction(delta)
-    if not 0 < delta < 1:
+    if not isinstance(delta, Fraction):
+        delta = Fraction(delta)
+    if not 0 < delta.numerator < delta.denominator:
         raise ValueError("delta must lie strictly between 0 and 1")
     _check_word(theta)
     atoms, scale = mu._numerators
@@ -220,7 +229,7 @@ def exact_quality_tree(e: Estimator, mu: TreeDistribution, theta: str, delta: Fr
 
 
 def quality_inf_ball(
-    e: Estimator, mu: TreeDistribution, delta: Fraction, radius: int
+    e: Estimator, mu: TreeDistribution, delta: Fraction, radius: int, floor: Fraction = 0
 ) -> tuple[Fraction, str]:
     """Minimum exact quality over all shifts in the radius ball, and its first shift.
 
@@ -229,10 +238,13 @@ def quality_inf_ball(
     radius >= 2 already equals the infimum over the whole group.
 
     The sweep goes through the ball in breadth-first order and stops at the
-    first shift whose quality is 0. A quality is a sum of positive atom
+    first shift whose quality is at or below floor. With the default floor
+    0 that is the first zero quality: a quality is a sum of positive atom
     masses, so no later shift can go lower, and since only a strictly lower
     quality replaces the minimiser, the result is the one the full sweep
-    gives.
+    gives. A caller passing a floor above 0 gets the full sweep's result
+    when no shift is at or below the floor, and otherwise a quality at or
+    below the floor (with its shift), which may lie above the true minimum.
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")
@@ -243,6 +255,22 @@ def quality_inf_ball(
         if best_q is None or q < best_q:
             best_q = q
             best_theta = theta
-            if q == 0:
+            if q <= floor:
                 break
     return best_q, best_theta
+
+
+def max_quality_inf_ball(
+    rules: Iterable[Estimator], mu: TreeDistribution, delta: Fraction, radius: int
+) -> Fraction:
+    """The largest of the rules' ball minima (quality_inf_ball), 0 for no rules.
+
+    Each rule's sweep gets the largest minimum found so far as its floor: once
+    the rule's running minimum is at or below it, the rule cannot raise the
+    maximum, and its sweep stops. A sweep that does not stop gives the rule's
+    exact minimum, so the result is the maximum the full sweeps give.
+    """
+    best = Fraction(0)
+    for e in rules:
+        best = max(best, quality_inf_ball(e, mu, delta, radius, best)[0])
+    return best

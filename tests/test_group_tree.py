@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,8 @@ from shiftq import (
 )
 from shiftq import cli, group_tree
 from shiftq.estimators import Estimator
-from shiftq.group_tree import evaluate_tree_estimator
+from shiftq.group_tree import evaluate_tree_estimator, max_quality_inf_ball
+from shiftq.util import EnumerationLimitError
 
 HALF = Fraction(1, 2)
 
@@ -103,6 +105,23 @@ def test_ball_sizes_and_order():
     assert all(len(w) <= 2 for w in b)
     # Built once per radius and immutable, so the shared ball cannot be changed.
     assert isinstance(b, tuple) and ball(2) is b
+
+
+def test_over_cap_ball_raises_before_building_words(capsys):
+    # |ball(R)| = 3 * 2^R - 2: radius 18 fits the cap of 10^6 words, 19 does not.
+    assert len(ball(18)) == 3 * 2**18 - 2 <= 1_000_000
+    tracemalloc.start()
+    try:
+        for radius in (19, 25, 10**9):
+            with pytest.raises(EnumerationLimitError, match="^ball exceeds 1000000 words$"):
+                ball(radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Building even the first 19 layers would take well over 100 MiB.
+    assert peak < 64 * 1024, peak
+    assert cli.main(["tree-demo", "--radius", "25"]) == 1
+    assert capsys.readouterr().err == "enumeration limit: ball exceeds 1000000 words\n"
 
 
 def test_invalid_words_are_rejected():
@@ -265,15 +284,117 @@ def test_ball_sweep_stops_at_the_first_zero(monkeypatch):
 def test_tree_demo_evaluates_only_the_shifts_it_needs(monkeypatch, tmp_path, capsys):
     calls = _count_shift_evaluations(monkeypatch)
     assert cli.main(["tree-demo", "--radius", "8", "--out", str(tmp_path / "tree.json")]) == 0
-    # 766 table rows, which also give the truncation minimum; 92 translate sweeps stop early.
-    assert len(calls) == 3157
+    # 766 table rows, which also give the truncation minimum. Of the 92
+    # translates, x*"" and ""*x stop at their first shift (quality 0), x*a
+    # sweeps all 766 shifts to its minimum 1/3, and each of the other 89 stops
+    # at its first shift, already at or below that 1/3:
+    # 766 + 1 + 1 + 766 + 89 = 1623.
+    assert len(calls) == 1623
 
 
-@pytest.mark.parametrize("delta", [Fraction(1), Fraction(3, 2), Fraction(0)])
+@pytest.mark.parametrize(
+    "delta", [Fraction(1), Fraction(3, 2), Fraction(0), 1, -1, Fraction(-1, 2), "1/2", 0.5]
+)
 def test_ball_sweep_checks_delta_even_when_it_stops_at_once(delta):
     mu = standard_tree_distribution()
-    with pytest.raises(ValueError):
-        quality_inf_ball(right_translate_estimator(""), mu, delta, 8)
+    e = right_translate_estimator("")
+    if Fraction(delta) == HALF:
+        # 1/2 as a string or a float is converted, as a Fraction delta is taken.
+        assert quality_inf_ball(e, mu, delta, 8) == (0, "")
+    else:
+        with pytest.raises(ValueError, match="^delta must lie strictly between 0 and 1$"):
+            quality_inf_ball(e, mu, delta, 8)
+
+
+def _counted(e: Estimator, k: int, calls: list) -> Estimator:
+    """e, noting k in calls each time its rule is called (once per atom and shift)."""
+
+    def fn(x):
+        calls.append(k)
+        return e.fn(x)
+
+    return Estimator(label=e.label, fn=fn, n=1)
+
+
+_TABLE_WORDS = ball(2)
+
+
+def _tree_rule(kind: str, word: str, seed: int) -> Estimator:
+    if kind == "left":
+        return left_translate_estimator(word)
+    if kind == "right":
+        return right_translate_estimator(word)
+    rng = np.random.default_rng(seed)
+    table = {w: _TABLE_WORDS[int(rng.integers(0, len(_TABLE_WORDS)))] for w in _TABLE_WORDS}
+    return table_estimator(table, default=word)
+
+
+tree_rules_strategy = st.lists(
+    st.builds(
+        _tree_rule,
+        st.sampled_from(["left", "right", "table"]),
+        st.sampled_from(_TABLE_WORDS),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(tree_rules_strategy, st.integers(2, 4))
+def test_pruned_sweep_gives_the_full_sweeps_maximum(rules, radius):
+    mu = standard_tree_distribution()
+    full = max(quality_inf_ball(e, mu, HALF, radius)[0] for e in rules)
+    calls: list = []
+    counted = [_counted(e, k, calls) for k, e in enumerate(rules)]
+    assert max_quality_inf_ball(counted, mu, HALF, radius) == full
+    # Rule k stops at its first shift at or below the largest minimum of the
+    # rules before it (0 before the first one), or sweeps the whole ball.
+    best = 0
+    for k, e in enumerate(rules):
+        qs = [exact_quality_tree(e, mu, theta, HALF) for theta in ball(radius)]
+        stop = next((i + 1 for i, q in enumerate(qs) if q <= best), len(qs))
+        assert calls.count(k) == len(mu.atoms) * stop
+        best = max(best, min(qs))
+
+
+def test_pruned_sweep_of_no_rules_is_zero():
+    assert max_quality_inf_ball([], standard_tree_distribution(), HALF, 2) == 0
+
+
+@pytest.mark.parametrize(
+    "index, q, line",
+    [
+        (None, None, "  ... 15 more shifts, every remaining q = 2/3"),
+        (21, Fraction(1, 3), "  ... 15 more shifts, remaining q from 1/3 to 2/3"),
+        (10, Fraction(1), "  ... 15 more shifts, remaining q from 2/3 to 1/1"),
+    ],
+)
+def test_tree_demo_claims_only_what_the_unprinted_rows_share(monkeypatch, capsys, index, q, line):
+    real = cli._tree_comparison
+
+    def edited(radius, word_radius):
+        tree = real(radius, word_radius)
+        rows = list(tree.rows)
+        if index is not None:
+            rows[index] = (rows[index][0], q)
+        return tree._replace(rows=rows)
+
+    monkeypatch.setattr(cli, "_tree_comparison", edited)
+    assert cli.main(["tree-demo", "--radius", "3"]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("radius", range(2, 10))
+def test_truncation_meets_the_averaging_bound_on_every_ball(radius):
+    # A rule is right at shift theta on atom z only when its guess at
+    # x = theta*z is theta, so each x of ball(radius + 1) counts for at most
+    # one shift of ball(radius): the mean quality over ball(radius) is at
+    # most |ball(radius + 1)| / (3 |ball(radius)|). Truncation counts every
+    # x once, for theta = truncation(x), so its rows meet the bound exactly.
+    rows = cli._tree_comparison(radius, 0).rows
+    mean = sum(q for _, q in rows) / len(rows)
+    assert mean == Fraction(len(ball(radius + 1)), 3 * len(ball(radius)))
 
 
 def test_translates_never_beat_one_third():
