@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
 from .estimators import _discrete_window_best, _window_center_batch, window_mle_estimator
 from .quality import MCConfig, exact_quality_discrete, quality_at
@@ -38,6 +36,7 @@ from .util import (
     common_denominator,
     is_exact,
     lattice_ints,
+    np,
     within_threshold,
 )
 

@@ -38,7 +38,7 @@ from .estimators import (
     window_mle_estimator,
 )
 from .quality import MCConfig, quality_inf
-from .util import ConvergenceError, EnumerationLimitError, InvarianceError, number_doc, number_repr
+from .util import ConvergenceError, EnumerationLimitError, InvarianceError, np, number_doc, number_repr
 
 __all__ = ["main"]
 
@@ -323,8 +323,6 @@ def _run_circle_avg(args) -> int:
 
 def _suite_scenarios(mc: MCConfig, closed_interval: bool):
     """Registered end-to-end checks; each yields a result dict."""
-    import numpy as np
-
     from .quality import exact_quality_discrete, quality_at
 
     def within_ci(achieved, reference, ci):

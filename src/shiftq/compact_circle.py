@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .distributions import PiecewiseDensity
 from .estimators import NO_CLAIM, SHIFT_INVARIANT, Estimator
 from .quality import MCConfig, Space, _counter, _mc_counts, _mc_grid, _noise
-from .util import sum_columns
+from .util import np, sum_columns
 
 __all__ = [
     "wrap",

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
-from .util import MATCH_ATOL
+from .util import MATCH_ATOL, np
 
 __all__ = [
     "FamilyTraits",

@@ -26,10 +26,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
-from .util import BISECT_TOL, MATCH_ATOL, ConvergenceError, is_exact, sum_columns, within_threshold
+from .util import BISECT_TOL, MATCH_ATOL, ConvergenceError, is_exact, np, sum_columns, within_threshold
 
 __all__ = [
     "Estimator",

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .distributions import Distribution, FiniteAtoms
 from .estimators import SHIFT_INVARIANT
 from .util import (
@@ -47,6 +45,7 @@ from .util import (
     common_denominator,
     is_exact,
     lattice_ints,
+    np,
     within_threshold,
     within_threshold_array,
 )
@@ -127,7 +126,7 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 # A counter scores one (rule, shift) pair: counter(noise, rng) -> hits in the block.
-HitCounter = Callable[[np.ndarray, np.random.Generator], int]
+HitCounter = Callable[["np.ndarray", "np.random.Generator"], int]
 
 
 class Space(NamedTuple):

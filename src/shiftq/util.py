@@ -1,12 +1,12 @@
-"""Shared numeric helpers: rational-aware comparisons, parsing, formatting."""
+"""Shared numeric helpers: rational-aware comparisons, parsing, formatting, lazy numpy."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 from numbers import Rational
-
-import numpy as np
 
 # Half-width of the float band around a threshold treated as "on the boundary".
 BOUNDARY_TOL = 1e-12
@@ -17,6 +17,34 @@ BISECT_TOL = 1e-10
 
 
 _PLAIN_EXACT = (int, Fraction)
+
+
+def lazy_import(name: str):
+    """The module name, whose code runs on its first attribute access, not here.
+
+    A module already in sys.modules is returned as it is. A missing one fails
+    here, as `import name` would, with ModuleNotFoundError: find_spec finds
+    no spec for it, also when sys.modules holds None for it. The load itself
+    is importlib.util.LazyLoader's, which is not safe when two threads make
+    the first access at once; shiftq runs in one thread (mc.parallelism is
+    accepted and ignored).
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# numpy loads inside the first Monte Carlo call: the exact engines never need it,
+# and its import is most of a cold start without it.
+np = lazy_import("numpy")
 
 
 class EnumerationLimitError(RuntimeError):

@@ -638,16 +638,81 @@ def test_cli_false_invariance_claim_exits_1(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("invariance: liar claims shift invariance")
 
 
-def test_cli_import_and_parse_leave_scipy_special_unloaded():
+RATIONAL_ATOMS = {"family": "atoms", "points": [["0", "1/4"], ["1", "7/20"], ["10", "2/5"]]}
+FLOAT_ATOMS = {"family": "atoms", "points": [[0.0, 0.25], [1.0, 0.75]]}
+
+
+# numpy sits in sys.modules from the start as a lazy module; its submodules appear once it runs.
+NUMPY_UNLOADED = "assert not [m for m in sys.modules if m.startswith('numpy.')], 'numpy was loaded'\n"
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("quality", MINIMAL_QUALITY),
+        ("quality", {"distribution": {"family": "exponential", "rate": 2.0}, "estimator": {"kind": "min_shift"},
+                     "delta": 0.25}),
+        ("quality", {"distribution": {"family": "uniform", "lo": 0, "hi": 1}, "estimator": {"kind": "mean"},
+                     "delta": 0.25}),
+        ("bounds", {"distribution": {"family": "piecewise", "knots": [[0, 0], [1, 1], [2, 0]]}, "delta": 0.25}),
+        ("quality", {"distribution": RATIONAL_ATOMS, "estimator": {"kind": "mean"}, "delta": "3/4", "n": 2}),
+        ("bounds", {"distribution": FLOAT_ATOMS, "delta": 0.75}),
+        ("lemma-check", {"distribution": RATIONAL_ATOMS, "delta": "3/4", "k": 3}),
+        ("circle-avg", {"density": {"knots": [[0, 0.5], [0.5, 1.5], [1, 0.5]]}, "delta": 0.1, "n": 3}),
+        ("tree-demo", {"radius": 3}),
+        ("paper-suite", {}),
+    ],
+    ids=["gaussian", "exponential", "uniform", "piecewise", "rational-atoms", "float-atoms",
+         "lemma-check", "circle-avg", "tree-demo", "paper-suite"],
+)
+def test_cli_import_and_parse_leave_scipy_special_unloaded(command, doc):
+    text = doc if isinstance(doc, str) else json.dumps(doc)
     code = (
         "import sys\n"
         "import shiftq.cli\n"
         "from shiftq.config import parse_config\n"
-        f"parse_config({MINIMAL_QUALITY!r}, default_command='quality')\n"
+        f"parse_config({text!r}, default_command={command!r})\n"
         "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n"
+        + NUMPY_UNLOADED
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_exact_commands_leave_numpy_unloaded_and_mc_reports_unchanged(tmp_path):
+    # The exact commands run without loading numpy; a Gaussian quality in the same process
+    # then loads it on first use and writes the same bytes as a process that imported
+    # numpy before shiftq.
+    exact = [
+        ["tree-demo", "--radius", "3"],
+        ["quality", "--config", write(tmp_path, "q.json", json.dumps(
+            {"distribution": RATIONAL_ATOMS, "estimator": {"kind": "mean"}, "delta": "3/4", "n": 2}))],
+        ["lemma-check", "--config", write(tmp_path, "l.json", json.dumps(
+            {"distribution": RATIONAL_ATOMS, "delta": "3/4", "k": 3}))],
+        ["bounds", "--config", write(tmp_path, "b.json", json.dumps({"distribution": RATIONAL_ATOMS, "delta": "3/4"}))],
+    ]
+    mc = ["quality", "--config", write(tmp_path, "g.json", json.dumps(
+        {"distribution": {"family": "gaussian", "mean": 0.3, "sigma": 1.2}, "estimator": {"kind": "window_mle"},
+         "delta": 0.4, "n": 3, "mc": {"trials": 3000, "seed": 5}})), "--format", "csv"]
+
+    def run(numpy_first: bool, out: str) -> None:
+        code = (
+            "import sys\n"
+            + ("import numpy\n" if numpy_first else "")
+            + "from shiftq.cli import main\n"
+            f"for argv in {exact!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            + ("" if numpy_first else NUMPY_UNLOADED)
+            + f"assert main({mc + ['--out', out]!r}) == 0\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src),
+                       stdout=subprocess.DEVNULL)
+
+    run(False, str(tmp_path / "lazy.csv"))
+    run(True, str(tmp_path / "eager.csv"))
+    lazy = (tmp_path / "lazy.csv").read_bytes()
+    assert lazy and lazy == (tmp_path / "eager.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import shiftq
 from shiftq.util import (
     BOUNDARY_TOL,
     is_exact,
@@ -123,3 +127,30 @@ def test_is_exact():
 def test_exact_threshold_agrees_with_direct_comparison(d, t):
     assert within_threshold(d, t, closed=False) == (d < t)
     assert within_threshold(d, t, closed=True) == (d <= t)
+
+
+@pytest.mark.parametrize(
+    "hide",
+    [
+        "sys.modules['numpy'] = None",
+        "sys.path[:] = [p for p in sys.path if not os.path.isdir(os.path.join(p, 'numpy'))]",
+    ],
+    ids=["none-in-sys-modules", "no-spec"],
+)
+def test_missing_numpy_fails_when_shiftq_is_imported(hide):
+    # numpy loads on first use, but a missing one must still fail the import, not a later call.
+    code = (
+        "import importlib.util, os, sys\n"
+        f"{hide}\n"
+        "assert importlib.util.find_spec('numpy') is None\n"
+        "try:\n"
+        "    import shiftq\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name, exc)\n"
+        "else:\n"
+        "    print('imported')\n"
+    )
+    src = os.path.dirname(os.path.dirname(shiftq.__file__))
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout == "numpy No module named 'numpy'\n"
