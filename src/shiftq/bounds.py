@@ -12,8 +12,10 @@ of these ceilings apply to a law.
 The one-sample window centre is found by the window rules' own searches in
 estimators: the atom window, and on a density that is unimodal or decreasing
 on a half-line the n = 1 window solve. So the one-sample window rule and the
-witness of its ceiling are one number. Densities with no shape guarantee get
-a grid refinement of the window mass instead.
+witness of its ceiling are one number, except on the Gaussian, whose rule
+subtracts its mean in closed form and whose witness is the solved centre,
+equal to that mean within the solve's stopping width. Densities with no shape
+guarantee get a grid refinement of the window mass instead.
 
 The discrete sumset checker ties the two together: averaging an arbitrary
 estimator's exact quality over a sumset of shifts can exceed the one-sample
@@ -152,7 +154,9 @@ def window_bound_one_sample(d: Distribution, delta, *, closed_interval: bool = F
 
     This is the quality ceiling for every shift-equivariant estimator seeing
     a single sample, and it is attained: the witness is an optimal window
-    center, the one the one-sample window rule subtracts.
+    center, the one the one-sample window rule subtracts (on the Gaussian the
+    rule subtracts the mean, which the solved witness equals within the
+    solve's stopping width).
     """
     if not float(delta) > 0:
         raise ValueError("delta must be positive")
@@ -258,7 +262,8 @@ def window_bound_log_concave(
 
     The optimal window estimator achieves the ceiling, so its Monte Carlo
     quality at shift zero is reported as the bound value (ci_half_width
-    carries the statistical error).
+    carries the statistical error). On a Gaussian that estimator is the
+    sample mean, so the row costs only its sampling.
     """
     traits = d.traits()
     if not traits.log_concave_strict:
@@ -300,10 +305,12 @@ def applicable_bounds(
 
 
 def _float_sumset(a: Sequence, b: Sequence) -> list:
-    """Sorted sums x + y, with floats within MATCH_ATOL collapsed to one."""
-    arr = np.sort(np.asarray([float(x + y) for x in a for y in b]))
-    keep = np.concatenate(([True], np.diff(arr) > MATCH_ATOL))
-    return arr[keep].tolist()
+    """Sorted sums x + y; a sum is kept when it lies more than MATCH_ATOL above the sum before it.
+
+    One pass over the sorted list, so the float-atom lemma-check never loads numpy.
+    """
+    sums = sorted(float(x + y) for x in a for y in b)
+    return sums[:1] + [v for prev, v in zip(sums, sums[1:]) if v - prev > MATCH_ATOL]
 
 
 def coefficient_sumset(points: Sequence, k: int) -> list:

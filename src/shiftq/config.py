@@ -131,6 +131,12 @@ class EstimatorKind:
     cast: Callable = lambda value: value
 
 
+def _support_start(d: Distribution):
+    """Where d's support starts: its smallest atom or lower support end, 0 if unbounded below."""
+    lo = d.locations[0] if isinstance(d, FiniteAtoms) else d.support()[0]
+    return lo if math.isfinite(lo) else 0
+
+
 # Every estimator kind, once per space. The circle's bias and strength are cast to
 # float because its labels format them with :g, which a Fraction refuses.
 # `mixture` takes a `parts` list of weighted specs instead of a parameter.
@@ -140,7 +146,9 @@ ESTIMATORS: dict[str, dict[str, EstimatorKind]] = {
         "window_mle": EstimatorKind(
             lambda spec, cfg: window_mle_estimator(cfg.distribution, float(cfg.delta), cfg.n)
         ),
-        "min_shift": EstimatorKind(lambda spec, cfg: min_shift_estimator(cfg.delta, cfg.n)),
+        "min_shift": EstimatorKind(
+            lambda spec, cfg: min_shift_estimator(cfg.delta, cfg.n, lo=_support_start(cfg.distribution))
+        ),
         "discrete_mle": EstimatorKind(
             lambda spec, cfg: discrete_mle_estimator(
                 cfg.distribution, cfg.delta, cfg.n, closed_interval=cfg.closed_interval

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence
 
-from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
+from .distributions import ContinuousDistribution, Distribution, FiniteAtoms, Gaussian
 from .util import BISECT_TOL, MATCH_ATOL, ConvergenceError, is_exact, np, sum_columns, within_threshold
 
 __all__ = [
@@ -63,11 +63,11 @@ class Estimator:
     D: scaled(D) is an Estimator of the same n whose value at D*x is
     D*evaluate(x), with the locations, delta and constants multiplied by D.
     On int samples it returns an int or a Fraction, the guess in lattice
-    units. mean on a law with an exact mean, min_shift with an exact delta,
-    discrete_mle on exact locations and constant with an exact value set
-    it; every other rule leaves it None and the exact engines evaluate it on
-    Fractions. A mixture has none of its own: each of its parts carries its
-    own.
+    units. mean on a law with an exact mean, min_shift with an exact
+    lo + delta, discrete_mle on exact locations and constant with an exact
+    value set it; every other rule leaves it None and the exact engines
+    evaluate it on Fractions. A mixture has none of its own: each of its
+    parts carries its own.
 
     parts are the deterministic rules it is made of, with their weights:
     ((self, 1),) for a plain rule, the components for a mixture.
@@ -362,13 +362,17 @@ def window_mle_estimator(d: ContinuousDistribution, delta: float, n: int) -> Est
     at the two window edges, found by bracketed Illinois false-position steps
     with a midpoint fallback (see _window_center_batch). That difference is
     smooth and monotone on strictly log-concave laws, so a batch row settles
-    in a handful of steps (two after the bracket ends for the Gaussian, where
-    it is linear); flat or truncated stretches fall back to bisection. The
-    solver holds each block of anchored rows as an (n, rows) array, so the
-    log product is summed one sample column at a time in numpy's pairwise
-    order, bit for bit the (rows, n) row sum without its per-row cost. At
-    n=1 every anchored sample is [0], so the centre c is solved once, when
-    the rule is built, and the rule is x - c.
+    in a handful of steps; flat or truncated stretches fall back to
+    bisection. The solver holds each block of anchored rows as an (n, rows)
+    array, so the log product is summed one sample column at a time in
+    numpy's pairwise order, bit for bit the (rows, n) row sum without its
+    per-row cost. At n=1 every anchored sample is [0], so the centre c is
+    solved once, when the rule is built, and the rule is x - c: the witness
+    of the one-sample ceiling, bit for bit.
+
+    On a Gaussian at n >= 2 nothing is solved: the best center of the
+    anchored row x0 is mu - mean(x0), so the rule is the sample mean minus
+    mu, and it takes mean_estimator's batch as it is.
     """
     traits = d.traits()
     if not (traits.log_concave_strict or traits.unimodal):
@@ -383,6 +387,8 @@ def window_mle_estimator(d: ContinuousDistribution, delta: float, n: int) -> Est
         def batch(x):
             return x[:, 0] - center
 
+    elif isinstance(d, Gaussian):
+        batch = mean_estimator(d, n).batch_fn
     else:
 
         def batch(x):
@@ -397,16 +403,22 @@ def window_mle_estimator(d: ContinuousDistribution, delta: float, n: int) -> Est
     )
 
 
-def min_shift_estimator(delta, n: int) -> Estimator:
-    """Smallest of n samples minus delta; matched to laws decreasing on [0, inf)."""
-    delta_f = float(delta)
-    label = f"min_shift(delta={delta_f:g})"
+def min_shift_estimator(delta, n: int, *, lo=0) -> Estimator:
+    """Smallest of n samples minus (lo + delta); matched to laws decreasing on [lo, inf).
+
+    lo is where the law's support starts. At lo = 0 the offset lo + delta is
+    delta itself, and the label names lo only when it is not 0.
+    """
+    offset = lo + delta
+    offset_f = float(offset)
+    start = "" if lo == 0 else f", lo={float(lo):g}"
+    label = f"min_shift(delta={float(delta):g}{start})"
 
     def fn(x):
-        return min(x) - delta
+        return min(x) - offset
 
     def on_lattice(scale):
-        shift = _times(delta, scale)
+        shift = _times(offset, scale)
         return lambda x: min(x) - shift
 
     return Estimator(
@@ -414,9 +426,9 @@ def min_shift_estimator(delta, n: int) -> Estimator:
         fn=fn,
         n=n,
         invariance_claim=SHIFT_INVARIANT,
-        batch_fn=lambda x: reduce(np.minimum, x.T) - delta_f,
+        batch_fn=lambda x: reduce(np.minimum, x.T) - offset_f,
         symmetric=True,
-        scaled=_lattice_rule(label, n, SHIFT_INVARIANT, on_lattice) if is_exact(delta) else None,
+        scaled=_lattice_rule(label, n, SHIFT_INVARIANT, on_lattice) if is_exact(offset) else None,
     )
 
 

@@ -292,6 +292,29 @@ def test_cli_lemma_check(tmp_path):
     assert doc["average_quality"] == "3/5"
 
 
+def test_cli_min_shift_starts_at_the_support_and_reaches_the_packing_row(tmp_path):
+    # On a ramp decreasing from lo = 0.5 the rule is min(x) - (lo + delta), which attains
+    # the half-line packing row; min(x) - delta would score 0.
+    doc = {
+        "distribution": {"family": "piecewise", "knots": [[0.5, 4], [1, 0]]},
+        "estimator": {"kind": "min_shift"},
+        "delta": 0.1,
+        "n": 3,
+        "theta_grid": [0.0],
+        "mc": {"trials": 20000, "seed": 3},
+    }
+    cfg = write(tmp_path, "ramp.json", json.dumps(doc))
+    q_out, b_out = str(tmp_path / "q.json"), str(tmp_path / "b.json")
+    assert main(["quality", "--config", cfg, "--out", q_out]) == 0
+    assert main(["bounds", "--config", cfg, "--out", b_out]) == 0
+    quality = json.load(open(q_out))
+    (packing,) = [r for r in json.load(open(b_out))["bounds"] if r["kind"] == "packing"]
+    assert quality["estimator"] == "min_shift(delta=0.1, lo=0.5)"
+    assert float(packing["value"]) == pytest.approx(0.953344, abs=1e-12)
+    (row,) = quality["per_theta"]
+    assert abs(row["q"] - float(packing["value"])) <= row["ci_half_width"]
+
+
 @pytest.mark.parametrize("kind", ["mean", "min_shift"])
 def test_cli_lemma_check_with_any_one_sample_rule(tmp_path, kind):
     # The CLI builds whichever rule the config names at n = 1.
@@ -561,17 +584,22 @@ def test_cli_exact_quality_report_stays_rational(tmp_path):
 
 def test_cli_window_search_without_convergence_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(estimators, "WINDOW_MAX_STEPS", 1)
+    # A strictly log-concave piecewise law: the Gaussian window rule takes the closed form at n >= 2.
     doc = {
-        "distribution": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},
+        "distribution": {"family": "piecewise", "knots": [[0.0, 0.16], [1.0, 0.48], [2.0, 0.4], [3.0, 0.08]]},
         "estimator": {"kind": "window_mle"},
-        "delta": 0.5,
+        "delta": 0.3,
         "n": 4,
         "theta_grid": [0.0],
         "mc": {"trials": 1000, "seed": 3},
     }
     # The one-sample window bound runs the window rule's search, so it fails as loudly.
     expo = {"distribution": {"family": "exponential", "rate": 1.5}, "delta": 0.2, "n": 5}
-    cases = (("quality", "Gaussian", doc), ("bounds", "Gaussian", doc), ("bounds", "Exponential", expo))
+    cases = (
+        ("quality", "PiecewiseDensity", doc),
+        ("bounds", "PiecewiseDensity", doc),
+        ("bounds", "Exponential", expo),
+    )
     for command, family, cfg in cases:
         assert main([command, "--config", write(tmp_path, "w.json", json.dumps(cfg))]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -689,6 +717,8 @@ def test_exact_commands_leave_numpy_unloaded_and_mc_reports_unchanged(tmp_path):
             {"distribution": RATIONAL_ATOMS, "estimator": {"kind": "mean"}, "delta": "3/4", "n": 2}))],
         ["lemma-check", "--config", write(tmp_path, "l.json", json.dumps(
             {"distribution": RATIONAL_ATOMS, "delta": "3/4", "k": 3}))],
+        ["lemma-check", "--config", write(tmp_path, "lf.json", json.dumps(
+            {"distribution": FLOAT_ATOMS, "delta": 0.75, "k": 2}))],
         ["bounds", "--config", write(tmp_path, "b.json", json.dumps({"distribution": RATIONAL_ATOMS, "delta": "3/4"}))],
     ]
     mc = ["quality", "--config", write(tmp_path, "g.json", json.dumps(

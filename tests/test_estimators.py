@@ -39,6 +39,8 @@ def test_window_center_on_scaled_gaussian_single():
 
 
 def test_window_equals_mean_on_gaussian_inputs():
+    # At n >= 2 the Gaussian window rule is the mean's batch, bit for bit; at n = 1
+    # it subtracts the solved centre, the one-sample ceiling's witness.
     rng = np.random.default_rng(31)
     for sigma in (0.5, 1.0, 2.0):
         d = Gaussian(0.0, sigma)
@@ -47,6 +49,23 @@ def test_window_equals_mean_on_gaussian_inputs():
             m = mean_estimator(d, n)
             x = rng.normal(0.0, sigma, size=(40, n))
             assert np.max(np.abs(w.evaluate_batch(x) - m.evaluate_batch(x))) < 1e-6
+            if n > 1:
+                assert np.array_equal(w.evaluate_batch(x), m.evaluate_batch(x))
+
+
+def test_gaussian_window_rule_evaluates_no_log_density():
+    calls = []
+
+    class CountingGaussian(Gaussian):
+        def logpdf(self, x):
+            calls.append(x.shape)
+            return super().logpdf(x)
+
+    d = CountingGaussian(0.3, 1.2)
+    x = np.random.default_rng(9).normal(0.3, 1.2, size=(500, 4))
+    estimate = window_mle_estimator(d, 0.45, 4).evaluate_batch(x)
+    assert calls == []
+    assert np.array_equal(estimate, x.sum(axis=1) / 4 - 0.3)
 
 
 def test_window_requires_suitable_traits():
@@ -183,9 +202,10 @@ def test_window_center_needs_few_log_product_evaluations():
 
     d = CountingGaussian(0.3, 1.2)
     x = np.random.default_rng(4).normal(0.3, 1.2, size=(4096, 4))
-    window_mle_estimator(d, 0.45, 4).evaluate_batch(x)
+    # The Gaussian window rule takes the closed form, so the solve is called directly.
+    _window_center_batch(d, 0.45, x - x[:, :1])
     # Bisection to BISECT_TOL takes about 74 per row.
-    assert sum(rows) <= 10 * len(x)
+    assert 0 < sum(rows) <= 10 * len(x)
 
 
 @pytest.mark.parametrize(
@@ -215,10 +235,14 @@ def test_window_center_far_from_zero_stops_at_float_resolution():
 
 def test_window_search_that_hits_its_step_cap_raises(monkeypatch):
     monkeypatch.setattr(estimators, "WINDOW_MAX_STEPS", 1)
-    e = window_mle_estimator(Gaussian(0.0, 1.0), 0.5, 4)
+    # The Gaussian window rule takes the closed form, so its solve is called directly;
+    # a log-concave piecewise law still solves inside the rule.
     x = np.random.default_rng(2).normal(size=(30, 4))
     with pytest.raises(ConvergenceError, match=r"Gaussian left \d+ rows open"):
-        e.evaluate_batch(x)
+        _window_center_batch(Gaussian(0.0, 1.0), 0.5, x - x[:, :1])
+    e = window_mle_estimator(LOG_CONCAVE, 0.3, 4)
+    with pytest.raises(ConvergenceError, match=r"PiecewiseDensity left \d+ rows open"):
+        e.evaluate_batch(np.asarray(LOG_CONCAVE.ppf(np.random.default_rng(2).random((30, 4)))))
 
 
 @pytest.mark.parametrize(
@@ -243,6 +267,12 @@ def test_min_shift_evaluate():
     assert e.evaluate((1.0, 0.3, 2.0)) == pytest.approx(0.05)
     assert min_shift_estimator(0.25, 2).evaluate((Fraction(1), Fraction(3, 4))) == Fraction(1, 2)
     assert e.invariance_claim == SHIFT_INVARIANT
+    # A support starting at lo moves the offset to lo + delta, exactly on exact inputs.
+    started = min_shift_estimator(Fraction(1, 4), 2, lo=Fraction(-1, 2))
+    assert started.label == "min_shift(delta=0.25, lo=-0.5)"
+    assert started.evaluate((Fraction(1), Fraction(3, 4))) == Fraction(1)
+    assert started.scaled(4).evaluate((4, 3)) == 4
+    assert min_shift_estimator(0.25, 3, lo=0.0).label == e.label
 
 
 def test_discrete_one_sample_snaps_to_window_center(example_atoms):
