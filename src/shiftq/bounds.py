@@ -28,9 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from .config import MCConfig
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
 from .estimators import _discrete_window_best, _window_center_batch, window_mle_estimator
-from .quality import MCConfig, exact_quality_discrete, quality_at
+from .quality import exact_quality_discrete, quality_at
 from .util import (
     _PLAIN_EXACT,
     EnumerationLimitError,

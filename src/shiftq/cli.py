@@ -12,12 +12,14 @@ byte-identical report files.
 Exit status: 0 on success, 2 on config or validation problems, 1 on runtime
 failures (enumeration caps, a solver that does not converge, a false
 invariance claim, failed verdicts).
+
+A cold start imports only this module, config, distributions and util:
+each subcommand imports its engine when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
 import json
@@ -26,18 +28,8 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import bounds as bounds_mod
-from . import group_tree
-from .compact_circle import averaging_check, biased_mean_circle_estimator, uniform_circle_density
-from .config import COMMANDS, ConfigError, ExperimentConfig, build_estimator, parse_config
-from .distributions import Exponential, FiniteAtoms, Gaussian
-from .estimators import (
-    _window_center_batch,
-    discrete_mle_estimator,
-    mean_estimator,
-    min_shift_estimator,
-)
-from .quality import MCConfig, quality_inf
+from .config import COMMANDS, ConfigError, ExperimentConfig, MCConfig, build_estimator, parse_config
+from .distributions import Exponential, FiniteAtoms, Gaussian, uniform_circle_density
 from .util import ConvergenceError, EnumerationLimitError, InvarianceError, np, number_doc, number_repr
 
 __all__ = ["main"]
@@ -74,6 +66,8 @@ def _emit(args, cfg, doc, rows, columns):
     if path is None:
         return
     if (args.format or cfg.output.format) == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -104,13 +98,22 @@ def _merged_config(args) -> ExperimentConfig:
     return parse_config(text, overrides=overrides)
 
 
+def __getattr__(name):
+    """cli.quality_inf is quality's, imported on first access: perfbench/layers.py wraps it by this name."""
+    if name == "quality_inf":
+        from .quality import quality_inf
+
+        return quality_inf
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _run_quality(args) -> int:
+    from .quality import default_theta_grid, quality_inf
+
     cfg = _merged_config(args)
     e = build_estimator(cfg.estimator, cfg)
     grid = cfg.theta_grid
     if grid is None:
-        from .quality import default_theta_grid
-
         grid = default_theta_grid(cfg.delta, cfg.n)
     report = quality_inf(e, cfg.distribution, cfg.delta, grid, cfg.mc, closed_interval=cfg.closed_interval)
 
@@ -143,8 +146,8 @@ def _run_quality(args) -> int:
     return 0
 
 
-def _bound_row(r: bounds_mod.BoundReport) -> dict:
-    """One ceiling as a report row; exact values become 'p/q' strings."""
+def _bound_row(r) -> dict:
+    """One ceiling, a bounds.BoundReport, as a report row; exact values become 'p/q' strings."""
     witness = r.witness
     if isinstance(witness, tuple):
         witness = [[number_repr(z), number_repr(m)] for z, m in witness]
@@ -163,8 +166,10 @@ def _bound_row(r: bounds_mod.BoundReport) -> dict:
 
 
 def _run_bounds(args) -> int:
+    from . import bounds
+
     cfg = _merged_config(args)
-    reports = bounds_mod.applicable_bounds(
+    reports = bounds.applicable_bounds(
         cfg.distribution, cfg.n, cfg.delta, cfg.mc, closed_interval=cfg.closed_interval
     )
     print(f"delta={float(cfg.delta):g}  n={cfg.n}")
@@ -182,9 +187,11 @@ def _run_bounds(args) -> int:
 
 
 def _run_lemma_check(args) -> int:
+    from . import bounds
+
     cfg = _merged_config(args)
     e = build_estimator(cfg.estimator, cfg)
-    result = bounds_mod.sumset_average_bound(
+    result = bounds.sumset_average_bound(
         e, cfg.distribution, cfg.delta, cfg.k, closed_interval=cfg.closed_interval
     )
 
@@ -227,6 +234,8 @@ def _tree_comparison(radius: int, word_radius: int) -> _TreeComparison:
     max_quality_inf_ball, which stops a rule's sweep once the rule cannot
     raise the largest minimum found before it; the maximum stays exact.
     """
+    from . import group_tree
+
     mu = group_tree.standard_tree_distribution()
     trunc = group_tree.truncation_estimator()
     rows = [
@@ -283,6 +292,8 @@ def _run_tree_demo(args) -> int:
 
 
 def _run_circle_avg(args) -> int:
+    from .compact_circle import averaging_check
+
     cfg = _merged_config(args)
     delta = float(cfg.delta)
     e = build_estimator(cfg.estimator, cfg)
@@ -323,7 +334,10 @@ def _run_circle_avg(args) -> int:
 
 def _suite_scenarios(mc: MCConfig, closed_interval: bool):
     """Registered end-to-end checks; each yields a result dict."""
-    from .quality import exact_quality_discrete, quality_at
+    from . import bounds
+    from .compact_circle import averaging_check, biased_mean_circle_estimator
+    from .estimators import _window_center_batch, discrete_mle_estimator, mean_estimator, min_shift_estimator
+    from .quality import exact_quality_discrete, quality_at, quality_inf
 
     def within_ci(achieved, reference, ci):
         return abs(achieved - reference) <= 3.0 * ci
@@ -379,9 +393,9 @@ def _suite_scenarios(mc: MCConfig, closed_interval: bool):
         )
     )
     delta = Fraction(3, 4)
-    window_bound = bounds_mod.window_bound_one_sample(atoms, delta, closed_interval=closed_interval)
+    window_bound = bounds.window_bound_one_sample(atoms, delta, closed_interval=closed_interval)
     e1 = discrete_mle_estimator(atoms, delta, closed_interval=closed_interval)
-    shifts = bounds_mod.coefficient_sumset(list(atoms.locations), 4)
+    shifts = bounds.coefficient_sumset(list(atoms.locations), 4)
     qualities = [
         exact_quality_discrete(e1, atoms, theta, delta, closed_interval=closed_interval)
         for theta in shifts
@@ -407,7 +421,7 @@ def _suite_scenarios(mc: MCConfig, closed_interval: bool):
     }
 
     # Averaged quality over the coefficient sumset respects the scaled bound.
-    lemma = bounds_mod.sumset_average_bound(
+    lemma = bounds.sumset_average_bound(
         e1, atoms, delta, 4, closed_interval=closed_interval
     )
     yield {

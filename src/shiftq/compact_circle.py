@@ -6,16 +6,18 @@ shift-equivariant one that agrees with it on the coset where the first sample
 equals a chosen anchor; averaging over anchors shows the best pinned copy is
 at least as good as the original estimator's worst case. The checker here
 measures that numerically on a grid of anchors, through the Monte Carlo
-harness of quality with CIRCLE as the space.
+harness of quality with CIRCLE as the space. The law on the circle,
+CircleDensity, and wrap live in distributions and are re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .distributions import PiecewiseDensity
+from .config import MCConfig
+from .distributions import CircleDensity, uniform_circle_density, wrap
 from .estimators import NO_CLAIM, SHIFT_INVARIANT, Estimator
-from .quality import MCConfig, Space, _counter, _mc_counts, _mc_grid, _noise
+from .quality import Space, _counter, _mc_counts, _mc_grid, _noise
 from .util import np, sum_columns
 
 __all__ = [
@@ -34,21 +36,6 @@ __all__ = [
 ]
 
 
-def wrap(x):
-    """Reduce to the fundamental domain [0, 1), as a new array (0-d for a scalar).
-
-    x - floor(x), less 1.0 where that rounds up to 1.0 (tiny negatives such
-    as -1e-17 do). Both steps run in one output buffer; each is the same
-    rounded operation as on a temporary of its own, so the bits are those of
-    the plain expression. x itself is never written.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.floor(x, out=np.empty_like(x))
-    np.subtract(x, out, out=out)
-    np.subtract(out, 1.0, out=out, where=out >= 1.0)
-    return out
-
-
 def circle_distance(u, v):
     """Shorter arc between two points; at most 1/2."""
     d = np.abs(wrap(u) - wrap(v))
@@ -57,54 +44,6 @@ def circle_distance(u, v):
 
 # The circle for the Monte Carlo harness: rotate by theta, measure the shorter arc.
 CIRCLE = Space(act=lambda noise, theta: wrap(theta + noise), distance=circle_distance)
-
-
-@dataclass(frozen=True)
-class CircleDensity:
-    """Piecewise-linear density on the circle given by (position, value) knots.
-
-    Positions must be strictly increasing within [0, 1]; the gap between the
-    last knot and the first one (one turn later) is interpolated linearly, so
-    the table always covers the full circle. The knots are validated,
-    normalized and tabulated as one PiecewiseDensity over that unrolled turn,
-    with its rules: total mass within 1e-3 of 1 is renormalized, larger
-    deviations raise ValueError. Atomic laws on the circle are out of scope
-    by construction.
-    """
-
-    knots: tuple[tuple[float, float], ...]
-    _turn: PiecewiseDensity = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        knots = tuple((float(x), float(f)) for x, f in self.knots)
-        if any(x < 0.0 or x > 1.0 for x, _ in knots):
-            raise ValueError("knot positions must lie in [0, 1]")
-        # Unroll one full turn starting at the first knot.
-        unrolled = knots
-        if len(knots) > 1 and knots[-1][0] - knots[0][0] < 1.0:
-            unrolled += ((knots[0][0] + 1.0, knots[0][1]),)
-        turn = PiecewiseDensity(unrolled)
-        object.__setattr__(self, "knots", turn.knots[: len(knots)])
-        object.__setattr__(self, "_turn", turn)
-
-    def pdf(self, x):
-        t = wrap(x)
-        start = self.knots[0][0]
-        t = np.where(t < start, t + 1.0, t)
-        return self._turn.pdf(t)
-
-    def ppf(self, u):
-        # The turn's table directly, not PiecewiseDensity.ppf, so a traced run
-        # counts circle draws apart from the line's piecewise draws.
-        table = self._turn._table
-        return wrap(table.ppf_mass(np.asarray(u, dtype=float) * table.total))
-
-    def sample_with_rng(self, rng: np.random.Generator, shape) -> np.ndarray:
-        return self.ppf(rng.random(shape))
-
-
-def uniform_circle_density() -> CircleDensity:
-    return CircleDensity(knots=((0.0, 1.0), (1.0, 1.0)))
 
 
 class CircleEstimator(Estimator):

@@ -9,36 +9,23 @@ in to exact rational arithmetic where the computation supports it.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .compact_circle import (
-    CircleDensity,
-    biased_mean_circle_estimator,
-    constant_circle_estimator,
-    uniform_circle_density,
-    warped_circle_estimator,
-)
 from .distributions import (
+    CircleDensity,
     Distribution,
     Exponential,
     FiniteAtoms,
     Gaussian,
     PiecewiseDensity,
     Uniform,
+    uniform_circle_density,
 )
-from .estimators import (
-    constant_estimator,
-    discrete_mle_estimator,
-    mean_estimator,
-    min_shift_estimator,
-    mixture,
-    window_mle_estimator,
-)
-from .quality import MCConfig
 from .util import is_exact, number_doc, parse_number
 
 __all__ = [
@@ -50,6 +37,7 @@ __all__ = [
     "EstimatorSpec",
     "OutputSpec",
     "ExperimentConfig",
+    "MCConfig",
     "build_estimator",
     "parse_config",
     "serialize_config",
@@ -81,6 +69,23 @@ class ConfigError(ValueError):
     def __init__(self, errors: list[tuple[str, str]]):
         self.errors = list(errors)
         super().__init__("; ".join(f"{path}: {message}" for path, message in self.errors))
+
+
+@dataclass(frozen=True)
+class MCConfig:
+    """Monte Carlo run parameters; equal configs give bit-identical results."""
+
+    trials: int = 100_000
+    seed: int = 42
+    ci_level: float = 0.99
+
+    def __post_init__(self):
+        if self.trials < 100:
+            raise ValueError("trials must be at least 100")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
+        if not 0.0 < self.ci_level < 1.0:
+            raise ValueError("ci_level must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -137,39 +142,55 @@ def _support_start(d: Distribution):
     return lo if math.isfinite(lo) else 0
 
 
+def _engine(name: str):
+    """The module shiftq.<name>, imported when a rule is built: parsing a config never needs it."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 # Every estimator kind, once per space. The circle's bias and strength are cast to
 # float because its labels format them with :g, which a Fraction refuses.
 # `mixture` takes a `parts` list of weighted specs instead of a parameter.
 ESTIMATORS: dict[str, dict[str, EstimatorKind]] = {
     "line": {
-        "mean": EstimatorKind(lambda spec, cfg: mean_estimator(cfg.distribution, cfg.n)),
+        "mean": EstimatorKind(
+            lambda spec, cfg: _engine("estimators").mean_estimator(cfg.distribution, cfg.n)
+        ),
         "window_mle": EstimatorKind(
-            lambda spec, cfg: window_mle_estimator(cfg.distribution, float(cfg.delta), cfg.n)
+            lambda spec, cfg: _engine("estimators").window_mle_estimator(
+                cfg.distribution, float(cfg.delta), cfg.n
+            )
         ),
         "min_shift": EstimatorKind(
-            lambda spec, cfg: min_shift_estimator(cfg.delta, cfg.n, lo=_support_start(cfg.distribution))
+            lambda spec, cfg: _engine("estimators").min_shift_estimator(
+                cfg.delta, cfg.n, lo=_support_start(cfg.distribution)
+            )
         ),
         "discrete_mle": EstimatorKind(
-            lambda spec, cfg: discrete_mle_estimator(
+            lambda spec, cfg: _engine("estimators").discrete_mle_estimator(
                 cfg.distribution, cfg.delta, cfg.n, closed_interval=cfg.closed_interval
             )
         ),
         "constant": EstimatorKind(
-            lambda spec, cfg: constant_estimator(spec.value, cfg.n), "value", 0.0
+            lambda spec, cfg: _engine("estimators").constant_estimator(spec.value, cfg.n), "value", 0.0
         ),
         "mixture": EstimatorKind(
-            lambda spec, cfg: mixture([(build_estimator(part, cfg), w) for w, part in spec.parts])
+            lambda spec, cfg: _engine("estimators").mixture(
+                [(build_estimator(part, cfg), w) for w, part in spec.parts]
+            )
         ),
     },
     "circle": {
         "constant": EstimatorKind(
-            lambda spec, cfg: constant_circle_estimator(float(spec.value), n=cfg.n), "value", 0.0
+            lambda spec, cfg: _engine("compact_circle").constant_circle_estimator(float(spec.value), n=cfg.n),
+            "value", 0.0,
         ),
         "biased_mean": EstimatorKind(
-            lambda spec, cfg: biased_mean_circle_estimator(spec.value, cfg.n), "bias", 0.0, float
+            lambda spec, cfg: _engine("compact_circle").biased_mean_circle_estimator(spec.value, cfg.n),
+            "bias", 0.0, float,
         ),
         "warped": EstimatorKind(
-            lambda spec, cfg: warped_circle_estimator(spec.value, n=cfg.n), "strength", 0.25, float
+            lambda spec, cfg: _engine("compact_circle").warped_circle_estimator(spec.value, n=cfg.n),
+            "strength", 0.25, float,
         ),
     },
 }
@@ -523,7 +544,7 @@ def parse_config(
     _check_keys(mc_doc, ("trials", "seed", "ci_level", "parallelism"), "mc.", errs)
     mc = {
         "trials": _get_int(mc_doc, "trials", "mc.", errs, minimum=100),
-        "seed": _get_int(mc_doc, "seed", "mc.", errs),
+        "seed": _get_int(mc_doc, "seed", "mc.", errs, minimum=0),
         "ci_level": _get_number(mc_doc, "ci_level", "mc.", errs),
     }
     if mc["ci_level"] is not None:

@@ -4,15 +4,15 @@ Five families are supported: Gaussian, Exponential, Uniform, PiecewiseDensity
 (linear interpolation between knots, zero outside), and FiniteAtoms (purely
 atomic). Instances are immutable. Sampling is inverse-CDF driven for the
 continuous families and cumulative-mass lookup for atoms, so a seed fully
-determines every draw.
+determines every draw. CircleDensity is the one law on the circle [0, 1): a
+PiecewiseDensity over one unrolled turn, read back through wrap.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .util import MATCH_ATOL, np
@@ -27,6 +27,9 @@ __all__ = [
     "PiecewiseDensity",
     "FiniteAtoms",
     "ShiftedDistribution",
+    "wrap",
+    "CircleDensity",
+    "uniform_circle_density",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -438,3 +441,66 @@ class ShiftedDistribution:
     def sample_with_rng(self, rng: np.random.Generator, shape) -> np.ndarray:
         u = rng.random(shape)
         return float(self.theta) + np.asarray(self.base.ppf(u), dtype=float)
+
+
+def wrap(x):
+    """Reduce to the fundamental domain [0, 1), as a new array (0-d for a scalar).
+
+    x - floor(x), less 1.0 where that rounds up to 1.0 (tiny negatives such
+    as -1e-17 do). Both steps run in one output buffer; each is the same
+    rounded operation as on a temporary of its own, so the bits are those of
+    the plain expression. x itself is never written.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.floor(x, out=np.empty_like(x))
+    np.subtract(x, out, out=out)
+    np.subtract(out, 1.0, out=out, where=out >= 1.0)
+    return out
+
+
+@dataclass(frozen=True)
+class CircleDensity:
+    """Piecewise-linear density on the circle given by (position, value) knots.
+
+    Positions must be strictly increasing within [0, 1]; the gap between the
+    last knot and the first one (one turn later) is interpolated linearly, so
+    the table always covers the full circle. The knots are validated,
+    normalized and tabulated as one PiecewiseDensity over that unrolled turn,
+    with its rules: total mass within 1e-3 of 1 is renormalized, larger
+    deviations raise ValueError. Atomic laws on the circle are out of scope
+    by construction.
+    """
+
+    knots: tuple[tuple[float, float], ...]
+    _turn: PiecewiseDensity = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        knots = tuple((float(x), float(f)) for x, f in self.knots)
+        if any(x < 0.0 or x > 1.0 for x, _ in knots):
+            raise ValueError("knot positions must lie in [0, 1]")
+        # Unroll one full turn starting at the first knot.
+        unrolled = knots
+        if len(knots) > 1 and knots[-1][0] - knots[0][0] < 1.0:
+            unrolled += ((knots[0][0] + 1.0, knots[0][1]),)
+        turn = PiecewiseDensity(unrolled)
+        object.__setattr__(self, "knots", turn.knots[: len(knots)])
+        object.__setattr__(self, "_turn", turn)
+
+    def pdf(self, x):
+        t = wrap(x)
+        start = self.knots[0][0]
+        t = np.where(t < start, t + 1.0, t)
+        return self._turn.pdf(t)
+
+    def ppf(self, u):
+        # The turn's table directly, not PiecewiseDensity.ppf, so a traced run
+        # counts circle draws apart from the line's piecewise draws.
+        table = self._turn._table
+        return wrap(table.ppf_mass(np.asarray(u, dtype=float) * table.total))
+
+    def sample_with_rng(self, rng: np.random.Generator, shape) -> np.ndarray:
+        return self.ppf(rng.random(shape))
+
+
+def uniform_circle_density() -> CircleDensity:
+    return CircleDensity(knots=((0.0, 1.0), (1.0, 1.0)))

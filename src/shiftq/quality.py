@@ -23,6 +23,7 @@ raises InvarianceError.
 Mixtures take the same path as every rule: a counter hands the chunk's
 generator to evaluate_batch, which only a mixture reads, and exact
 enumeration and the invariance check walk the rule's weighted parts.
+MCConfig, the run parameters, lives in config and is re-exported here.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
+from .config import MCConfig
 from .distributions import Distribution, FiniteAtoms
 from .estimators import SHIFT_INVARIANT
 from .util import (
@@ -68,21 +70,6 @@ CHUNK_TRIALS = 32768
 INVARIANCE_CHECK_ROWS = 1024
 
 _EXACT_ENUM_CAP = 1_000_000
-
-
-@dataclass(frozen=True)
-class MCConfig:
-    """Monte Carlo run parameters; equal configs give bit-identical results."""
-
-    trials: int = 100_000
-    seed: int = 42
-    ci_level: float = 0.99
-
-    def __post_init__(self):
-        if self.trials < 100:
-            raise ValueError("trials must be at least 100")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError("ci_level must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

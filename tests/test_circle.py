@@ -23,7 +23,7 @@ from shiftq import (
     warped_circle_estimator,
     wrap,
 )
-from shiftq import config
+from shiftq import compact_circle
 from shiftq.cli import main
 from shiftq.estimators import SHIFT_INVARIANT, Estimator
 from tests.conftest import KS_CRIT
@@ -270,7 +270,7 @@ def test_false_invariance_claim_on_the_circle_is_refused(tmp_path, monkeypatch, 
 
     with pytest.raises(InvarianceError, match=r"warped\(strength=0.3\) claims shift invariance"):
         averaging_check(liar(0.3, 2), bump_density(), 0.1, 8, MCConfig(trials=1000, seed=3))
-    monkeypatch.setattr(config, "warped_circle_estimator", liar)
+    monkeypatch.setattr(compact_circle, "warped_circle_estimator", liar)
     doc = {"estimator": {"kind": "warped", "strength": 0.3}, "n": 2, "anchor_grid": 8, "mc": {"trials": 1000}}
     path = tmp_path / "liar.json"
     path.write_text(json.dumps(doc))

@@ -653,7 +653,7 @@ def test_cli_false_invariance_claim_exits_1(tmp_path, monkeypatch, capsys):
         invariance_claim=estimators.SHIFT_INVARIANT,
         batch_fn=lambda x: np.zeros(x.shape[0]),
     )
-    monkeypatch.setattr(config, "mean_estimator", lambda d, n: liar)
+    monkeypatch.setattr(estimators, "mean_estimator", lambda d, n: liar)
     doc = {
         "distribution": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},
         "estimator": {"kind": "mean"},
@@ -694,6 +694,7 @@ NUMPY_UNLOADED = "assert not [m for m in sys.modules if m.startswith('numpy.')],
          "lemma-check", "circle-avg", "tree-demo", "paper-suite"],
 )
 def test_cli_import_and_parse_leave_scipy_special_unloaded(command, doc):
+    # A cold start loads the parser's modules only; each subcommand imports its engine when it runs.
     text = doc if isinstance(doc, str) else json.dumps(doc)
     code = (
         "import sys\n"
@@ -702,6 +703,9 @@ def test_cli_import_and_parse_leave_scipy_special_unloaded(command, doc):
         f"parse_config({text!r}, default_command={command!r})\n"
         "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n"
         + NUMPY_UNLOADED
+        + "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'shiftq')\n"
+        "assert loaded == ['shiftq', 'shiftq.cli', 'shiftq.config', 'shiftq.distributions', 'shiftq.util'], loaded\n"
+        "assert 'csv' not in sys.modules, 'csv was imported'\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
@@ -743,6 +747,28 @@ def test_exact_commands_leave_numpy_unloaded_and_mc_reports_unchanged(tmp_path):
     run(True, str(tmp_path / "eager.csv"))
     lazy = (tmp_path / "lazy.csv").read_bytes()
     assert lazy and lazy == (tmp_path / "eager.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("quality", {"distribution": RATIONAL_ATOMS, "estimator": {"kind": "mean"}, "delta": "3/4"}),
+        ("quality", json.loads(MINIMAL_QUALITY)),
+        ("bounds", {"distribution": RATIONAL_ATOMS, "delta": "3/4"}),
+        ("lemma-check", {"distribution": RATIONAL_ATOMS, "delta": "3/4", "k": 2}),
+        ("tree-demo", {}),
+        ("circle-avg", {}),
+        ("paper-suite", {}),
+    ],
+    ids=["exact-quality", "mc-quality", "bounds", "lemma-check", "tree-demo", "circle-avg", "paper-suite"],
+)
+def test_negative_seed_is_a_field_error_on_every_command(tmp_path, capsys, command, doc):
+    cfg = write(tmp_path, "c.json", json.dumps(doc))
+    assert main([command, "--config", cfg, "--seed", "-5"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error at mc.seed: must be at least 0"]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps({**doc, "mc": {"seed": -1}}), default_command=command)
+    assert exc.value.errors == [("mc.seed", "must be at least 0")]
 
 
 @pytest.mark.parametrize(

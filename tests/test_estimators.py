@@ -207,6 +207,20 @@ def test_window_center_needs_few_log_product_evaluations():
     # Bisection to BISECT_TOL takes about 74 per row.
     assert 0 < sum(rows) <= 10 * len(x)
 
+    # A strictly log-concave piecewise law at n >= 2 still solves inside its rule, and no
+    # benchmark operation runs that solve: 27 per row is the count this solver takes here.
+    rows.clear()
+
+    class CountingPiecewise(PiecewiseDensity):
+        def logpdf(self, x):
+            rows.append(x.shape[-1])
+            return super().logpdf(x)
+
+    d = CountingPiecewise(LOG_CONCAVE.knots)
+    x = _anchored_rows(d, 3, rows=4096, seed=4)
+    _window_center_batch(d, 0.45, x)
+    assert 0 < sum(rows) <= 27 * len(x)
+
 
 @pytest.mark.parametrize(
     "d, n",

@@ -281,6 +281,8 @@ def test_mc_config_validation():
         MCConfig(trials=10)
     with pytest.raises(ValueError):
         MCConfig(ci_level=1.0)
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        MCConfig(seed=-1)
 
 
 def test_randomized_estimator_mc_quality(example_atoms, mc_mid):
