@@ -488,12 +488,13 @@ _RUNS = {
 
 
 def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for argv: every subcommand with its help, only the invoked one with its arguments.
+    """The parser for argv: only the invoked subcommand, with its arguments, when argv names one.
 
     The top level takes no option but -h, so the first token of argv that
-    does not start with "-" names the subcommand; the others stay empty,
-    which keeps `shiftq -h` listing all six and `shiftq CMD -h` showing
-    CMD's flags.
+    does not start with "-" names the subcommand. With no such token, or an
+    unknown one, every subcommand is added with its help and no arguments,
+    so `shiftq -h` lists all six and argparse names them in its error;
+    `shiftq CMD -h` shows CMD's flags.
     """
     parser = argparse.ArgumentParser(
         prog="shiftq",
@@ -501,7 +502,8 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     invoked = next((a for a in argv if not a.startswith("-")), None)
-    for name, command in COMMANDS.items():
+    for name in [invoked] if invoked in COMMANDS else COMMANDS:
+        command = COMMANDS[name]
         p = sub.add_parser(name, help=command.help)
         if name != invoked:
             continue

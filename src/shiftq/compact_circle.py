@@ -38,12 +38,18 @@ __all__ = [
 
 def circle_distance(u, v):
     """Shorter arc between two points; at most 1/2."""
-    d = np.abs(wrap(u) - wrap(v))
+    return _arc(wrap(u), wrap(v))
+
+
+def _arc(u, v):
+    """circle_distance for two points already on [0, 1), which wrap leaves as they are."""
+    d = np.abs(u - v)
     return np.minimum(d, 1.0 - d)
 
 
-# The circle for the Monte Carlo harness: rotate by theta, measure the shorter arc.
-CIRCLE = Space(act=lambda noise, theta: wrap(theta + noise), distance=circle_distance)
+# The circle for the Monte Carlo harness: rotate by theta, measure the shorter arc. Its noise,
+# guesses and shifts are on [0, 1), so shift zero scores the noise as drawn and no arc is reduced.
+CIRCLE = Space(act=lambda noise, theta: wrap(theta + noise) if theta else noise, distance=_arc)
 
 
 class CircleEstimator(Estimator):
@@ -103,11 +109,15 @@ def invariant_from_coset(e: CircleEstimator, anchor: float) -> CircleEstimator:
 
     The samples are rotated so the first one lands on the anchor, e is
     evaluated there, and the guess is rotated back. The copy is equivariant
-    for every anchor; if e already was, the copy coincides with it.
+    for every anchor; if e already was, the copy coincides with it. At n = 1
+    every rotated row is (anchor,), so e is evaluated once per batch and its
+    guess is added to each row's x - anchor: the same sum, bit for bit.
     """
     anchor = float(wrap(anchor))
 
     def batch(x):
+        if e.n == 1:
+            return x[:, 0] - anchor + e.evaluate_batch(np.full((1, 1), anchor))
         pinned = wrap(x - x[:, :1] + anchor)
         pinned[:, 0] = anchor  # exact, not through wrap roundoff
         return x[:, 0] - anchor + e.evaluate_batch(pinned)
@@ -120,7 +130,10 @@ def invariant_from_coset(e: CircleEstimator, anchor: float) -> CircleEstimator:
     )
 
 
-def _check_delta(delta) -> float:
+def _check_rule_and_delta(e, delta) -> float:
+    # CIRCLE measures arcs between reduced points, which only a CircleEstimator guarantees.
+    if not isinstance(e, CircleEstimator):
+        raise TypeError(f"{e.label} is not a CircleEstimator, so its guesses are not reduced mod 1")
     delta = float(delta)
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie strictly between 0 and 1/2")
@@ -135,7 +148,7 @@ def circle_quality_at(
     mc: MCConfig,
 ) -> tuple[float, float]:
     """Monte Carlo (q, ci): probability the guess lands within arc delta of theta."""
-    delta = _check_delta(delta)
+    delta = _check_rule_and_delta(e, delta)
     return _mc_counts(_noise(density, e.n), [_counter(CIRCLE, e, wrap(theta), delta)], mc)[0]
 
 
@@ -176,7 +189,7 @@ def averaging_check(
     """
     if anchor_grid < 8:
         raise ValueError("anchor_grid must be at least 8")
-    delta = _check_delta(delta)
+    delta = _check_rule_and_delta(e, delta)
     shifts = [i / anchor_grid for i in range(anchor_grid)]
     invariant = e.invariance_claim == SHIFT_INVARIANT
     pinned = [] if invariant else [_counter(CIRCLE, invariant_from_coset(e, a), 0.0, delta) for a in shifts]

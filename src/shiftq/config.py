@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -80,6 +81,11 @@ class MCConfig:
     ci_level: float = 0.99
 
     def __post_init__(self):
+        integral, real = (numbers.Integral, "an int"), (numbers.Real, "a real number")
+        for name, (kind, what) in (("trials", integral), ("seed", integral), ("ci_level", real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{name} must be {what}, got {value!r}")
         if self.trials < 100:
             raise ValueError("trials must be at least 100")
         if self.seed < 0:

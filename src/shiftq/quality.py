@@ -196,11 +196,12 @@ def _check_invariance(space: Space, e, draw, thetas, mc: MCConfig) -> None:
     """Raise InvarianceError unless e(act(x, theta)) - theta = e(x) row by row.
 
     x is the first INVARIANCE_CHECK_ROWS noise rows of chunk 0, theta runs
-    over the grid, and the gap is measured in the space's distance. A row
-    passes within 4*e.n float spacings of |theta| + max|x_row|, the rounding
-    of adding theta and taking it away again (n times over for a rule that
-    sums its samples), plus BISECT_TOL, the stopping width of a window
-    solve. The rule is checked part by part, so a mixture draws nothing.
+    over the grid, each guess is moved back with act(guess, -theta), and the
+    gap is measured in the space's distance. A row passes within 4*e.n float
+    spacings of |theta| + max|x_row|, the rounding of adding theta and taking
+    it away again (n times over for a rule that sums its samples), plus
+    BISECT_TOL, the stopping width of a window solve. The rule is checked
+    part by part, so a mixture draws nothing.
     """
     x = draw(_chunk_rng(mc.seed, 0), min(INVARIANCE_CHECK_ROWS, mc.trials))
     reach = functools.reduce(np.maximum, np.abs(x).T)
@@ -210,7 +211,7 @@ def _check_invariance(space: Space, e, draw, thetas, mc: MCConfig) -> None:
             theta_f = float(theta)
             if theta_f == 0.0:
                 continue
-            gap = space.distance(part.evaluate_batch(space.act(x, theta_f)) - theta_f, base)
+            gap = space.distance(space.act(part.evaluate_batch(space.act(x, theta_f)), -theta_f), base)
             bad = ~(gap <= 4 * e.n * np.spacing(abs(theta_f) + reach) + BISECT_TOL)
             if bad.any():
                 raise InvarianceError(

@@ -26,6 +26,7 @@ from shiftq import (
 from shiftq import compact_circle
 from shiftq.cli import main
 from shiftq.estimators import SHIFT_INVARIANT, Estimator
+from shiftq.quality import _check_invariance
 from tests.conftest import KS_CRIT
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -181,6 +182,27 @@ def test_pinned_estimator_fixes_the_first_sample():
     assert np.max(gap) < 1e-9
 
 
+def test_one_sample_pinned_copy_evaluates_its_rule_once_per_batch():
+    calls = []
+
+    def first_sample(sample):
+        calls.append(sample)
+        return 0.9 * sample[0] + 0.35
+
+    by_row = CircleEstimator(label="by_row", fn=first_sample, n=1)
+    x = np.random.default_rng(21).random((500, 1))
+    x[:3, 0] = (0.0, 0.25, np.nextafter(1.0, 0.0))
+    for e in (warped_circle_estimator(0.4, n=1), constant_circle_estimator(0.85, n=1), by_row):
+        for anchor in (0.0, 0.3, 0.71, 1.2):
+            a = float(wrap(anchor))
+            calls.clear()
+            got = invariant_from_coset(e, anchor).evaluate_batch(x)
+            assert len(calls) == (1 if e is by_row else 0)
+            # The sum the row-by-row pinning made, on rows that are all (a,).
+            want = wrap(x[:, 0] - a + e.evaluate_batch(np.full_like(x, a)))
+            assert np.array_equal(got, want)
+
+
 def test_pinning_an_equivariant_estimator_changes_nothing():
     e = biased_mean_circle_estimator(0.1, 2)
     pinned = invariant_from_coset(e, anchor=0.6)
@@ -238,6 +260,45 @@ def test_averaging_check_on_a_non_equivariant_estimator(mc_fast):
     )
 
 
+def test_circle_checks_refuse_a_rule_without_reduced_guesses(mc_fast):
+    plain = Estimator(label="plain", n=1, batch_fn=lambda x: x[:, 0] + 0.5)
+    with pytest.raises(TypeError, match="plain is not a CircleEstimator"):
+        averaging_check(plain, uniform_circle_density(), 0.1, 8, mc_fast)
+    with pytest.raises(TypeError, match="plain is not a CircleEstimator"):
+        circle_quality_at(plain, uniform_circle_density(), 0.0, 0.1, mc_fast)
+
+
+def test_circle_scores_the_noise_as_drawn_at_shift_zero():
+    noise = np.random.default_rng(8).random((20, 2))
+    assert compact_circle.CIRCLE.act(noise, 0.0) is noise
+    assert np.array_equal(compact_circle.CIRCLE.act(noise, 0.3), wrap(0.3 + noise))
+
+
+def test_circle_invariance_check_moves_each_guess_back_onto_the_circle():
+    # x = 0.9 moved by 0.55 lands on 0.45, where the rule is 0.05 short: g - theta = -0.15 lies
+    # off [0, 1), and only its reduction 0.85 shows the 0.05 arc to e(x) = 0.9.
+    liar = CircleEstimator(
+        label="short_below_half",
+        n=1,
+        invariance_claim=SHIFT_INVARIANT,
+        batch_fn=lambda x: np.where(x[:, 0] < 0.5, x[:, 0] - 0.05, x[:, 0]),
+    )
+
+    def one_row(rng, m):
+        return np.array([[0.9]])
+
+    with pytest.raises(InvarianceError, match="short_below_half claims shift invariance"):
+        _check_invariance(compact_circle.CIRCLE, liar, one_row, [0.55], MCConfig(trials=100))
+
+
+@given(unit, unit, unit)
+def test_circle_space_on_reduced_points_keeps_the_bits_of_wrap(u, v, theta):
+    arc = compact_circle.CIRCLE.distance(np.array([u]), v)
+    assert _bits(arc) == _bits(circle_distance(np.array([u]), v))
+    moved = compact_circle.CIRCLE.act(np.array([u]), -theta)
+    assert _bits(moved) == _bits(wrap(np.array([u]) - theta))
+
+
 def test_averaging_check_requires_a_reasonable_grid(mc_fast):
     with pytest.raises(ValueError):
         averaging_check(constant_circle_estimator(0.0, 1), uniform_circle_density(), 0.1, 4, mc_fast)
@@ -250,6 +311,7 @@ def test_averaging_check_matches_separate_runs():
     shifts = [i / 8 for i in range(8)]
     rules = (
         warped_circle_estimator(0.3, n=2),
+        warped_circle_estimator(0.3, n=1),
         biased_mean_circle_estimator(0.1, 1),
         biased_mean_circle_estimator(0.1, 3),
     )

@@ -902,10 +902,19 @@ def test_each_subcommand_takes_the_flags_its_table_entry_names(name):
 
 
 def test_parser_fills_only_the_invoked_subcommand():
-    choices = next(a for a in cli._build_parser(["bounds", "--n", "2"])._actions if a.dest == "command").choices
-    assert list(choices) == list(config.COMMANDS)
-    filled = {name for name, sub in choices.items() if {a.dest for a in sub._actions} != {"help"}}
-    assert filled == {"bounds"}
+    # A known command gets only its own subparser; -h, no command or an unknown one get all six, empty.
+    cases = [
+        (["bounds", "--n", "2"], "bounds"),
+        (["circle-avg"], "circle-avg"),
+        (["-h"], None),
+        ([], None),
+        (["nope"], None),
+    ]
+    for argv, invoked in cases:
+        choices = next(a for a in cli._build_parser(argv)._actions if a.dest == "command").choices
+        assert list(choices) == ([invoked] if invoked else list(config.COMMANDS))
+        filled = {name for name, sub in choices.items() if {a.dest for a in sub._actions} != {"help"}}
+        assert filled == ({invoked} if invoked else set())
 
 
 def test_top_level_help_lists_every_subcommand_with_its_help(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -143,6 +144,17 @@ def test_mc_agrees_with_exact_on_random_atoms():
         assert abs(got - float(want)) <= 3 * ci + 1e-9
 
 
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@given(finite, finite.filter(lambda t: t != 0.0))
+def test_line_moves_a_guess_back_by_subtracting_the_shift(g, theta):
+    # The invariance check moves each guess back with act(g, -theta), skipping shift 0:
+    # on the line that is g - theta, bit for bit.
+    guess = np.array([g])
+    assert LINE.act(guess, -theta).view(np.int64).tolist() == (guess - theta).view(np.int64).tolist()
+
+
 def test_quality_inf_certifies_invariant_estimators(mc_fast):
     d = Exponential(1.0)
     e = min_shift_estimator(0.25, 2)
@@ -283,6 +295,32 @@ def test_mc_config_validation():
         MCConfig(ci_level=1.0)
     with pytest.raises(ValueError, match="seed must be at least 0"):
         MCConfig(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"trials": 1000, "seed": 1.5}, "seed must be an int, got 1.5"),
+        ({"trials": 1000.5}, "trials must be an int, got 1000.5"),
+        ({"trials": 1000.0}, "trials must be an int, got 1000.0"),
+        ({"seed": True}, "seed must be an int, got True"),
+        ({"trials": True}, "trials must be an int, got True"),
+        ({"seed": "7"}, "seed must be an int, got '7'"),
+        ({"ci_level": "0.9"}, "ci_level must be a real number, got '0.9'"),
+        ({"ci_level": None}, "ci_level must be a real number, got None"),
+        ({"ci_level": False}, "ci_level must be a real number, got False"),
+    ],
+)
+def test_mc_config_refuses_a_field_of_the_wrong_type(fields, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        MCConfig(**fields)
+
+
+def test_mc_config_takes_any_integral_seed_and_real_ci_level():
+    d, mc = Gaussian(0.0, 1.0), MCConfig(trials=1000, seed=5)
+    e = mean_estimator(d, 2)
+    numpy_ints = MCConfig(trials=np.int64(1000), seed=np.int64(5), ci_level=Fraction(99, 100))
+    assert quality_at(e, d, 0.0, 0.5, numpy_ints) == quality_at(e, d, 0.0, 0.5, mc)
 
 
 def test_randomized_estimator_mc_quality(example_atoms, mc_mid):
