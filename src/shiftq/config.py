@@ -416,9 +416,14 @@ def _build_estimator_spec(spec, path: str, errs: _Collector, kinds) -> Estimator
                 continue
             _check_keys(part, ("weight", "estimator"), f"{path}.parts[{i}].", errs)
             weight = _get_number(part, "weight", f"{path}.parts[{i}].", errs, required=True)
-            inner = _build_estimator_spec(
-                part.get("estimator"), f"{path}.parts[{i}].estimator", errs, kinds
-            )
+            inner = part.get("estimator")
+            if isinstance(inner, dict) and inner.get("kind") == "mixture":
+                errs.add(
+                    f"{path}.parts[{i}].estimator.kind",
+                    "a mixture part cannot itself be a mixture; list its parts here, weights multiplied",
+                )
+                continue
+            inner = _build_estimator_spec(inner, f"{path}.parts[{i}].estimator", errs, kinds)
             if weight is not None and inner is not None:
                 built.append((float(weight), inner))
         if len(built) != len(parts):

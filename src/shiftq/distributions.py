@@ -35,6 +35,11 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _scalar_or_array(out):
+    """A kernel's output buffer as returned: a numpy scalar for 0-d, as a ufunc gives for a scalar input."""
+    return out if out.ndim else out[()]
+
+
 @dataclass(frozen=True)
 class FamilyTraits:
     """Structural properties that decide which constructions and bounds apply.
@@ -124,9 +129,18 @@ class Gaussian(ContinuousDistribution):
         return ndtr((np.asarray(x, dtype=float) - self.mean) / self.sigma)
 
     def ppf(self, u):
+        """mean + sigma * ndtri(u), each step in place on one new buffer: the same bits.
+
+        mean and sigma enter as floats, as they do elementwise when either is
+        an int or a Fraction.
+        """
         from scipy.special import ndtri
 
-        return self.mean + self.sigma * ndtri(np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        out = ndtri(u, out=np.empty_like(u))
+        np.multiply(float(self.sigma), out, out=out)
+        np.add(float(self.mean), out, out=out)
+        return _scalar_or_array(out)
 
     def expected_value(self):
         return self.mean
@@ -163,8 +177,13 @@ class Exponential(ContinuousDistribution):
         return np.where(x >= 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
 
     def ppf(self, u):
+        """-log1p(-u) / rate, each step in place on one new buffer: the same bits."""
         u = np.asarray(u, dtype=float)
-        return -np.log1p(-u) / self.rate
+        out = np.negative(u, out=np.empty_like(u))
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        np.divide(out, float(self.rate), out=out)
+        return _scalar_or_array(out)
 
     def expected_value(self):
         return 1.0 / self.rate
@@ -238,6 +257,9 @@ class _LinearDensityTable:
         self.total = float(self.cum[-1])
         with np.errstate(divide="ignore", invalid="ignore"):
             self.slope = np.where(dx > 0, np.diff(self.f) / dx, 0.0)
+        # ppf_mass's per-segment tables: the interior breakpoints of cum, and 4a with a = slope / 2.
+        self._interior = self.cum[1:-1]
+        self._four_a = 4.0 * (0.5 * self.slope)
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -254,18 +276,43 @@ class _LinearDensityTable:
         return np.clip(val, 0.0, self.total)
 
     def ppf_mass(self, m):
-        """Position where the accumulated mass from x[0] first reaches m."""
-        m = np.clip(np.asarray(m, dtype=float), 0.0, self.total)
-        idx = np.clip(np.searchsorted(self.cum, m, side="right") - 1, 0, len(self.x) - 2)
-        r = m - self.cum[idx]
-        b = self.f[idx]
-        a = 0.5 * self.slope[idx]
-        # Stable first root of a*u^2 + b*u = r on the segment.
-        disc = np.sqrt(np.maximum(b * b + 4.0 * a * r, 0.0))
-        denom = b + disc
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(denom > 0.0, 2.0 * r / denom, 0.0)
-        return self.x[idx] + u
+        """Position where the accumulated mass from x[0] first reaches m.
+
+        m is clipped to [0, total] in a copy, so the caller's array is never
+        written. Its segment is the last one, less one for each interior
+        breakpoint of cum above m: that count is searchsorted(cum, m,
+        "right") - 1 clamped to the segments, NaN included (a NaN is above
+        no breakpoint). On the segment, u is the stable first root of
+        a*u^2 + b*u = r, with r the mass past the segment's start, b its
+        density there and a half its slope: 2r / (b + sqrt(max(b*b + 4a*r,
+        0))), or 0 where that denominator is not positive. Each step runs
+        in place on a few buffers of the input's size, the same rounded
+        operations as the plain expressions, and 4a is read from a table of
+        4.0 * (0.5 * slope) per segment, so the result keeps its bits.
+        """
+        scalar = np.ndim(m) == 0
+        m = np.array(m, dtype=float, ndmin=1)
+        np.clip(m, 0.0, self.total, out=m)
+        idx = np.full(m.shape, len(self.x) - 2, dtype=np.intp)
+        for c in self._interior:
+            idx -= m < c
+        buf = self.cum.take(idx)
+        r = np.subtract(m, buf, out=m)
+        b = self.f.take(idx)
+        disc = np.multiply(b, b)
+        self._four_a.take(idx, out=buf, mode="clip")  # idx is in range; "clip" writes out unbuffered
+        np.multiply(buf, r, out=buf)
+        np.add(disc, buf, out=disc)
+        np.maximum(disc, 0.0, out=disc)
+        np.sqrt(disc, out=disc)
+        denom = np.add(b, disc, out=disc)
+        np.multiply(2.0, r, out=r)
+        positive = np.greater(denom, 0.0)
+        u = np.divide(r, denom, out=r, where=positive)
+        np.copyto(u, 0.0, where=np.logical_not(positive, out=positive))
+        out = self.x.take(idx, out=b, mode="clip")
+        np.add(out, u, out=out)
+        return out[0] if scalar else out
 
     def mean_unnormalized(self):
         x0, x1 = self.x[:-1], self.x[1:]

@@ -98,8 +98,17 @@ class Estimator:
             return float(self.evaluate_batch(np.asarray([samples], dtype=float))[0])
         return self.fn(samples)
 
+    def split(self, x: np.ndarray, rng: np.random.Generator | None = None) -> tuple:
+        """The rows of x that each part scores: (part, rows, block) triples, block = x[rows].
+
+        A plain rule is one part that takes every row, with the block x
+        itself, and draws nothing; a mixture overrides this and draws each
+        row's component from rng.
+        """
+        return ((self, slice(None), x),)
+
     def evaluate_batch(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Estimates for the rows of x; only a mixture reads rng, to draw each row's component."""
+        """Estimates for the rows of x; only a mixture reads rng, to split the rows among its parts."""
         x = np.asarray(x, dtype=float)
         if x.shape[1] != self.n:
             raise ValueError(f"{self.label} expects {self.n} samples, got {x.shape[1]}")
@@ -112,9 +121,12 @@ class Estimator:
 class RandomizedEstimator(Estimator):
     """A finite mixture of estimators; evaluation first draws a component.
 
-    Every component sees the mixture's n; invariance_claim is set from the
-    components. Each row's component is drawn from the generator
-    evaluate_batch is given, which is required.
+    Every component sees the mixture's n and is a deterministic rule, not a
+    mixture itself; invariance_claim is set from the components. Each row's
+    component is drawn by split from the generator it is given, which is
+    required. evaluate_batch scores each part on its own rows, and the Monte
+    Carlo harness splits a chunk once and scores every shift on the same
+    blocks (see quality._mc_counts).
     """
 
     label: str = "mixture"
@@ -123,6 +135,8 @@ class RandomizedEstimator(Estimator):
     def __post_init__(self):
         if not self.components:
             raise ValueError("mixture needs at least one component")
+        if any(isinstance(e, RandomizedEstimator) for e, _ in self.components):
+            raise ValueError("a mixture component cannot itself be a mixture; list its parts, weights multiplied")
         weights = [w for _, w in self.components]
         if any(not (w > 0) for w in weights):
             raise ValueError("mixture weights must be positive")
@@ -138,30 +152,38 @@ class RandomizedEstimator(Estimator):
     def parts(self) -> tuple:
         return self.components
 
-    def evaluate_batch(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-        """One rng.random(m) draw picks each row's component; each part scores its own rows.
+    def split(self, x: np.ndarray, rng: np.random.Generator | None = None) -> tuple:
+        """One rng.random(m) draw picks each row's component; one triple per component drawn.
 
         A row takes the first component whose cumulative weight exceeds its
         draw, the last one if none does (the float sum of the weights may end
         below 1). The count of cumulative weights at or below the draw gives
         that index without a search: the weights are positive, so the sums
         never decrease, and the count equals searchsorted(side="right")
-        clamped to the last index. Each part gets its rows gathered by an
-        index list in their original order, the same block a boolean mask
-        would select, so every estimate keeps its bits.
+        clamped to the last index. Each component's rows are an index list
+        in their original order, and its block is gathered by it, the same
+        block a boolean mask would select, so every estimate keeps its bits.
+        A component that no row draws gets no triple.
         """
         if rng is None:
             raise ValueError(f"{self.label} draws a component for each row and needs a generator")
-        x = np.asarray(x, dtype=float)
         u = rng.random(x.shape[0])
         idx = np.zeros(x.shape[0], dtype=np.intp)
         for c in np.cumsum([w for _, w in self.components])[:-1]:
             idx += u >= c
-        out = np.empty(x.shape[0])
+        blocks = []
         for j, (comp, _) in enumerate(self.components):
             rows = np.flatnonzero(idx == j)
             if rows.size:
-                out[rows] = comp.evaluate_batch(x.take(rows, axis=0))
+                blocks.append((comp, rows, x.take(rows, axis=0)))
+        return tuple(blocks)
+
+    def evaluate_batch(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Each part's estimates on the rows that split gives it, put back in row order."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape[0])
+        for part, rows, block in self.split(x, rng):
+            out[rows] = part.evaluate_batch(block)
         return out
 
 

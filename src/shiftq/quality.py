@@ -20,9 +20,11 @@ grid row reports that value; the claim itself is checked row by row on a
 fixed block of chunk-0 rows at each shift of the grid, and a failed check
 raises InvarianceError.
 
-Mixtures take the same path as every rule: a counter hands the chunk's
-generator to evaluate_batch, which only a mixture reads, and exact
-enumeration and the invariance check walk the rule's weighted parts.
+Mixtures take the same path as every rule. Each chunk, the harness splits
+the block among the rule's parts once (Estimator.split: a plain rule is one
+part with every row, a mixture draws each row's component from the chunk's
+generator), and every shift's counter scores each part on its own rows;
+exact enumeration and the invariance check walk the rule's weighted parts.
 MCConfig, the run parameters, lives in config and is re-exported here.
 """
 
@@ -37,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .config import MCConfig
 from .distributions import Distribution, FiniteAtoms
-from .estimators import SHIFT_INVARIANT
+from .estimators import SHIFT_INVARIANT, Estimator
 from .util import (
     BISECT_TOL,
     BOUNDARY_TOL,
@@ -112,10 +114,6 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-# A counter scores one (rule, shift) pair: counter(noise, rng) -> hits in the block.
-HitCounter = Callable[["np.ndarray", "np.random.Generator"], int]
-
-
 class Space(NamedTuple):
     """A continuous space as the Monte Carlo harness sees it.
 
@@ -135,10 +133,11 @@ def _mc_counts(draw, counters: Sequence[HitCounter], mc: MCConfig) -> list[tuple
     """Monte Carlo (q, ci_half_width) for each counter, all scored on the same noise.
 
     Chunk c's generator is seeded from (seed, c) and draw(rng, m) takes the
-    chunk's m noise rows from it. Every counter then scores that block, with
-    the generator restored to its state right after the draw, so a
-    randomized rule draws the same components whatever else is scored. Only
-    one chunk's block is held at a time.
+    chunk's m noise rows from it. The block is then split among the parts of
+    each counter's rule (Estimator.split), once for a run of counters that
+    share a rule, with the generator restored to its state right after the
+    draw, so a mixture draws the same components whatever else is scored;
+    each counter scores that split. Only one chunk's block is held at a time.
     """
     totals = [0] * len(counters)
     for idx, start in enumerate(range(0, mc.trials, CHUNK_TRIALS)):
@@ -146,9 +145,13 @@ def _mc_counts(draw, counters: Sequence[HitCounter], mc: MCConfig) -> list[tuple
         noise = draw(rng, min(CHUNK_TRIALS, mc.trials - start))
         noise.flags.writeable = False  # shared by every counter of the chunk
         state = rng.bit_generator.state
+        rule = blocks = None
         for i, counter in enumerate(counters):
-            rng.bit_generator.state = state
-            totals[i] += counter(noise, rng)
+            if counter.rule is not rule:
+                rule = counter.rule
+                rng.bit_generator.state = state
+                blocks = rule.split(noise, rng)
+            totals[i] += counter.hits(blocks)
     return [(t / mc.trials, wilson_halfwidth(t, mc.trials, mc.ci_level)) for t in totals]
 
 
@@ -157,24 +160,51 @@ def _noise(d, n: int):
 
     Adding 0.0 turns any -0.0 into 0.0, so the block is exactly the samples
     at shift zero and a counter at that shift can score it without a copy.
+    ppf returns a new array for the generator's draws, so the 0.0 is added
+    in place.
     """
 
     def draw(rng, m):
-        return np.asarray(d.ppf(rng.random((m, n))), dtype=float) + 0.0
+        x = np.asarray(d.ppf(rng.random((m, n))), dtype=float)
+        x += 0.0
+        return x
 
     return draw
 
 
+@dataclass(frozen=True)
+class HitCounter:
+    """Scores one (rule, shift) pair: hits of rule on the noise moved to theta.
+
+    hits(blocks) takes the rule's split of a noise block (Estimator.split)
+    and scores each part on its own rows: distance(part(act(block, theta)),
+    theta) within delta. act, distance and the threshold test are
+    elementwise, so moving a part's gathered rows gives the same bits as
+    gathering them from the moved block. Called as counter(noise, rng), it
+    splits the block itself.
+    """
+
+    space: Space
+    rule: Estimator
+    theta: float
+    delta: float
+    closed: bool = False
+
+    def hits(self, blocks) -> int:
+        total = 0
+        for part, _, block in blocks:
+            est = part.evaluate_batch(self.space.act(block, self.theta))
+            near = within_threshold_array(self.space.distance(est, self.theta), self.delta, self.closed)
+            total += int(np.count_nonzero(near))
+        return total
+
+    def __call__(self, noise, rng=None) -> int:
+        return self.hits(self.rule.split(noise, rng))
+
+
 def _counter(space: Space, e, theta, delta, closed: bool = False) -> HitCounter:
-    """Hits of e on the noise moved to theta: distance(e(act(noise, theta)), theta) within delta."""
-    theta_f = float(theta)
-    delta_f = float(delta)
-
-    def count(noise, rng):
-        est = e.evaluate_batch(space.act(noise, theta_f), rng)
-        return int(np.count_nonzero(within_threshold_array(space.distance(est, theta_f), delta_f, closed)))
-
-    return count
+    """The counter of e at shift theta, with theta and delta as floats."""
+    return HitCounter(space, e, float(theta), float(delta), closed)
 
 
 def _mc_grid(space: Space, e, d, thetas, delta, mc: MCConfig, closed: bool = False, paired=()) -> list:

@@ -148,6 +148,37 @@ def test_round_trip_with_mixture_estimator():
     assert parse_config(json.dumps(serialize_config(cfg))) == cfg
 
 
+NESTED_MIXTURE = {
+    "kind": "mixture",
+    "parts": [
+        {"weight": 0.5, "estimator": {"kind": "constant", "value": 0}},
+        {"weight": 0.5, "estimator": {"kind": "mixture", "parts": [
+            {"weight": 0.5, "estimator": {"kind": "mean"}},
+            {"weight": 0.5, "estimator": {"kind": "constant", "value": 1}},
+        ]}},
+    ],
+}
+
+
+@pytest.mark.parametrize("distribution", [
+    {"family": "gaussian"},
+    {"family": "atoms", "points": [["0", "1/2"], ["1", "1/2"]]},
+])
+def test_a_nested_mixture_is_refused_at_parse_time(tmp_path, capsys, distribution):
+    # Both engines used to accept it here and fail at run time, when the inner
+    # mixture had no generator to draw its components from.
+    doc = {"command": "quality", "distribution": distribution, "estimator": NESTED_MIXTURE,
+           "delta": "1/4", "n": 2, "mc": {"trials": 1000}}
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert [path for path, _ in info.value.errors] == ["estimator.parts[1].estimator.kind"]
+    assert "cannot itself be a mixture" in info.value.errors[0][1]
+    cfg = write(tmp_path, "nested.json", json.dumps(doc))
+    assert main(["quality", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error at estimator.parts[1].estimator.kind" in err and "needs a generator" not in err
+
+
 KIND_PARAMS = {"value": "1/3", "bias": 0.2, "strength": "1/2"}
 
 

@@ -17,6 +17,7 @@ from shiftq import (
     Uniform,
     discrete_mle_estimator,
 )
+from shiftq.distributions import CircleDensity, wrap
 from tests.conftest import KS_CRIT
 
 # Frozen reference values (independent CDF oracles).
@@ -88,6 +89,93 @@ def test_sampling_passes_ks_against_cdf(d):
     cdf = d.cdf(x)
     ks = max(np.max(np.abs(cdf - ecdf_hi)), np.max(np.abs(cdf - ecdf_lo)))
     assert ks < KS_CRIT / math.sqrt(n)
+
+
+# The sampling kernels as plain expressions, each step on a temporary of its own.
+def _gaussian_ppf(d, u):
+    from scipy.special import ndtri
+
+    return d.mean + d.sigma * ndtri(np.asarray(u, dtype=float))
+
+
+def _exponential_ppf(d, u):
+    u = np.asarray(u, dtype=float)
+    return -np.log1p(-u) / d.rate
+
+
+def _ppf_mass(t, m):
+    m = np.clip(np.asarray(m, dtype=float), 0.0, t.total)
+    idx = np.clip(np.searchsorted(t.cum, m, side="right") - 1, 0, len(t.x) - 2)
+    r = m - t.cum[idx]
+    b = t.f[idx]
+    a = 0.5 * t.slope[idx]
+    disc = np.sqrt(np.maximum(b * b + 4.0 * a * r, 0.0))
+    denom = b + disc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(denom > 0.0, 2.0 * r / denom, 0.0)
+    return t.x[idx] + u
+
+
+def _piecewise_ppf(d, u):
+    return _ppf_mass(d._table, np.asarray(u, dtype=float) * d._table.total)
+
+
+def _circle_ppf(d, u):
+    table = d._turn._table
+    return wrap(_ppf_mass(table, np.asarray(u, dtype=float) * table.total))
+
+
+def _normalized(xs, fs, turn=None):
+    """(x, f) knots scaled to unit mass; turn closes a circle table one turn after xs[0]."""
+    ends = list(xs) + ([xs[0] + turn] if turn else [])
+    vals = list(fs) + ([fs[0]] if turn else [])
+    mass = sum(0.5 * (f0 + f1) * (b - a) for a, b, f0, f1 in zip(ends, ends[1:], vals, vals[1:]))
+    return tuple((x, f / mass) for x, f in zip(xs, fs))
+
+
+_KERNELS = [
+    (Gaussian(0.3, 1.7), _gaussian_ppf),
+    (Exponential(2.5), _exponential_ppf),
+    # A zero-density interior segment, then a rising one.
+    (PiecewiseDensity(knots=((0.0, 2.0), (0.5, 0.0), (1.0, 0.0), (1.5, 2.0))), _piecewise_ppf),
+    (PiecewiseDensity(knots=_normalized([0.0, 0.7, 1.1, 1.6, 2.3, 3.0], [0.0, 1.5, 0.9, 0.2, 0.05, 0.0])),
+     _piecewise_ppf),
+    (PiecewiseDensity(knots=_normalized([0.1 * i + 0.01 * (i % 3) for i in range(64)],
+                                        [1.0 + math.sin(i) for i in range(64)])), _piecewise_ppf),
+    (CircleDensity(knots=_normalized([0.1, 0.4, 0.6, 0.8], [0.5, 2.0, 0.0, 1.0], turn=1.0)), _circle_ppf),
+]
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("d, reference", _KERNELS, ids=lambda v: type(v).__name__ if not callable(v) else "")
+def test_sampling_kernels_keep_the_bits_of_the_plain_expressions(d, reference):
+    u = np.random.default_rng(17).random((4000, 3))
+    u[0, 0] = 0.0
+    if hasattr(d, "_table") or hasattr(d, "_turn"):
+        # Masses exactly at the cumulative-mass breakpoints, and at or past the total.
+        table = d._table if hasattr(d, "_table") else d._turn._table
+        at = table.cum / table.total
+        u[1, : len(at[:3])] = at[:3]
+        u[2, 0], u[2, 1] = 1.0, 1.5
+        edges = np.concatenate([at, [1.0, 2.0, np.nextafter(1.0, 0.0)]])
+        got = table.ppf_mass(edges * table.total)
+        assert _bits(got) == _bits(_ppf_mass(table, edges * table.total))
+    before = u.copy()
+    got, want = d.ppf(u), reference(d, u)
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == u.shape
+    assert _bits(got) == _bits(want)
+    assert _bits(u) == _bits(before)  # the caller's array is not written
+    for scalar in (0.0, 0.37, np.float64(0.9)):
+        got, want = d.ppf(scalar), reference(d, scalar)
+        assert type(got) is type(want) and _bits(got) == _bits(want)
+    if hasattr(d, "finite_support"):
+        lo, hi = d.finite_support()
+        assert type(lo) is float and type(hi) is float
+        assert (lo, hi) == tuple(
+            v if math.isfinite(v) else float(reference(d, q)) for v, q in zip(d.support(), (1e-12, 1.0 - 1e-12)))
 
 
 def test_shift_consistency_is_literal():

@@ -537,6 +537,24 @@ def test_mixture_is_an_estimator_that_needs_a_generator():
         m.evaluate_batch(np.ones((3, 2)))
 
 
+def test_a_mixture_component_cannot_be_a_mixture():
+    inner = mixture([(constant_estimator(0.0, 1), 0.5), (constant_estimator(1.0, 1), 0.5)])
+    with pytest.raises(ValueError, match="cannot itself be a mixture"):
+        mixture([(inner, 0.5), (constant_estimator(2.0, 1), 0.5)])
+    with pytest.raises(ValueError, match="cannot itself be a mixture"):
+        estimators.RandomizedEstimator(components=((inner, 1.0),), n=1)
+
+
+def test_split_gives_a_plain_rule_every_row_and_draws_nothing():
+    e = constant_estimator(0.0, 2)
+    x = np.zeros((5, 2))
+    ((part, rows, block),) = e.split(x)
+    assert part is e and block is x and rows == slice(None)
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    assert e.split(x, rng)[0][2] is x and rng.bit_generator.state == state
+
+
 def test_every_rule_is_built_with_its_sample_count():
     d = Gaussian(0.0, 1.0)
     for e, n in ((mean_estimator(d, 3), 3), (window_mle_estimator(d, 0.5, 1), 1),

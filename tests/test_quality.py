@@ -31,7 +31,8 @@ from shiftq import (
     wilson_halfwidth,
 )
 from shiftq.estimators import SHIFT_INVARIANT, Estimator
-from shiftq.quality import CHUNK_TRIALS, LINE, _chunk_rng, _counter, _noise
+from shiftq.quality import CHUNK_TRIALS, LINE, _chunk_rng, _counter, _mc_grid, _noise
+from shiftq.util import within_threshold_array
 from tests.conftest import GOLOMB, random_rational_atoms
 
 UNIT_WINDOW_MASS = 0.6826894921370859
@@ -117,6 +118,55 @@ def test_mc_determinism_across_parallelism():
     draw, count = _noise(d, 3), _counter(LINE, e, 1.5, 0.2, False)
     hits = [count(draw(_chunk_rng(99, c), sizes[c]), None) for c in reversed(range(3))]
     assert 0 < min(hits) and q == sum(hits) / mc.trials
+
+
+def _per_shift_counts(d, n, scored, delta, mc):
+    """(q, ci) of each (rule, theta) in scored by the per-shift loop, the oracle of the split grid.
+
+    Each chunk draws its noise, and every pair restores the generator to its
+    state after the draw and calls rule.evaluate_batch(noise + theta, rng)
+    on the whole block, so a mixture draws its components afresh each time.
+    """
+    totals = [0] * len(scored)
+    for c, start in enumerate(range(0, mc.trials, CHUNK_TRIALS)):
+        rng = _chunk_rng(mc.seed, c)
+        noise = np.asarray(d.ppf(rng.random((min(CHUNK_TRIALS, mc.trials - start), n))), dtype=float) + 0.0
+        state = rng.bit_generator.state
+        for i, (rule, theta) in enumerate(scored):
+            rng.bit_generator.state = state
+            est = rule.evaluate_batch(noise + theta, rng)
+            totals[i] += int(np.count_nonzero(within_threshold_array(np.abs(est - theta), delta)))
+    return [(t / mc.trials, wilson_halfwidth(t, mc.trials, mc.ci_level)) for t in totals]
+
+
+def test_mixture_grid_matches_the_per_shift_loop():
+    # Three chunks, the last one partial. The mixture has an invariant part
+    # (mean), a non-invariant one (constant) and one of weight 1e-6 that some
+    # chunk does not draw; two more rules are scored after it, a mixture and
+    # a plain rule, so the generator is restored for each of them too.
+    d = Gaussian(0.3, 1.2)
+    delta, n = 0.4, 2
+    mc = MCConfig(trials=2 * CHUNK_TRIALS + 3000, seed=31)
+    rare = min_shift_estimator(0.1, n)
+    m = mixture([(mean_estimator(d, n), 0.5), (constant_estimator(0.7, n), 0.5 - 1e-6), (rare, 1e-6)])
+    other = mixture([(constant_estimator(-0.2, n), 0.3), (mean_estimator(d, n), 0.7)])
+    plain = mean_estimator(d, n)
+    thetas = [-2.5, 0.0, 0.3, 0.7, 1.1, 4.0]
+    assert m.invariance_claim != SHIFT_INVARIANT
+    missing = 0
+    for c in range(3):
+        rng = _chunk_rng(mc.seed, c)
+        noise = _noise(d, n)(rng, min(CHUNK_TRIALS, mc.trials - c * CHUNK_TRIALS))
+        missing += all(part is not rare for part, _, _ in m.split(noise, rng))
+    assert missing  # the rare part draws no rows in some chunk
+
+    paired = [_counter(LINE, other, 0.7, delta), _counter(LINE, plain, 0.0, delta)]
+    want = _per_shift_counts(d, n, [(m, t) for t in thetas] + [(other, 0.7), (plain, 0.0)], delta, mc)
+    assert _mc_grid(LINE, m, d, thetas, delta, mc, paired=paired) == want
+    report = quality_inf(m, d, delta, thetas, mc)
+    assert [(row.q, row.ci_half_width) for row in report.per_theta] == want[: len(thetas)]
+    assert quality_at(m, d, 0.7, delta, mc) == want[thetas.index(0.7)]
+    assert len({q for q, _ in want}) > 3  # the shifts are told apart
 
 
 def test_mc_determinism_across_runs(mc_fast):
