@@ -314,14 +314,12 @@ def _float_sumset(a: Sequence, b: Sequence) -> list:
     return sums[:1] + [v for prev, v in zip(sums, sums[1:]) if v - prev > MATCH_ATOL]
 
 
-def coefficient_sumset(points: Sequence, k: int) -> list:
-    """All sums of the points with integer coefficients in [0, k).
+def _lattice_sumset(points: list, k: int) -> tuple[list[int], int] | None:
+    """D * S as sorted ints and D, for S the sums of the points with integer coefficients in [0, k).
 
-    Exact points are summed as integers over D, the lcm of their
-    denominators, and come back as Fractions (as ints when every point is an
-    int). Nearby floats (within 1e-9) collapse to one element.
+    D is the lcm of the points' denominators. The caps and k are checked
+    first, for float points too; those give None, with no sumset built.
     """
-    points = list(points)
     if not points:
         raise ValueError("need at least one point")
     if len(points) > _SUMSET_POINT_CAP:
@@ -331,17 +329,36 @@ def coefficient_sumset(points: Sequence, k: int) -> list:
     if k ** len(points) > _SUMSET_SIZE_CAP:
         raise EnumerationLimitError(f"{k}^{len(points)} combinations exceed the cap")
     if not is_exact(*points):
-        values = [0.0]
-        for z in points:
-            values = _float_sumset(values, [h * z for h in range(k)])
-        return values
+        return None
     scale = common_denominator(points)
     values = [0]
     for z in lattice_ints(points, scale):
         values = sorted({v + h * z for v in values for h in range(k)})
+    return values, scale
+
+
+def _sumset_values(values: list[int], scale: int, points: list) -> list:
+    """The sumset elements values / scale: ints when every point is an int, Fractions otherwise."""
     if all(type(z) is int for z in points):
         return values
     return [Fraction(v, scale) for v in values]
+
+
+def coefficient_sumset(points: Sequence, k: int) -> list:
+    """All sums of the points with integer coefficients in [0, k).
+
+    Exact points are summed as integers over D, the lcm of their
+    denominators, and come back as Fractions (as ints when every point is an
+    int). Nearby floats (within 1e-9) collapse to one element.
+    """
+    points = list(points)
+    lattice = _lattice_sumset(points, k)
+    if lattice is None:
+        values = [0.0]
+        for z in points:
+            values = _float_sumset(values, [h * z for h in range(k)])
+        return values
+    return _sumset_values(*lattice, points)
 
 
 def _lattice_window(p: int, q: int, a: int, b: int, closed: bool) -> tuple[int, int]:
@@ -359,12 +376,10 @@ def _lattice_window(p: int, q: int, a: int, b: int, closed: bool) -> tuple[int, 
     return (centre - reach) // den + 1, -((-centre - reach) // den) - 1
 
 
-def _observed_total(
-    e, d: FiniteAtoms, delta, closed: bool, shifts: list, index: dict, observed: list, scale: int
-):
+def _observed_total(e, d: FiniteAtoms, delta, closed: bool, index: dict, observed: list, scale: int):
     """Exact one-sample quality summed over the shifts of S, from one guess per observation.
 
-    index maps scale * theta to theta's position in shifts, and observed is
+    index maps scale * theta to theta's position in S, and observed is
     scale * (S + Z) as sorted ints. The guess g at an observation x credits
     the mass of atom z to theta = x - z when theta is in S and lies within
     delta of g. A part that carries scaled is built once as
@@ -373,7 +388,8 @@ def _observed_total(
     (as an int when every location is one) and its guess is multiplied by
     scale. An exact guess makes the test an integer range on scale * theta,
     with delta * scale = a / b read once per call; any other guess keeps
-    the within_threshold decision of exact_quality_discrete.
+    the within_threshold decision of exact_quality_discrete, against theta
+    made a Fraction (an int when every location is one) for that test only.
 
     Masses are held as integer numerators over M, the lcm of their
     denominators, so a credit is an int addition. A plain rule divides its
@@ -386,9 +402,9 @@ def _observed_total(
     as_int = all(type(z) is int for z in d.locations)
     delta_scaled = Fraction(delta * scale)
     a, b = delta_scaled.numerator, delta_scaled.denominator
-    qualities = [0] * len(shifts)
+    qualities = [0] * len(index)
     for part, w in e.parts:
-        q = [0] * len(shifts)
+        q = [0] * len(index)
         on_lattice = part.scaled is not None
         rule = part.scaled(scale) if on_lattice else part
         unit = 1 if on_lattice else scale  # lattice units per unit of the guess
@@ -403,7 +419,10 @@ def _observed_total(
             else:
                 for z, m in atoms:
                     i = index.get(x - z)
-                    if i is not None and within_threshold(abs(g - shifts[i]), delta, closed):
+                    if i is None:
+                        continue
+                    theta = x - z if as_int else Fraction(x - z, scale)
+                    if within_threshold(abs(g - theta), delta, closed):
                         q[i] += m
         if part is e:
             return Fraction(sum(q), mass_scale)
@@ -421,42 +440,46 @@ def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: b
     inputs allow 1e-12 slack.
 
     The check runs the way the averaging argument does when delta, the
-    locations and the masses are exact: S + Z is built once in integers over
-    the lcm of the denominators, the rule is evaluated once per observation
-    x in S + Z, and its guess credits each shift x - z in S that it lands
-    within delta of. Masses are held as integer numerators over M, the lcm
-    of their denominators, and each part of the rule divides its hits once by
-    M (see _observed_total). Float laws are evaluated shift by shift with
-    exact_quality_discrete, whose float band the pairing by x would not
-    reproduce. When the total and the window bound are exact, the average
-    is the rational total / |S|, a Fraction even when the total is an int.
+    locations and the masses are exact: S and S + Z are built once in
+    integers over the lcm of the location denominators, the rule is
+    evaluated once per observation x in S + Z, and its guess credits each
+    shift x - z in S that it lands within delta of. Masses are held as
+    integer numerators over M, the lcm of their denominators, and each part
+    of the rule divides its hits once by M (see _observed_total). Float laws
+    are evaluated shift by shift with exact_quality_discrete, whose float
+    band the pairing by x would not reproduce; only that path turns S into
+    Fractions (or floats). When the total and the window bound are exact,
+    the average is the rational total / |S|, a Fraction even when the total
+    is an int.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("the averaging check needs a finite atomic law")
     if e.n != 1:
         raise ValueError(f"the averaging check bounds one-sample rules; {e.label} takes n={e.n}")
     locs = list(d.locations)
-    shifts = coefficient_sumset(locs, k)
-    if is_exact(*locs):
-        scale = common_denominator(locs)
-        scaled_shifts = lattice_ints(shifts, scale)
+    lattice = _lattice_sumset(locs, k)
+    if lattice is None:
+        shifts = coefficient_sumset(locs, k)
+        size, grown = len(shifts), len(_float_sumset(shifts, locs))
+    else:
+        scaled_shifts, scale = lattice
         points = lattice_ints(locs, scale)
         observed = sorted({s + z for s in scaled_shifts for z in points})
-        grown = len(observed)
-    else:
-        grown = len(_float_sumset(shifts, locs))
+        size, grown = len(scaled_shifts), len(observed)
     if is_exact(delta, *locs, *d.masses):
         index = {s: i for i, s in enumerate(scaled_shifts)}
-        total = _observed_total(e, d, delta, closed_interval, shifts, index, observed, scale)
+        total = _observed_total(e, d, delta, closed_interval, index, observed, scale)
     else:
+        if lattice is not None:
+            shifts = _sumset_values(scaled_shifts, scale, locs)
         total = sum(exact_quality_discrete(e, d, theta, delta, closed_interval=closed_interval) for theta in shifts)
     window_value = window_bound_one_sample(d, delta, closed_interval=closed_interval).value
     if is_exact(total, window_value):
-        average = Fraction(total, len(shifts))
-        bound = window_value * Fraction(grown, len(shifts))
+        average = Fraction(total, size)
+        bound = window_value * Fraction(grown, size)
         holds = average <= bound
     else:
-        average = float(total) / len(shifts)
-        bound = float(window_value) * grown / len(shifts)
+        average = float(total) / size
+        bound = float(window_value) * grown / size
         holds = average <= bound + 1e-12
     return SumsetAverageBound(average_quality=average, bound=bound, holds=holds)

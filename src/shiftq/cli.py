@@ -26,6 +26,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .config import COMMANDS, ConfigError, ExperimentConfig, MCConfig, build_estimator, parse_config
@@ -60,6 +61,59 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _float_json(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: keys are strings, and scalars are converted first."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _json_text(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), for a value nested at the line start pad.
+
+    json uses its C encoder only without indent; with one it runs a
+    generator per container, several times slower than joining strings here.
+    The types are tested in json's order (bool before int), scalars are
+    written by the same functions, and anything json refuses, a Fraction
+    among them, raises TypeError.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_json(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def _emit(args, cfg, doc, rows, columns):
     """Write the report: doc as JSON, or the named columns of the row dicts as CSV."""
     path = args.out or cfg.output.path
@@ -74,7 +128,7 @@ def _emit(args, cfg, doc, rows, columns):
         writer.writerows([_cell(row[c]) for c in columns] for row in rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _json_text(doc) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     print(f"wrote {path}")
@@ -212,8 +266,7 @@ def _run_lemma_check(args) -> int:
 
 
 def _rational_pair(q: Fraction) -> list[int]:
-    f = Fraction(q)
-    return [f.numerator, f.denominator]
+    return [q.numerator, q.denominator]
 
 
 class _TreeComparison(NamedTuple):
@@ -229,20 +282,17 @@ def _tree_comparison(radius: int, word_radius: int) -> _TreeComparison:
     """Truncation against every left and right translate by a word of length <= word_radius.
 
     Each rule is scored over the radius ball. The truncation table is the
-    full sweep quality_inf_ball would make: min keeps the first minimiser in
-    ball order, as the sweep does. The translates are scored by
-    max_quality_inf_ball, which stops a rule's sweep once the rule cannot
-    raise the largest minimum found before it; the maximum stays exact.
+    full sweep quality_inf_ball would make (group_tree.quality_table), with
+    the first minimiser in ball order, as the sweep keeps it. The translates
+    are scored by max_quality_inf_ball, which stops a rule's sweep once the
+    rule cannot raise the largest minimum found before it; the maximum stays
+    exact.
     """
     from . import group_tree
 
     mu = group_tree.standard_tree_distribution()
     trunc = group_tree.truncation_estimator()
-    rows = [
-        (theta, group_tree.exact_quality_tree(trunc, mu, theta, _TREE_DELTA))
-        for theta in group_tree.ball(radius)
-    ]
-    argmin, global_q = min(rows, key=lambda row: row[1])
+    rows, (argmin, global_q) = group_tree.quality_table(trunc, mu, _TREE_DELTA, radius)
     translates = [
         make(word)
         for word in group_tree.ball(word_radius)

@@ -39,6 +39,7 @@ __all__ = [
     "evaluate_tree_estimator",
     "exact_quality_tree",
     "quality_inf_ball",
+    "quality_table",
     "max_quality_inf_ball",
 ]
 
@@ -83,9 +84,12 @@ def _mul(u: str, v: str) -> str:
     """Product of two words already known to be reduced; the result is reduced.
 
     Only the seam can cancel: the tail of u against the head of v, for as
-    long as they mirror each other.
+    long as they mirror each other. Most products have different letters at
+    the seam, and nothing cancels.
     """
-    k = 0
+    if not (u and v) or u[-1] != v[0]:
+        return u + v
+    k = 1
     n = min(len(u), len(v))
     while k < n and u[-1 - k] == v[k]:
         k += 1
@@ -203,6 +207,27 @@ def evaluate_tree_estimator(e: Estimator, x: str) -> str:
     return e.evaluate((_check_word(x),))
 
 
+def _check_delta(delta) -> None:
+    """Raise unless delta lies strictly between 0 and 1; a delta that is not a Fraction is converted first."""
+    if not isinstance(delta, Fraction):
+        delta = Fraction(delta)
+    if not 0 < delta.numerator < delta.denominator:
+        raise ValueError("delta must lie strictly between 0 and 1")
+
+
+def _hits(fn, atoms, theta: str) -> int:
+    """M times the exact quality at theta: the integer masses of the atoms whose shift the rule fn names.
+
+    atoms and M are mu._numerators. Distances are integers and delta lies
+    below 1, so a hit is a guess equal to the shift.
+    """
+    total = 0
+    for z, m in atoms:
+        if fn((_mul(theta, z),)) == theta:
+            total += m
+    return total
+
+
 def exact_quality_tree(e: Estimator, mu: TreeDistribution, theta: str, delta: Fraction) -> Fraction:
     """Exact success probability at one shift.
 
@@ -211,21 +236,15 @@ def exact_quality_tree(e: Estimator, mu: TreeDistribution, theta: str, delta: Fr
     and 1; distances are integers, so success is exact equality with the
     shift. A delta that is not a Fraction is converted first; the test reads
     its numerator and denominator (the denominator is always positive), so a
-    Fraction delta builds no new Fraction. The masses of the atoms that hit
-    are added as integer numerators over M, the lcm of their denominators
-    (cached on mu), and divided once.
+    Fraction delta builds no new Fraction. theta must be a reduced word. The
+    quality is the shift's integer hit count over M, the lcm of the mass
+    denominators (cached on mu), the count the ball sweeps compare; it is
+    divided once.
     """
-    if not isinstance(delta, Fraction):
-        delta = Fraction(delta)
-    if not 0 < delta.numerator < delta.denominator:
-        raise ValueError("delta must lie strictly between 0 and 1")
+    _check_delta(delta)
     _check_word(theta)
     atoms, scale = mu._numerators
-    total = 0
-    for z, m in atoms:
-        if e.fn((_mul(theta, z),)) == theta:
-            total += m
-    return Fraction(total, scale)
+    return Fraction(_hits(e.fn, atoms, theta), scale)
 
 
 def quality_inf_ball(
@@ -245,19 +264,48 @@ def quality_inf_ball(
     gives. A caller passing a floor above 0 gets the full sweep's result
     when no shift is at or below the floor, and otherwise a quality at or
     below the floor (with its shift), which may lie above the true minimum.
+
+    The sweep compares integer numerators: each shift's hit count t over M,
+    the lcm of the mass denominators, as exact_quality_tree computes it. The
+    floor (an int, a Fraction or a finite float, read exactly) is tested as
+    t * floor.denominator <= floor.numerator * M, and the one Fraction built
+    is the minimum's.
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")
-    best_q = None
+    _check_delta(delta)
+    floor = Fraction(floor)
+    atoms, scale = mu._numerators
+    fn = e.fn
+    floor_den, limit = floor.denominator, floor.numerator * scale
+    best = None
     best_theta = IDENTITY
     for theta in ball(radius):
-        q = exact_quality_tree(e, mu, theta, delta)
-        if best_q is None or q < best_q:
-            best_q = q
+        t = _hits(fn, atoms, theta)
+        if best is None or t < best:
+            best = t
             best_theta = theta
-            if q <= floor:
+            if t * floor_den <= limit:
                 break
-    return best_q, best_theta
+    return Fraction(best, scale), best_theta
+
+
+def quality_table(
+    e: Estimator, mu: TreeDistribution, delta: Fraction, radius: int
+) -> tuple[list[tuple[str, Fraction]], tuple[str, Fraction]]:
+    """(shift, exact quality) for every shift of the radius ball in ball order, and the first row at the minimum.
+
+    The full sweep quality_inf_ball makes with no floor to stop at, on the
+    same integer hit counts; one Fraction is built per distinct count.
+    """
+    _check_delta(delta)
+    atoms, scale = mu._numerators
+    fn = e.fn
+    shifts = ball(radius)
+    hits = [_hits(fn, atoms, theta) for theta in shifts]
+    quality = {t: Fraction(t, scale) for t in set(hits)}
+    lowest = hits.index(min(hits))
+    return [(theta, quality[t]) for theta, t in zip(shifts, hits)], (shifts[lowest], quality[hits[lowest]])
 
 
 def max_quality_inf_ball(

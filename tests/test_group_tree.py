@@ -258,38 +258,67 @@ def test_ball_sweep_matches_brute_force():
             assert quality_inf_ball(e, mu, HALF, radius) == (lowest, shifts[prefix.index(lowest)])
 
 
-def _count_shift_evaluations(monkeypatch) -> list:
-    calls = []
-    inner = group_tree.exact_quality_tree
+def _counted(e: Estimator, k: int, calls: list) -> Estimator:
+    """e, noting k in calls each time its rule is called (once per atom and shift)."""
 
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
+    def fn(x):
+        calls.append(k)
+        return e.fn(x)
 
-    monkeypatch.setattr(group_tree, "exact_quality_tree", counted)
-    return calls
+    return Estimator(label=e.label, fn=fn, n=1)
 
 
-def test_ball_sweep_stops_at_the_first_zero(monkeypatch):
-    calls = _count_shift_evaluations(monkeypatch)
+def test_ball_sweep_stops_at_the_first_zero():
+    # The standard law has 3 atoms, so the rule is called 3 times per shift.
+    calls: list = []
     mu = standard_tree_distribution()
-    assert quality_inf_ball(right_translate_estimator(""), mu, HALF, 8) == (0, "")
-    assert len(calls) == 1
+    assert quality_inf_ball(_counted(right_translate_estimator(""), 0, calls), mu, HALF, 8) == (0, "")
+    assert len(calls) == 3
     calls.clear()
     # Truncation never reaches 0, so it still sweeps the whole ball.
-    assert quality_inf_ball(truncation_estimator(), mu, HALF, 8) == (Fraction(2, 3), "b")
-    assert len(calls) == len(ball(8))
+    assert quality_inf_ball(_counted(truncation_estimator(), 0, calls), mu, HALF, 8) == (Fraction(2, 3), "b")
+    assert len(calls) == 3 * len(ball(8)) == 2298
 
 
 def test_tree_demo_evaluates_only_the_shifts_it_needs(monkeypatch, tmp_path, capsys):
-    calls = _count_shift_evaluations(monkeypatch)
+    calls: list = []
+    for name in ("truncation_estimator", "left_translate_estimator", "right_translate_estimator"):
+        make = getattr(group_tree, name)
+        monkeypatch.setattr(group_tree, name, lambda *word, make=make: _counted(make(*word), 0, calls))
     assert cli.main(["tree-demo", "--radius", "8", "--out", str(tmp_path / "tree.json")]) == 0
     # 766 table rows, which also give the truncation minimum. Of the 92
     # translates, x*"" and ""*x stop at their first shift (quality 0), x*a
     # sweeps all 766 shifts to its minimum 1/3, and each of the other 89 stops
     # at its first shift, already at or below that 1/3:
-    # 766 + 1 + 1 + 766 + 89 = 1623.
-    assert len(calls) == 1623
+    # 766 + 1 + 1 + 766 + 89 = 1623 shifts, 3 rule calls each.
+    assert len(calls) == 3 * 1623 == 4869
+
+
+def _sweep_over_exact_quality(e, mu, radius, floor):
+    """quality_inf_ball's contract, one exact_quality_tree Fraction per shift compared with floor."""
+    best = None
+    for theta in ball(radius):
+        q = exact_quality_tree(e, mu, theta, HALF)
+        if best is None or q < best[0]:
+            best = (q, theta)
+            if q <= floor:
+                break
+    return best
+
+
+_RATIONAL_FLOORS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+
+
+# A float floor is read exactly: float(1/3) lies below 1/3, so a rule whose
+# minimum is 1/3 does not stop at it.
+@pytest.mark.parametrize("floor", [0, 1, *_RATIONAL_FLOORS, *(float(f) for f in _RATIONAL_FLOORS)])
+def test_integer_floor_test_matches_a_sweep_over_exact_qualities(floor):
+    mu = standard_tree_distribution()
+    rules = [truncation_estimator()]
+    for w in ball(2):
+        rules += [left_translate_estimator(w), right_translate_estimator(w)]
+    for e in rules:
+        assert quality_inf_ball(e, mu, HALF, 6, floor) == _sweep_over_exact_quality(e, mu, 6, floor)
 
 
 @pytest.mark.parametrize(
@@ -304,16 +333,6 @@ def test_ball_sweep_checks_delta_even_when_it_stops_at_once(delta):
     else:
         with pytest.raises(ValueError, match="^delta must lie strictly between 0 and 1$"):
             quality_inf_ball(e, mu, delta, 8)
-
-
-def _counted(e: Estimator, k: int, calls: list) -> Estimator:
-    """e, noting k in calls each time its rule is called (once per atom and shift)."""
-
-    def fn(x):
-        calls.append(k)
-        return e.fn(x)
-
-    return Estimator(label=e.label, fn=fn, n=1)
 
 
 _TABLE_WORDS = ball(2)
