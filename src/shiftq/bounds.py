@@ -31,12 +31,13 @@ from typing import NamedTuple, Sequence
 from .config import MCConfig
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms
 from .estimators import _discrete_window_best, _window_center_batch, window_mle_estimator
-from .quality import exact_quality_discrete, quality_at
+# Nothing here calls exact_quality_discrete: perfbench/layers.py wraps it by the name bounds.exact_quality_discrete.
+from .quality import exact_quality_discrete, quality_at  # noqa: F401
 from .util import (
     _PLAIN_EXACT,
     EnumerationLimitError,
-    MATCH_ATOL,
     common_denominator,
+    exact_number,
     is_exact,
     lattice_ints,
     np,
@@ -91,21 +92,18 @@ class SumsetAverageBound(NamedTuple):
 
 
 def _conflict_multiple(z_a, z_b, delta) -> bool:
-    """True when the two locations differ by a nonzero multiple of 2*delta."""
-    if is_exact(z_a, z_b, delta):
-        ratio = Fraction(z_b - z_a) / (2 * Fraction(delta))
-        return ratio != 0 and ratio.denominator == 1
-    ratio = (float(z_b) - float(z_a)) / (2.0 * float(delta))
-    k = round(ratio)
-    return k != 0 and abs(ratio - k) <= 1e-9 * max(1.0, abs(ratio))
+    """True when the exact locations differ by a nonzero multiple of 2*delta, exact too."""
+    ratio = Fraction(z_b - z_a) / (2 * delta)
+    return ratio != 0 and ratio.denominator == 1
 
 
 def _discrete_packing_best(d: FiniteAtoms, delta):
     """(mass, selected atoms) for the best translate-disjoint atom subset.
 
     Atoms conflict when their distance is a nonzero multiple of 2*delta;
-    conflicts are transitive (exactly so under rational arithmetic), so the
-    best subset keeps the heaviest atom of each conflict class.
+    conflicts are transitive (exactly so in the rationals the law and delta
+    are held in), so the best subset keeps the heaviest atom of each
+    conflict class.
     """
     atoms = d.atoms
     parent = list(range(len(atoms)))
@@ -127,7 +125,7 @@ def _discrete_packing_best(d: FiniteAtoms, delta):
         current = best_by_class.get(root)
         if current is None or m > current[1]:
             best_by_class[root] = (z, m)
-    selected = sorted(best_by_class.values(), key=lambda zm: float(zm[0]))
+    selected = sorted(best_by_class.values())
     total = sum(m for _, m in selected)
     return total, tuple(selected)
 
@@ -205,16 +203,15 @@ def _atom_bounds(d: FiniteAtoms, delta, closed_interval: bool) -> list[BoundRepo
     The packing argument needs open windows: a closed window of width
     2*delta catches two atoms 2*delta apart, which the packing classes keep
     apart. So under the closed convention there is no packing row and the
-    window row is not certified.
+    window row is not certified. delta is read as an exact number (see
+    util.exact_number), and so both rows are exact.
     """
+    delta = exact_number(delta)
     value, center = _discrete_window_best(d, delta, closed_interval)
     if closed_interval:
         return [BoundReport(WINDOW, 1, delta, value, "atom sliding window", False, center)]
     packing_value, selected = _discrete_packing_best(d, delta)
-    if is_exact(value, packing_value):
-        certified = value == packing_value
-    else:
-        certified = abs(float(value) - float(packing_value)) <= 1e-12
+    certified = value == packing_value
     return [
         BoundReport(WINDOW, 1, delta, value, "atom sliding window", certified, center),
         BoundReport(
@@ -305,20 +302,11 @@ def applicable_bounds(
     return reports
 
 
-def _float_sumset(a: Sequence, b: Sequence) -> list:
-    """Sorted sums x + y; a sum is kept when it lies more than MATCH_ATOL above the sum before it.
-
-    One pass over the sorted list, so the float-atom lemma-check never loads numpy.
-    """
-    sums = sorted(float(x + y) for x in a for y in b)
-    return sums[:1] + [v for prev, v in zip(sums, sums[1:]) if v - prev > MATCH_ATOL]
-
-
-def _lattice_sumset(points: list, k: int) -> tuple[list[int], int] | None:
-    """D * S as sorted ints and D, for S the sums of the points with integer coefficients in [0, k).
+def _lattice_sumset(points: list, k: int) -> tuple[list[int], int]:
+    """D * S as sorted ints and D, for S the sums of the exact points with integer coefficients in [0, k).
 
     D is the lcm of the points' denominators. The caps and k are checked
-    first, for float points too; those give None, with no sumset built.
+    first, with no sumset built.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -328,8 +316,6 @@ def _lattice_sumset(points: list, k: int) -> tuple[list[int], int] | None:
         raise ValueError("k must be at least 1")
     if k ** len(points) > _SUMSET_SIZE_CAP:
         raise EnumerationLimitError(f"{k}^{len(points)} combinations exceed the cap")
-    if not is_exact(*points):
-        return None
     scale = common_denominator(points)
     values = [0]
     for z in lattice_ints(points, scale):
@@ -347,18 +333,12 @@ def _sumset_values(values: list[int], scale: int, points: list) -> list:
 def coefficient_sumset(points: Sequence, k: int) -> list:
     """All sums of the points with integer coefficients in [0, k).
 
-    Exact points are summed as integers over D, the lcm of their
-    denominators, and come back as Fractions (as ints when every point is an
-    int). Nearby floats (within 1e-9) collapse to one element.
+    The points are read as exact numbers (see util.exact_number), summed as
+    integers over D, the lcm of their denominators, and come back as
+    Fractions (as ints when every point is an int).
     """
-    points = list(points)
-    lattice = _lattice_sumset(points, k)
-    if lattice is None:
-        values = [0.0]
-        for z in points:
-            values = _float_sumset(values, [h * z for h in range(k)])
-        return values
-    return _sumset_values(*lattice, points)
+    points = [exact_number(z) for z in points]
+    return _sumset_values(*_lattice_sumset(points, k), points)
 
 
 def _lattice_window(p: int, q: int, a: int, b: int, closed: bool) -> tuple[int, int]:
@@ -436,43 +416,31 @@ def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: b
     The average of the exact quality over shifts in the coefficient sumset S
     of the atom locations Z cannot exceed the one-sample window bound scaled
     by |S + Z| / |S|. That ceiling holds for rules that see one sample, so a
-    rule with e.n != 1 is refused. Exact inputs are decided exactly; float
-    inputs allow 1e-12 slack.
+    rule with e.n != 1 is refused. delta is read as an exact number (see
+    util.exact_number), as the law is.
 
-    The check runs the way the averaging argument does when delta, the
-    locations and the masses are exact: S and S + Z are built once in
-    integers over the lcm of the location denominators, the rule is
-    evaluated once per observation x in S + Z, and its guess credits each
-    shift x - z in S that it lands within delta of. Masses are held as
+    The check runs the way the averaging argument does: S and S + Z are
+    built once in integers over the lcm of the location denominators, the
+    rule is evaluated once per observation x in S + Z, and its guess credits
+    each shift x - z in S that it lands within delta of. Masses are held as
     integer numerators over M, the lcm of their denominators, and each part
-    of the rule divides its hits once by M (see _observed_total). Float laws
-    are evaluated shift by shift with exact_quality_discrete, whose float
-    band the pairing by x would not reproduce; only that path turns S into
-    Fractions (or floats). When the total and the window bound are exact,
-    the average is the rational total / |S|, a Fraction even when the total
-    is an int.
+    of the rule divides its hits once by M (see _observed_total). So the
+    average is the rational total / |S|, a Fraction even when the total is
+    an int, and is decided exactly; only a mixture with float weights gives
+    a float total, which is allowed 1e-12 slack.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("the averaging check needs a finite atomic law")
     if e.n != 1:
         raise ValueError(f"the averaging check bounds one-sample rules; {e.label} takes n={e.n}")
+    delta = exact_number(delta)
     locs = list(d.locations)
-    lattice = _lattice_sumset(locs, k)
-    if lattice is None:
-        shifts = coefficient_sumset(locs, k)
-        size, grown = len(shifts), len(_float_sumset(shifts, locs))
-    else:
-        scaled_shifts, scale = lattice
-        points = lattice_ints(locs, scale)
-        observed = sorted({s + z for s in scaled_shifts for z in points})
-        size, grown = len(scaled_shifts), len(observed)
-    if is_exact(delta, *locs, *d.masses):
-        index = {s: i for i, s in enumerate(scaled_shifts)}
-        total = _observed_total(e, d, delta, closed_interval, index, observed, scale)
-    else:
-        if lattice is not None:
-            shifts = _sumset_values(scaled_shifts, scale, locs)
-        total = sum(exact_quality_discrete(e, d, theta, delta, closed_interval=closed_interval) for theta in shifts)
+    scaled_shifts, scale = _lattice_sumset(locs, k)
+    points = lattice_ints(locs, scale)
+    observed = sorted({s + z for s in scaled_shifts for z in points})
+    size, grown = len(scaled_shifts), len(observed)
+    index = {s: i for i, s in enumerate(scaled_shifts)}
+    total = _observed_total(e, d, delta, closed_interval, index, observed, scale)
     window_value = window_bound_one_sample(d, delta, closed_interval=closed_interval).value
     if is_exact(total, window_value):
         average = Fraction(total, size)

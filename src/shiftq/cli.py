@@ -186,7 +186,7 @@ def _run_quality(args) -> int:
         for t in report.per_theta
     ]
     doc = {
-        "delta": report.delta,
+        "delta": number_doc(report.delta),
         "per_theta": rows,
         "worst_case": {"q": number_doc(q), "theta": number_doc(argmin)},
         "infimum_certified": report.infimum_certified,

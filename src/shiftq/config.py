@@ -4,7 +4,9 @@ Configs are plain JSON. Validation is total: every problem in the document is
 collected as a (path, message) pair and reported at once through ConfigError,
 so a config either parses into a fully validated ExperimentConfig or fails
 before any computation starts. Numbers may be given as 'p/q' strings to opt
-in to exact rational arithmetic where the computation supports it.
+in to exact rational arithmetic where the computation supports it. An atom
+law is always exact: its JSON numbers, and delta and the shifts next to it,
+are read as the decimals they print as (see util.exact_number).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .distributions import (
     Uniform,
     uniform_circle_density,
 )
-from .util import is_exact, number_doc, parse_number
+from .util import exact_number, number_doc, parse_number
 
 __all__ = [
     "COMMANDS",
@@ -441,32 +443,11 @@ def _build_estimator_spec(spec, path: str, errs: _Collector, kinds) -> Estimator
     return EstimatorSpec(kind=kind, value=entry.cast(value))
 
 
-def _check_rational_mixing(distribution, delta, theta_grid, errs: _Collector):
-    """Atoms either go all-exact (locations, delta and shifts rational) or all-float."""
-    from numbers import Rational
-
-    if not isinstance(distribution, FiniteAtoms):
-        return
-    values = list(distribution.locations) + [delta]
-    exact_flags = [isinstance(v, Rational) for v in values if v is not None]
-    if any(exact_flags) and not all(exact_flags):
-        errs.add(
-            "delta",
-            "rational and float values are mixed; give every atom location and delta "
-            "as 'p/q' strings for exact arithmetic, or none of them",
-        )
-    elif all(exact_flags) and any(not isinstance(t, Rational) for t in theta_grid or ()):
-        errs.add(
-            "theta_grid",
-            "float shifts next to rational atoms and delta; give the shifts as 'p/q' strings",
-        )
-
-
 def _flag_delta(text: str, distribution):
     """A --delta flag's text, read as the document would hold delta for this law.
 
-    Next to atoms whose locations are all exact it is a Fraction, as a
-    "delta": "0.3" string would be; next to any other law it is a float, as
+    Next to atoms it is a Fraction, as a "delta": "0.3" string or a
+    "delta": 0.3 number would be; next to any other law it is a float, as
     "delta": 0.3 would be. Text that is no number is left for the delta
     field's own check to report.
     """
@@ -474,7 +455,7 @@ def _flag_delta(text: str, distribution):
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         return text
-    if isinstance(distribution, FiniteAtoms) and is_exact(*distribution.locations):
+    if isinstance(distribution, FiniteAtoms):
         return value
     try:
         return float(text)
@@ -547,6 +528,13 @@ def parse_config(
             if None not in grid:
                 given["theta_grid"] = tuple(theta for theta, in grid)
 
+    if isinstance(given.get("distribution"), FiniteAtoms):
+        # An atom law is exact, and so are delta and the shifts next to it.
+        if given["delta"] is not None:
+            given["delta"] = exact_number(given["delta"])
+        if "theta_grid" in given:
+            given["theta_grid"] = tuple(map(exact_number, given["theta_grid"]))
+
     mc_doc = doc.get("mc", {})
     if not isinstance(mc_doc, dict):
         errs.add("mc", "expected an object")
@@ -591,8 +579,6 @@ def parse_config(
         errs.add("n", "lemma-check bounds one-sample rules; n must be 1")
     if cfg.closed_interval and not spec.closed_interval:
         errs.add("closed_interval", f"{command} has no closed windows; closed_interval must be false")
-    _check_rational_mixing(given.get("distribution"), given["delta"], given.get("theta_grid"), errs)
-
     if errs.errors:
         raise ConfigError(errs.errors)
     return cfg

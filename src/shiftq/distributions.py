@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .util import MATCH_ATOL, np
+from .util import exact_number, np, number_repr
 
 __all__ = [
     "FamilyTraits",
@@ -412,27 +412,29 @@ class PiecewiseDensity(ContinuousDistribution):
 class FiniteAtoms(Distribution):
     """Purely atomic law: a finite list of (location, mass) pairs.
 
-    Locations must be strictly increasing and separated by more than 1e-9;
-    masses must be positive and sum to 1 within 1e-12. Locations and masses
-    may be Fractions, in which case downstream discrete computations stay
-    exact.
+    Every location and mass is held exactly, as an int or a Fraction: a
+    float is read as the shortest decimal that round-trips to it (see
+    util.exact_number), so (0.3, 0.45) is held as (3/10, 9/20), and a value
+    that is not finite is refused. Locations must be strictly increasing;
+    masses must be positive and sum to exactly 1. So the discrete
+    computations downstream are exact.
     """
 
     atoms: tuple[tuple[object, object], ...]
 
     def __post_init__(self):
-        atoms = tuple((z, m) for z, m in self.atoms)
+        atoms = tuple((exact_number(z), exact_number(m)) for z, m in self.atoms)
         if not atoms:
             raise ValueError("need at least one atom")
         locs = [z for z, _ in atoms]
         masses = [m for _, m in atoms]
-        if any(float(b) - float(a) <= MATCH_ATOL for a, b in zip(locs, locs[1:])):
-            raise ValueError(f"atom locations must be strictly increasing with gaps above {MATCH_ATOL}")
+        if any(b <= a for a, b in zip(locs, locs[1:])):
+            raise ValueError("atom locations must be strictly increasing")
         if any(not (m > 0) for m in masses):
             raise ValueError("atom masses must be positive")
         total = sum(masses)
-        if abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"atom masses sum to {float(total):.12g}, expected 1")
+        if total != 1:
+            raise ValueError(f"atom masses sum to {number_repr(total)}, expected 1")
         object.__setattr__(self, "atoms", atoms)
 
     @property

@@ -27,7 +27,7 @@ from functools import reduce
 from typing import Callable, Sequence
 
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms, Gaussian
-from .util import BISECT_TOL, MATCH_ATOL, ConvergenceError, is_exact, np, sum_columns, within_threshold
+from .util import BISECT_TOL, ConvergenceError, exact_number, is_exact, np, sum_columns, within_threshold
 
 __all__ = [
     "Estimator",
@@ -464,7 +464,6 @@ def _discrete_window_best(d: FiniteAtoms, delta, closed_interval: bool):
     """
     locs = d.locations
     masses = d.masses
-    exact = is_exact(*locs)
     two_delta = 2 * delta
     prefix = [0]
     for m in masses:
@@ -480,12 +479,8 @@ def _discrete_window_best(d: FiniteAtoms, delta, closed_interval: bool):
         mass = prefix[j + 1] - prefix[i]
         if best_mass is None or mass > best_mass:
             best_mass = mass
-            edge_sum = locs[i] + locs[j]
-            best_center = Fraction(edge_sum, 2) if exact else edge_sum / 2
+            best_center = Fraction(locs[i] + locs[j], 2)
     return best_mass, best_center
-
-
-_NO_SHIFT = "no shift places every sample on an atom of the base law"
 
 
 def _shift_recovery(locs: Sequence, center):
@@ -509,7 +504,7 @@ def _shift_recovery(locs: Sequence, center):
         z = lower_atom.get(step)
         if z is not None and all(g in offsets[z] for g in gaps):
             return first - z
-        raise ValueError(_NO_SHIFT)
+        raise ValueError("no shift places every sample on an atom of the base law")
 
     return recover
 
@@ -524,27 +519,25 @@ def discrete_mle_estimator(d: FiniteAtoms, delta, n: int = 1, *, closed_interval
     At n >= 2 the atom locations must have distinct pairwise distances, and
     two distinct sample values pin the shift uniquely: subtracting a
     candidate atom from the first sample must land every sample back on an
-    atom. All-equal samples fall back to the window rule. On exact inputs
-    the signed differences of distinct atoms are distinct, so the first
-    nonzero gap names the atom under x_1 (see _shift_recovery): n
-    subtractions per tuple in all. Float inputs try each atom in turn and
-    match within MATCH_ATOL, or four float spacings of the sample where
-    those are coarser: a sample far from zero carries the rounding of its
-    shift.
+    atom. All-equal samples fall back to the window rule. The locations are
+    exact (see FiniteAtoms), so the signed differences of distinct atoms are
+    distinct, and the first nonzero gap names the atom under x_1 (see
+    _shift_recovery): n subtractions per tuple in all. delta is read as an
+    exact number (see util.exact_number).
 
-    On exact locations the rule carries scaled: both branches rebuilt on the
-    locations and the centre times D, the recovery maps keyed by those ints.
+    The rule carries scaled: both branches rebuilt on the locations and the
+    centre times D, the recovery maps keyed by those ints.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("discrete_mle needs a finite atomic law")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not float(delta) > 0:
+    delta = exact_number(delta)
+    if not delta > 0:
         raise ValueError("delta must be positive")
     center = _discrete_window_best(d, delta, closed_interval)[1]
     center_f = float(center)
     locs = d.locations
-    exact_locs = is_exact(*locs)
     if n == 1:
         label = f"discrete_window(center={center_f:g})"
 
@@ -559,42 +552,24 @@ def discrete_mle_estimator(d: FiniteAtoms, delta, n: int = 1, *, closed_interval
             invariance_claim=SHIFT_INVARIANT,
             batch_fn=lambda x: x[:, 0] - center_f,
             symmetric=True,
-            scaled=_lattice_rule(label, 1, SHIFT_INVARIANT, window_on_lattice) if exact_locs else None,
+            scaled=_lattice_rule(label, 1, SHIFT_INVARIANT, window_on_lattice),
         )
 
-    distances = sorted(b - a for i, a in enumerate(locs) for b in locs[i + 1 :])
-    if any(hi - lo <= (0 if exact_locs else MATCH_ATOL) for lo, hi in zip(distances, distances[1:])):
+    pairs = [b - a for i, a in enumerate(locs) for b in locs[i + 1 :]]
+    if len(set(pairs)) < len(pairs):
         raise ValueError("atom locations must have distinct pairwise distances")
     label = f"discrete_exact(n={n})"
-    recover = _shift_recovery(locs, center) if exact_locs else None
-
-    def matches_atom(sample, candidate):
-        value = float(sample - candidate)
-        tol = max(MATCH_ATOL, 4 * math.ulp(abs(float(sample))))
-        return any(abs(value - float(z)) <= tol for z in locs)
-
-    def fn(x):
-        first = x[0]
-        if exact_locs and is_exact(*x):
-            return recover(x)
-        if all(abs(float(v) - float(first)) <= MATCH_ATOL for v in x):
-            return first - center
-        for z in locs:
-            candidate = first - z
-            if all(matches_atom(v, candidate) for v in x):
-                return candidate
-        raise ValueError(_NO_SHIFT)
 
     def recovery_on_lattice(scale):
         return _shift_recovery([_times(z, scale) for z in locs], _times(center, scale))
 
     return Estimator(
         label=label,
-        fn=fn,
+        fn=_shift_recovery(locs, center),
         n=n,
         invariance_claim=SHIFT_INVARIANT,
         symmetric=True,
-        scaled=_lattice_rule(label, n, SHIFT_INVARIANT, recovery_on_lattice) if exact_locs else None,
+        scaled=_lattice_rule(label, n, SHIFT_INVARIANT, recovery_on_lattice),
     )
 
 

@@ -42,11 +42,11 @@ from .distributions import Distribution, FiniteAtoms
 from .estimators import SHIFT_INVARIANT, Estimator
 from .util import (
     BISECT_TOL,
-    BOUNDARY_TOL,
     _PLAIN_EXACT,
     EnumerationLimitError,
     InvarianceError,
     common_denominator,
+    exact_number,
     is_exact,
     lattice_ints,
     np,
@@ -94,7 +94,7 @@ class QualityReport:
     worst case.
     """
 
-    delta: float
+    delta: float | Fraction
     per_theta: tuple[ThetaQuality, ...]
     worst_case: tuple  # (q, argmin theta), Fractions when the rows are exact
     infimum_certified: bool
@@ -261,70 +261,52 @@ def quality_at(
 def exact_quality_discrete(e, d: FiniteAtoms, theta, delta, *, closed_interval: bool = False):
     """Exact quality for an atomic base law by enumerating tuples of e.n samples.
 
-    Cases are tuples of atom indices, streamed from itertools, and each one
-    costs the rule's evaluation on the shifted atoms and one threshold test.
-    A symmetric rule on an exact law (theta, delta, locations and masses all
-    ints or Fractions) is evaluated once per multiset of atoms, weighted by
-    its n!/prod(c_i!) orderings, counted from the runs of the sorted indices,
-    and the enumeration cap counts multisets; any other rule, and every float
-    law, walks the ordered tuples. Float sums depend on their order, which
-    is why float laws keep the ordered walk.
+    theta and delta are read as exact numbers (see util.exact_number), as
+    the law's locations and masses are, so a float 0.05 is 1/20 here. Cases
+    are tuples of atom indices, streamed from itertools, and each one costs
+    the rule's evaluation on the shifted atoms and one threshold test. A
+    symmetric rule is evaluated once per multiset of atoms, weighted by its
+    n!/prod(c_i!) orderings, counted from the runs of the sorted indices,
+    and the enumeration cap counts multisets; any other rule walks the
+    ordered tuples.
 
-    When theta, delta and the locations are exact, a part that carries
-    scaled (see estimators.Estimator) is evaluated on the integer lattice:
-    D is the lcm of the denominators of theta, delta and the locations, the
-    points are the ints D*(theta + z), the part's scaled(D) is built once
-    per call, and its guess, in lattice units, hits when D*(theta - delta) <
-    g < D*(theta + delta) (<= under closed_interval), both ends ints. A part
-    without scaled (invariant_extension, a float constant, a batch-only
-    rule) sees the Fraction points theta + z and the ends theta -+ delta.
+    A part that carries scaled (see estimators.Estimator) is evaluated on
+    the integer lattice: D is the lcm of the denominators of theta, delta
+    and the locations, the points are the ints D*(theta + z), the part's
+    scaled(D) is built once per call, and its guess, in lattice units, hits
+    when D*(theta - delta) < g < D*(theta + delta) (<= under
+    closed_interval), both ends ints. A part without scaled
+    (invariant_extension, a float constant, a batch-only rule) sees the
+    Fraction points theta + z and the ends theta -+ delta. So every
+    decision on an exact guess, and with it the quality of a shift
+    equivariant rule, is the same at every shift, however large.
 
-    Exact masses are held as integer numerators over M, the lcm of their
+    Masses are held as integer numerators over M, the lcm of their
     denominators: a hit adds ways * prod(M * m_i) as an int, and the sum is
     divided once, by M^n. Nothing hit gives the int 0; otherwise the value is
-    a Fraction (an int if every mass is an int). Any other masses are
-    multiplied and summed as they are, in enumeration order.
-
-    A float guess goes through within_threshold. On a float law its boundary
-    band is widened from BOUNDARY_TOL to 4*n float spacings of the largest
-    |sample|: adding theta to the samples and taking it away again rounds at
-    that scale (n times over for a rule that sums its samples), so a
-    narrower band would let a decision on the boundary depend on theta.
+    a Fraction (an int if every mass is an int). A float guess goes through
+    within_threshold and its BOUNDARY_TOL band.
 
     A rule's quality is the weighted sum of its parts' qualities.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("exact evaluation needs a finite atomic law")
+    theta, delta = exact_number(theta), exact_number(delta)
     n = e.n
     locs, masses = d.locations, d.masses
     r = len(locs)
-    exact = is_exact(theta, delta, *locs, *masses)
     points = tuple(theta + z for z in locs)
-    band = BOUNDARY_TOL
-    if not exact:
-        reach = abs(float(theta)) + max(abs(float(z)) for z in locs)
-        band = max(band, 4 * n * math.ulp(reach))
-    interval = is_exact(theta, delta)
-    lo = hi = None
-    if interval:
-        lo, hi = theta - delta, theta + delta
-    lattice = interval and is_exact(*locs)
-    if lattice:
-        scale = common_denominator((theta, delta, *locs))
-        lattice_points = lattice_ints(points, scale)
-        lattice_lo, lattice_hi = lattice_ints((lo, hi), scale)
-    numerators = all(type(m) in _PLAIN_EXACT for m in masses)
-    if numerators:
-        mass_scale = common_denominator(masses)
-        weight = lattice_ints(masses, mass_scale)
-    else:
-        weight = masses
+    lo, hi = theta - delta, theta + delta
+    scale = common_denominator((theta, delta, *locs))
+    lattice_points = lattice_ints(points, scale)
+    lattice_lo, lattice_hi = lattice_ints((lo, hi), scale)
+    mass_scale = common_denominator(masses)
+    weight = lattice_ints(masses, mass_scale)
     # A Fraction only when some mass is one: int masses (one atom of mass 1) sum to an int.
-    fraction_sum = numerators and Fraction in map(type, masses)
+    fraction_sum = Fraction in map(type, masses)
 
     def hit_mass(part):
-        multisets = exact and part.symmetric
-        if multisets:
+        if part.symmetric:
             count = math.comb(r + n - 1, n)
             if count > _EXACT_ENUM_CAP:
                 raise EnumerationLimitError(
@@ -335,19 +317,19 @@ def exact_quality_discrete(e, d: FiniteAtoms, theta, delta, *, closed_interval: 
             if r**n > _EXACT_ENUM_CAP:
                 raise EnumerationLimitError(f"{r}^{n} sample tuples exceed the cap of {_EXACT_ENUM_CAP}")
             cases = itertools.product(range(r), repeat=n)
-        if lattice and part.scaled is not None:
+        if part.scaled is not None:
             rule, at, low, high = part.scaled(scale), lattice_points, lattice_lo, lattice_hi
         else:
             rule, at, low, high = part, points, lo, hi
         total = 0
         for idx in cases:
             g = rule.evaluate(tuple([at[i] for i in idx]))
-            if interval and type(g) in _PLAIN_EXACT:
+            if type(g) in _PLAIN_EXACT:
                 hit = low <= g <= high if closed_interval else low < g < high
             else:
-                hit = within_threshold(abs(g - theta), delta, closed_interval, band=band)
+                hit = within_threshold(abs(g - theta), delta, closed_interval)
             if hit:
-                ways = _orderings(idx) if multisets else 1
+                ways = _orderings(idx) if part.symmetric else 1
                 total += math.prod([weight[i] for i in idx], start=ways)
         return Fraction(total, mass_scale**n) if total and fraction_sum else total
 
@@ -396,8 +378,10 @@ def quality_inf(
 ) -> QualityReport:
     """Worst-case quality over a shift grid, each shift seen through e.n samples.
 
-    An atomic law is enumerated shift by shift; any other law is scored by
-    Monte Carlo, every shift on the same noise. Shift-equivariant estimators
+    An atomic law is enumerated shift by shift, with delta and every shift
+    read as exact numbers (see util.exact_number), and the report keeps
+    them so; any other law is scored by Monte Carlo, every shift on the same
+    noise. Shift-equivariant estimators
     report the value at shift zero, which is then every row's value; their
     claim is first checked row by row at every shift of the grid (see
     _check_invariance), and a rule that fails raises InvarianceError. Other
@@ -407,11 +391,14 @@ def quality_inf(
     thetas = list(theta_grid)
     if not thetas:
         raise ValueError("theta_grid must be nonempty")
+    atoms = isinstance(d, FiniteAtoms)
+    if atoms:
+        delta, thetas = exact_number(delta), [exact_number(t) for t in thetas]
     invariant = e.invariance_claim == SHIFT_INVARIANT
-    if invariant and not any(float(t) == 0.0 for t in thetas):
-        thetas.insert(0, 0)  # an int, so a rational law stays exact at this shift
+    if invariant and not any(t == 0 for t in thetas):
+        thetas.insert(0, 0)  # an int, so an atom law stays exact at this shift
 
-    if isinstance(d, FiniteAtoms):
+    if atoms:
         entries = [
             ThetaQuality(
                 *_exact_pair(t, exact_quality_discrete(e, d, t, delta, closed_interval=closed_interval)),
@@ -439,7 +426,7 @@ def quality_inf(
         best = min(entries, key=lambda t: t.q)
         worst = (best.q, best.theta)
     return QualityReport(
-        delta=float(delta),
+        delta=delta,
         per_theta=tuple(entries),
         worst_case=worst,
         infimum_certified=invariant,

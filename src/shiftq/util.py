@@ -10,8 +10,6 @@ from numbers import Rational
 
 # Half-width of the float band around a threshold treated as "on the boundary".
 BOUNDARY_TOL = 1e-12
-# Absolute tolerance for matching or deduplicating atom locations.
-MATCH_ATOL = 1e-9
 # Convergence tolerance (in the center variable) for window bisection.
 BISECT_TOL = 1e-10
 
@@ -78,11 +76,30 @@ def lattice_ints(values, scale: int) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
+def exact_number(value):
+    """value as an int or a Fraction; a float is read as the shortest decimal that round-trips to it.
+
+    So 0.55 becomes Fraction(11, 20), as the text '0.55' or '11/20' does:
+    Fraction(repr(float(value))). Ints and Fractions are returned as they
+    are and other rationals made Fractions. A value that is not finite
+    raises ValueError.
+    """
+    if type(value) in _PLAIN_EXACT:
+        return value
+    if isinstance(value, Rational):
+        return Fraction(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return Fraction(repr(value))
+
+
 def parse_number(value):
     """Return value unchanged if numeric; parse strings ('3/4', '0.25') exactly.
 
-    String inputs always produce a Fraction so that configs can opt in to
-    exact arithmetic for atom locations, masses, and thresholds.
+    String inputs always produce a Fraction. Floats stay floats here: an
+    atom law reads them as the decimals they print as (see exact_number),
+    and every other law computes in floats.
     """
     if isinstance(value, str):
         return Fraction(value)
@@ -105,21 +122,19 @@ def number_doc(value):
     return number_repr(value) if isinstance(value, Fraction) else value
 
 
-def within_threshold(
-    distance, threshold, closed: bool = False, *, band: float = BOUNDARY_TOL
-) -> bool:
+def within_threshold(distance, threshold, closed: bool = False) -> bool:
     """Decide |estimate - shift| < threshold with a declared boundary rule.
 
     Exact inputs (ints, Fractions) compare exactly. Float inputs treat any
-    distance within band (BOUNDARY_TOL unless the caller knows its rounding
-    is coarser) of the threshold as sitting on the boundary, which counts as
-    success only under the closed-interval convention.
+    distance within BOUNDARY_TOL of the threshold as sitting on the
+    boundary, which counts as success only under the closed-interval
+    convention.
     """
     if is_exact(distance, threshold):
         return distance <= threshold if closed else distance < threshold
     d = float(distance)
     t = float(threshold)
-    if abs(d - t) <= band:
+    if abs(d - t) <= BOUNDARY_TOL:
         return bool(closed)
     return d < t
 
@@ -168,7 +183,7 @@ def within_threshold_array(distances, threshold, closed: bool = False) -> np.nda
     One subtraction and one comparison: gap = t - d is below -BOUNDARY_TOL
     outside the threshold, within BOUNDARY_TOL of 0 on the boundary and above
     BOUNDARY_TOL inside it. IEEE rounding is symmetric, so gap is exactly
-    -(d - t), and the result equals within_threshold's |d - t| <= band test
+    -(d - t), and the result equals within_threshold's |d - t| <= BOUNDARY_TOL test
     followed by d < t at every input, NaN and +-inf included (a NaN gap fails
     both comparisons).
     """

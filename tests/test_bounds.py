@@ -30,7 +30,7 @@ from shiftq import (
     window_mle_estimator,
 )
 from shiftq.estimators import Estimator, mixture
-from shiftq.util import MATCH_ATOL, EnumerationLimitError, is_exact
+from shiftq.util import EnumerationLimitError, is_exact
 from tests.conftest import random_rational_atoms
 
 UNIT_WINDOW_MASS = 0.6826894921370859
@@ -215,8 +215,8 @@ def test_coefficient_sumset_examples():
         10,
         11,
     ]
-    # Nearby floats collapse.
-    assert coefficient_sumset([0.0, 1e-12], 2) == [0.0]
+    # Floats are read as the decimals they print as, so nearby ones stay apart.
+    assert coefficient_sumset([0.0, 1e-12], 2) == [0, Fraction(1, 10**12)]
 
 
 def test_coefficient_sumset_caps():
@@ -229,16 +229,10 @@ def test_coefficient_sumset_caps():
 
 
 def _reference_sumset(points, k):
-    """coefficient_sumset stage by stage: sorted Fraction sets, or floats deduplicated on MATCH_ATOL."""
-    exact = is_exact(*points)
-    values = [0 if exact else 0.0]
+    """coefficient_sumset stage by stage, as sorted sets of exact sums."""
+    values = [0]
     for z in points:
-        sums = [v + h * z for v in values for h in range(k)]
-        if exact:
-            values = sorted(set(sums))
-        else:
-            arr = np.sort(np.asarray([float(v) for v in sums]))
-            values = arr[np.concatenate(([True], np.diff(arr) > MATCH_ATOL))].tolist()
+        values = sorted({v + h * z for v in values for h in range(k)})
     return values
 
 
@@ -398,9 +392,10 @@ def test_coefficient_sumset_keeps_the_point_types_and_order():
     exact = coefficient_sumset(points, 4)
     assert exact == _reference_sumset(points, 4) and all(type(v) is Fraction for v in exact)
     floats = [-0.75, 0.1, 0.2, 0.30000000001, 4.8]
-    assert coefficient_sumset(floats, 3) == _reference_sumset(floats, 3)
-    # 0.1 + 0.2 and 0.30000000001 collapse to one element.
-    assert len(coefficient_sumset(floats, 2)) < 2 ** len(floats)
+    decimals = [Fraction(repr(z)) for z in floats]
+    assert coefficient_sumset(floats, 3) == _reference_sumset(decimals, 3)
+    # 0.1 + 0.2 is 3/10 exactly, apart from 0.30000000001: all 2^5 sums are distinct.
+    assert len(coefficient_sumset(floats, 2)) == 2 ** len(floats)
 
 
 def test_sumset_average_bound_on_the_optimal_estimator(example_atoms):

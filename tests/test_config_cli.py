@@ -2,15 +2,20 @@ import csv
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shiftq import (
     ConfigError,
+    FiniteAtoms,
     Gaussian,
     coefficient_sumset,
     config,
@@ -22,7 +27,7 @@ from shiftq import (
 )
 from shiftq import cli
 from shiftq.cli import main
-from shiftq.config import ESTIMATORS, EstimatorSpec, build_estimator
+from shiftq.config import ESTIMATORS, EstimatorSpec, ExperimentConfig, build_estimator
 from shiftq.util import number_repr
 
 MINIMAL_QUALITY = """
@@ -62,7 +67,8 @@ def test_bad_atom_masses_name_the_sum():
     """
     with pytest.raises(ConfigError) as exc:
         parse_config(doc)
-    assert any("0.9" in msg for _, msg in exc.value.errors)
+    # The float masses are read as the decimals 2/5 and 1/2, so the sum is exact.
+    assert exc.value.errors == [("distribution", "atom masses sum to 9/10, expected 1")]
 
 
 def test_all_errors_are_collected_at_once():
@@ -81,7 +87,8 @@ def test_all_errors_are_collected_at_once():
     assert {"distribution.family", "estimator.kind", "delta", "mc.trials"} <= paths
 
 
-def test_rational_float_mixing_is_rejected():
+def test_rational_float_mixing_is_read_exactly():
+    # Float atoms next to 'p/q' ones are read as the decimals they print as.
     doc = """
     {
       "command": "lemma-check",
@@ -89,22 +96,22 @@ def test_rational_float_mixing_is_rejected():
       "delta": "1/4"
     }
     """
-    with pytest.raises(ConfigError) as exc:
-        parse_config(doc)
-    assert any("mixed" in msg for _, msg in exc.value.errors)
+    cfg = parse_config(doc)
+    assert cfg.distribution.atoms == ((Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 2)))
+    assert cfg == parse_config(doc.replace("0.5", '"1/2"'))
 
 
-def test_float_shift_grid_next_to_rational_atoms_is_rejected(tmp_path):
+def test_float_shift_grid_next_to_rational_atoms_is_read_exactly(tmp_path):
     doc = {
         "distribution": {"family": "atoms", "points": [["0", "1/2"], ["1", "1/2"]]},
         "estimator": {"kind": "discrete_mle"},
         "delta": "1/4",
         "theta_grid": [0.1, 0.2],
     }
-    with pytest.raises(ConfigError) as exc:
-        parse_config(json.dumps(doc))
-    assert [path for path, _ in exc.value.errors] == ["theta_grid"]
-    assert main(["quality", "--config", write(tmp_path, "grid.json", json.dumps(doc))]) == 2
+    assert parse_config(json.dumps(doc)).theta_grid == (Fraction(1, 10), Fraction(1, 5))
+    floats = _report(tmp_path, "floats", ["quality"], doc)
+    assert floats == _report(tmp_path, "texts", ["quality"], {**doc, "theta_grid": ["1/10", "1/5"]})
+    assert floats.splitlines()[1:] == [b"0/1,1/2,0.0,true,true", b"1/10,1/2,0.0,true,false", b"1/5,1/2,0.0,true,false"]
 
 
 def test_round_trip_preserves_the_config():
@@ -569,8 +576,8 @@ def test_cli_enumeration_limit_exits_1(tmp_path):
 
 
 def test_cli_quality_cap_counts_multisets_for_symmetric_rules(tmp_path, capsys):
-    # 4^10 ordered tuples exceed the cap of 10^6; the mean on rational atoms
-    # walks the 286 multisets instead. Float atoms keep the ordered walk.
+    # 4^10 ordered tuples exceed the cap of 10^6; the mean on atoms walks the
+    # 286 multisets instead, also when the atoms are spelled as floats.
     doc = {
         "distribution": {"family": "atoms", "points": [[z, "1/4"] for z in ("0", "1", "3", "7")]},
         "estimator": {"kind": "mean"},
@@ -578,13 +585,11 @@ def test_cli_quality_cap_counts_multisets_for_symmetric_rules(tmp_path, capsys):
         "n": 10,
         "theta_grid": ["0"],
     }
-    assert main(["quality", "--config", write(tmp_path, "rational.json", json.dumps(doc))]) == 0
-    capsys.readouterr()
+    rational = _report(tmp_path, "rational", ["quality"], doc)
     doc["distribution"]["points"] = [[z, 0.25] for z in (0.0, 1.0, 3.0, 7.0)]
     doc["delta"], doc["theta_grid"] = 0.5, [0.0]
-    assert main(["quality", "--config", write(tmp_path, "float.json", json.dumps(doc))]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("enumeration limit: 4^10 sample tuples")
+    assert _report(tmp_path, "float", ["quality"], doc) == rational
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_paper_suite_passes(tmp_path):
@@ -827,11 +832,70 @@ def test_infinite_delta_is_a_field_error(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["config error at delta: delta must be finite"]
 
 
-def _report(tmp_path, name, argv, doc):
+def _report(tmp_path, name, argv, doc, fmt="csv"):
     cfg = write(tmp_path, f"{name}.json", json.dumps(doc))
     out = tmp_path / f"{name}.out"
-    assert main(argv + ["--config", cfg, "--out", str(out), "--format", "csv"]) == 0
+    assert main(argv + ["--config", cfg, "--out", str(out), "--format", fmt]) == 0
     return out.read_bytes()
+
+
+def test_quality_report_writes_an_exact_delta_as_p_q(tmp_path):
+    doc = {"distribution": RATIONAL_ATOMS, "estimator": {"kind": "mean"}, "delta": "1/3", "n": 2, "theta_grid": ["0"]}
+    quality = json.loads(_report(tmp_path, "quality", ["quality"], doc, "json"))
+    bounds = json.loads(_report(tmp_path, "bounds", ["bounds"], doc, "json"))
+    assert quality["delta"] == "1/3" and {row["delta"] for row in bounds["bounds"]} == {"1/3"}
+    # A float delta next to atoms is read as its decimal; next to any other law it stays a float.
+    assert json.loads(_report(tmp_path, "decimal", ["quality"], {**doc, "delta": 0.3}, "json"))["delta"] == "3/10"
+    gaussian = {**doc, "distribution": {"family": "gaussian"}, "delta": 0.3, "mc": {"trials": 1000}}
+    assert json.loads(_report(tmp_path, "gaussian", ["quality"], gaussian, "json"))["delta"] == 0.3
+
+
+def test_a_shift_that_rounds_to_float_zero_is_not_shift_zero(tmp_path):
+    # 10^-400 is 0.0 as a float; an invariant rule still gets its row at shift 0 ahead of it.
+    tiny = "1/1" + "0" * 400
+    doc = {"distribution": RATIONAL_ATOMS, "estimator": {"kind": "discrete_mle"}, "delta": "3/4", "theta_grid": [tiny]}
+    rows = json.loads(_report(tmp_path, "tiny", ["quality"], doc, "json"))["per_theta"]
+    assert [(row["theta"], row["q"]) for row in rows] == [("0/1", "3/5"), (tiny, "3/5")]
+
+
+@given(
+    locations=st.lists(st.integers(-300, 300), min_size=1, max_size=4, unique=True),
+    cuts=st.lists(st.integers(1, 99), max_size=3, unique=True),
+    delta=st.integers(1, 200),
+    kind=st.sampled_from(["mean", "min_shift", "discrete_mle"]),
+    n=st.integers(1, 2),
+    closed=st.booleans(),
+)
+def test_one_law_in_three_spellings_gives_one_report(locations, cuts, delta, kind, n, closed):
+    # A law in hundredths, its delta and a shift grid, written as JSON numbers, as 'p/q' strings
+    # and as the floats an API caller passes (FiniteAtoms in an ExperimentConfig, serialised),
+    # give the same bytes in every exact report.
+    cuts = sorted(cuts)
+    locs = sorted(locations)[: len(cuts) + 1]
+    cuts = cuts[: len(locs) - 1]
+    units = [b - a for a, b in zip([0, *cuts], [*cuts, 100])]
+    floats = tuple((z / 100, u / 100) for z, u in zip(locs, units))
+    n = 1 if kind == "discrete_mle" else n
+    common = {"estimator": {"kind": kind}, "n": n, "k": 3, "closed_interval": closed}
+    api = ExperimentConfig(
+        command="quality", distribution=FiniteAtoms(atoms=floats), estimator=EstimatorSpec(kind=kind),
+        delta=delta / 100, n=n, k=3, theta_grid=(0.0, 0.37, -1e15), closed_interval=closed,
+    )
+    spellings = {
+        "numbers": {**common, "distribution": {"family": "atoms", "points": [list(p) for p in floats]},
+                    "delta": delta / 100, "theta_grid": [0.0, 0.37, -1e15]},
+        "texts": {**common, "distribution": {"family": "atoms", "points": [[f"{z}/100", f"{u}/100"]
+                                                                           for z, u in zip(locs, units)]},
+                  "delta": f"{delta}/100", "theta_grid": ["0", "37/100", "-1000000000000000"]},
+        "api": serialize_config(api),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("quality", "bounds", "lemma-check")[: 3 if n == 1 else 2]:
+            reports = [
+                _report(pathlib.Path(tmp), f"{command}-{name}", [command], {**doc, "command": command}, "json")
+                for name, doc in spellings.items()
+            ]
+            assert reports[0] == reports[1] == reports[2], command
 
 
 @pytest.mark.parametrize(
@@ -847,7 +911,7 @@ def _report(tmp_path, name, argv, doc):
                      "estimator": {"kind": "mean"}, "n": 2}, ["3/4", "0.75"], "3/4"),
         ("lemma-check", {"distribution": {"family": "atoms", "points": [["0", "1/3"], ["5/2", "2/3"]]},
                          "k": 3}, ["3/4", "0.75"], "3/4"),
-        # Float atoms hold it as a float; the flag used to turn it rational and exit 2.
+        # Float atoms are read as decimals, and a float delta next to them too.
         ("bounds", {"distribution": {"family": "atoms", "points": [[0.0, 0.25], [1.0, 0.75]]}},
          ["0.75"], 0.75),
         ("lemma-check", {"distribution": {"family": "atoms", "points": [[0.0, 0.25], [1.5, 0.75]]},

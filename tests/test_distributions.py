@@ -239,8 +239,13 @@ def test_piecewise_renormalizes_small_errors_only():
 
 
 def test_atoms_validation_messages():
-    with pytest.raises(ValueError, match="0.9"):
+    # Float masses are read as the decimals they print as, so the sum is exact.
+    with pytest.raises(ValueError, match="^atom masses sum to 9/10, expected 1$"):
         FiniteAtoms(atoms=((0.0, 0.4), (1.0, 0.5)))
+    with pytest.raises(ValueError, match="^atom masses sum to 9999999999999999/10000000000000000, expected 1$"):
+        FiniteAtoms(atoms=tuple((z, 1 / 3) for z in (0, 1, 2)))
+    with pytest.raises(ValueError, match="not a finite number"):
+        FiniteAtoms(atoms=((0.0, 0.5), (math.inf, 0.5)))
     with pytest.raises(ValueError, match="increasing"):
         FiniteAtoms(atoms=((0.0, 0.5), (0.0, 0.5)))
     with pytest.raises(ValueError, match="positive"):

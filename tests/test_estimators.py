@@ -435,6 +435,7 @@ def test_scaled_recovery_refuses_samples_off_the_atoms(example_atoms):
 
 
 def test_only_rules_with_exact_constants_carry_scaled(example_atoms):
+    # An atom law is exact whatever its spelling, so every rule built on it carries scaled.
     float_atoms = FiniteAtoms(atoms=((0.0, 0.5), (1.0, 0.5)))
     float_masses = FiniteAtoms(atoms=((Fraction(0), 0.5), (Fraction(1), 0.5)))
     with_scaled = [
@@ -442,17 +443,17 @@ def test_only_rules_with_exact_constants_carry_scaled(example_atoms):
         min_shift_estimator(Fraction(1, 4), 2),
         constant_estimator(3, 1),
         discrete_mle_estimator(example_atoms, Fraction(3, 4), 1),
-        discrete_mle_estimator(float_masses, 0.25, 1),  # the window centre comes from the locations
+        discrete_mle_estimator(float_masses, 0.25, 1),
         discrete_mle_estimator(example_atoms, Fraction(3, 4), 2),
+        mean_estimator(float_masses, 2),
+        discrete_mle_estimator(float_atoms, 0.25, 1),
+        discrete_mle_estimator(float_atoms, 0.25, 2),
     ]
     assert all(e.scaled is not None for e in with_scaled)
     without = [
         mean_estimator(Gaussian(0.0, 1.0), 2),
-        mean_estimator(float_masses, 2),
         min_shift_estimator(0.25, 2),
         constant_estimator(0.5, 1),
-        discrete_mle_estimator(float_atoms, 0.25, 1),
-        discrete_mle_estimator(float_atoms, 0.25, 2),
         invariant_extension(lambda x0: 0, 1),
         window_mle_estimator(Gaussian(0.0, 1.0), 0.5, 1),
         mixture([(with_scaled[0], 0.5), (with_scaled[5], 0.5)]),

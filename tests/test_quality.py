@@ -1,4 +1,6 @@
+import csv
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -30,6 +32,7 @@ from shiftq import (
     window_mle_estimator,
     wilson_halfwidth,
 )
+from shiftq.cli import main
 from shiftq.estimators import SHIFT_INVARIANT, Estimator
 from shiftq.quality import CHUNK_TRIALS, LINE, _chunk_rng, _counter, _mc_grid, _noise
 from shiftq.util import within_threshold_array
@@ -181,16 +184,12 @@ def test_mc_agrees_with_exact_on_random_atoms():
     rng = np.random.default_rng(55)
     mc = MCConfig(trials=40_000, seed=13)
     for _ in range(10):
-        exact_d = random_rational_atoms(rng, int(rng.integers(2, 5)))
-        # Same instance with float data for the sampling path.
-        float_d = FiniteAtoms(
-            atoms=tuple((float(z), float(m)) for z, m in exact_d.atoms)
-        )
+        d = random_rational_atoms(rng, int(rng.integers(2, 5)))
         delta = Fraction(int(rng.integers(1, 8)), 8)
-        e_exact = discrete_mle_estimator(exact_d, delta)
-        e_float = discrete_mle_estimator(float_d, float(delta))
-        want = exact_quality_discrete(e_exact, exact_d, Fraction(0), delta)
-        got, ci = quality_at(e_float, float_d, 0.0, float(delta), mc)
+        e = discrete_mle_estimator(d, delta)
+        want = exact_quality_discrete(e, d, Fraction(0), delta)
+        # The sampling path draws the atoms as floats and scores the rule's float batch.
+        got, ci = quality_at(e, d, 0.0, delta, mc)
         assert abs(got - float(want)) <= 3 * ci + 1e-9
 
 
@@ -305,10 +304,12 @@ def test_window_on_a_bounded_law_holds_at_a_huge_shift(n, q):
 
 
 def test_discrete_mle_on_float_atoms_holds_at_large_shifts():
+    # The floats are read as the decimals 0, 1/10 and 2/5 (and delta as 1/20), so the rule recovers
+    # the shift exactly at every shift.
     d = FiniteAtoms(atoms=((0.0, 0.25), (0.1, 0.25), (0.4, 0.5)))
     e = discrete_mle_estimator(d, 0.05, 2)
     for theta in (0.0, 1e7, 1e8, 1e9, -1e12):
-        assert exact_quality_discrete(e, d, theta, 0.05) == pytest.approx(0.875, abs=1e-12)
+        assert repr(exact_quality_discrete(e, d, theta, 0.05)) == "Fraction(7, 8)"
 
 
 def test_quality_inf_uses_exact_path_on_atoms(example_atoms):
@@ -387,16 +388,12 @@ def _ordered_reference(e, d, theta, delta, n, closed):
     """Plain walk over every ordered sample tuple, with the threshold rule written out.
 
     An exact distance and delta compare exactly. A float one sits on the
-    boundary within a band of 1e-12, widened on a float law to 4*n float
-    spacings of |theta| + max|z|, and counts there only when closed. Masses
-    are multiplied in tuple order and summed in walk order.
+    boundary within a band of 1e-12, and counts there only when closed.
+    Masses are multiplied in tuple order and summed in walk order.
     """
     if hasattr(e, "components"):
         return sum(w * _ordered_reference(c, d, theta, delta, n, closed) for c, w in e.components)
-    exact = all(isinstance(v, (int, Fraction)) for v in (theta, delta, *d.locations, *d.masses))
     band = 1e-12
-    if not exact:
-        band = max(band, 4 * n * math.ulp(abs(float(theta)) + max(abs(float(z)) for z in d.locations)))
     total = 0
     for combo in itertools.product(d.atoms, repeat=n):
         dist = abs(e.evaluate(tuple(theta + z for z, _ in combo)) - theta)
@@ -480,6 +477,11 @@ def test_float_guess_on_rational_atoms_takes_the_band():
     assert repr(exact_quality_discrete(e, d, theta, delta, closed_interval=True)) == "Fraction(2, 3)"
 
 
+def _decimal(value):
+    """A float as the decimal it prints as; ints and Fractions as they are."""
+    return Fraction(repr(value)) if isinstance(value, float) else value
+
+
 @given(
     marks=st.lists(st.sampled_from(GOLOMB), min_size=1, max_size=4, unique=True),
     weights=st.lists(st.integers(1, 16), min_size=4, max_size=4),
@@ -490,12 +492,21 @@ def test_float_guess_on_rational_atoms_takes_the_band():
     closed=st.booleans(),
 )
 def test_float_masses_sum_bit_for_bit_as_the_ordered_walk(marks, weights, tenths, n, theta, rational_locations, closed):
-    # Float masses (and, on the rational-location laws, a rational theta and
-    # delta too) keep the float products and the walk-order sum.
+    # Float masses (and on the other laws float locations, theta and delta) are read as the decimals
+    # they print as. The law is that of the decimals, refused when those do not sum to 1, and its
+    # quality is the exact walk over it.
     r = len(marks)
     total = sum(weights[:r])
     locs = [Fraction(z, 10) if rational_locations else z / 10 for z in sorted(marks)]
-    d = FiniteAtoms(atoms=tuple((z, w / total) for z, w in zip(locs, weights)))
+    atoms = tuple((z, w / total) for z, w in zip(locs, weights))
+    decimals = tuple((_decimal(z), _decimal(m)) for z, m in atoms)
+    mass = sum(m for _, m in decimals)
+    if mass != 1:
+        with pytest.raises(ValueError, match=f"^atom masses sum to {mass.numerator}/{mass.denominator}, expected 1$"):
+            FiniteAtoms(atoms=atoms)
+        return
+    d = FiniteAtoms(atoms=atoms)
+    assert d == FiniteAtoms(atoms=decimals)
     delta = Fraction(tenths, 10) if rational_locations else tenths / 10
     if rational_locations:
         theta = Fraction(theta).limit_denominator(1000)
@@ -509,7 +520,7 @@ def test_float_masses_sum_bit_for_bit_as_the_ordered_walk(marks, weights, tenths
     rules.append(mixture([(rules[0], 0.25), (rules[1], 0.75)]))
     for e in rules:
         got = exact_quality_discrete(e, d, theta, delta, closed_interval=closed)
-        assert repr(got) == repr(_ordered_reference(e, d, theta, delta, n, closed))
+        assert repr(got) == repr(_ordered_reference(e, d, _decimal(theta), _decimal(delta), n, closed))
 
 
 @given(rational_cases(), st.floats(-1e4, 1e4))
@@ -629,13 +640,18 @@ def test_enumeration_cap_counts_multisets_for_symmetric_rules():
 )
 def test_float_quality_does_not_depend_on_the_shift(rule, marks, weights, tenths, n):
     # Locations and delta on a grid of tenths put many true distances exactly
-    # on the threshold; masses of k/64 keep the rest far from it.
+    # on the threshold. The floats are read as the decimals they print as, the
+    # last mass as the Fraction that makes them sum to 1, so every decision is
+    # exact and the quality is the same at every shift, however large. min_shift
+    # is built on the decimal delta, as a config builds it next to atoms.
     r = len(marks)
-    total = 64 * sum(weights[:r])
-    d = FiniteAtoms(atoms=tuple((z / 10, 64 * w / total) for z, w in zip(sorted(marks), weights)))
+    total = sum(weights[:r])
+    masses = [w / total for w in weights[: r - 1]]
+    masses.append(1 - sum(Fraction(repr(m)) for m in masses))
+    d = FiniteAtoms(atoms=tuple((z / 10, m) for z, m in zip(sorted(marks), masses)))
     delta = tenths / 10
     if rule == "min_shift":
-        e = min_shift_estimator(delta, n)
+        e = min_shift_estimator(Fraction(repr(delta)), n)
     elif rule == "mean":
         e = mean_estimator(d, n)
     else:
@@ -643,6 +659,43 @@ def test_float_quality_does_not_depend_on_the_shift(rule, marks, weights, tenths
     for closed in (False, True):
         qs = {
             exact_quality_discrete(e, d, theta, delta, closed_interval=closed)
-            for theta in (0.0, 1e3, -1e3, 1e6, -1e6, 1e9, -1e9)
+            for theta in (0.0, 1e3, -1e3, 1e6, -1e6, 1e9, -1e9, 1e15, -1e15)
         }
         assert len(qs) == 1, (closed, qs)
+        assert type(qs.pop()) in (int, Fraction)
+
+
+DECIMAL_LAWS = [
+    # delta 0.05 at shift 1e8 with n = 2 is the case a config refused while floats and ints were kept apart.
+    ({"family": "atoms", "points": [[0, 0.25], [0.1, 0.25], [0.4, 0.5]]}, 0.05),
+    ({"family": "atoms", "points": [[-0.75, 0.2], [0.3, 0.45], [2.1, 0.35]]}, 0.55),
+]
+SHIFTS = [0, 0.1, -0.3, 1e8] + [10.0**k for k in range(16)]
+
+
+@pytest.mark.parametrize("law, delta", DECIMAL_LAWS, ids=["tenths", "lemma-law"])
+@pytest.mark.parametrize(
+    "estimator, n",
+    [
+        ({"kind": "mean"}, 1),
+        ({"kind": "mean"}, 3),
+        ({"kind": "min_shift"}, 2),
+        ({"kind": "discrete_mle"}, 1),
+        ({"kind": "discrete_mle"}, 2),
+        ({"kind": "mixture", "parts": [{"weight": 0.25, "estimator": {"kind": "mean"}},
+                                       {"weight": 0.75, "estimator": {"kind": "discrete_mle"}}]}, 2),
+    ],
+    ids=["mean-1", "mean-3", "min_shift-2", "discrete_mle-1", "discrete_mle-2", "mixture-2"],
+)
+def test_decimal_laws_give_the_same_q_at_every_shift(tmp_path, law, delta, estimator, n):
+    # Every invariant line rule on a law written in JSON decimals, through the quality command:
+    # the same q at 0 and at 10^k for k <= 15, exact unless float mixture weights make it a float.
+    # window_mle refuses atoms, and constant claims no invariance.
+    doc = {"distribution": law, "estimator": estimator, "delta": delta, "n": n, "theta_grid": SHIFTS}
+    config, out = tmp_path / "c.json", tmp_path / "q.csv"
+    config.write_text(json.dumps(doc))
+    assert main(["quality", "--config", str(config), "--out", str(out), "--format", "csv"]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [Fraction(r["theta"]) for r in rows] == [Fraction(repr(float(t))) for t in SHIFTS]
+    assert len({r["q"] for r in rows}) == 1 and all(r["exact"] == "true" for r in rows)
+    assert ("/" in rows[0]["q"]) == (estimator["kind"] != "mixture")
