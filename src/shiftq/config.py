@@ -5,8 +5,9 @@ collected as a (path, message) pair and reported at once through ConfigError,
 so a config either parses into a fully validated ExperimentConfig or fails
 before any computation starts. Numbers may be given as 'p/q' strings to opt
 in to exact rational arithmetic where the computation supports it. An atom
-law is always exact: its JSON numbers, and delta and the shifts next to it,
-are read as the decimals they print as (see util.exact_number).
+law is always exact: its JSON numbers and delta next to it are read as the
+decimals they print as (see util.exact_number), and the shifts are read so
+where the law is enumerated.
 """
 
 from __future__ import annotations
@@ -528,12 +529,9 @@ def parse_config(
             if None not in grid:
                 given["theta_grid"] = tuple(theta for theta, in grid)
 
-    if isinstance(given.get("distribution"), FiniteAtoms):
-        # An atom law is exact, and so are delta and the shifts next to it.
-        if given["delta"] is not None:
-            given["delta"] = exact_number(given["delta"])
-        if "theta_grid" in given:
-            given["theta_grid"] = tuple(map(exact_number, given["theta_grid"]))
+    if isinstance(given.get("distribution"), FiniteAtoms) and given["delta"] is not None:
+        # An atom law is exact, and so is delta next to it, so its default shift grid is exact too.
+        given["delta"] = exact_number(given["delta"])
 
     mc_doc = doc.get("mc", {})
     if not isinstance(mc_doc, dict):

@@ -429,10 +429,12 @@ def min_shift_estimator(delta, n: int, *, lo=0) -> Estimator:
     """Smallest of n samples minus (lo + delta); matched to laws decreasing on [lo, inf).
 
     lo is where the law's support starts. At lo = 0 the offset lo + delta is
-    delta itself, and the label names lo only when it is not 0.
+    delta itself, and the label names lo only when it is not 0. lo and delta
+    are read as exact numbers (see util.exact_number), so on exact samples
+    every guess is exact; the batch kernel subtracts lo + delta as given.
     """
-    offset = lo + delta
-    offset_f = float(offset)
+    offset = exact_number(lo) + exact_number(delta)
+    offset_f = float(lo + delta)
     start = "" if lo == 0 else f", lo={float(lo):g}"
     label = f"min_shift(delta={float(delta):g}{start})"
 
@@ -450,7 +452,7 @@ def min_shift_estimator(delta, n: int, *, lo=0) -> Estimator:
         invariance_claim=SHIFT_INVARIANT,
         batch_fn=lambda x: reduce(np.minimum, x.T) - offset_f,
         symmetric=True,
-        scaled=_lattice_rule(label, n, SHIFT_INVARIANT, on_lattice) if is_exact(offset) else None,
+        scaled=_lattice_rule(label, n, SHIFT_INVARIANT, on_lattice),
     )
 
 
@@ -599,7 +601,11 @@ def invariant_extension(f0: Callable[[tuple], object], n: int) -> Estimator:
 
 
 def constant_estimator(value, n: int) -> Estimator:
-    """Always guesses the same point from n samples; the canonical non-equivariant baseline."""
+    """Always guesses the same point from n samples; the canonical non-equivariant baseline.
+
+    value is read as an exact number (see util.exact_number).
+    """
+    value = exact_number(value)
     value_f = float(value)
     label = f"constant({value_f:g})"
 
@@ -614,7 +620,7 @@ def constant_estimator(value, n: int) -> Estimator:
         invariance_claim=NO_CLAIM,
         batch_fn=lambda x: np.full(x.shape[0], value_f),
         symmetric=True,
-        scaled=_lattice_rule(label, n, NO_CLAIM, on_lattice) if is_exact(value) else None,
+        scaled=_lattice_rule(label, n, NO_CLAIM, on_lattice),
     )
 
 

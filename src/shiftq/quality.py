@@ -254,7 +254,13 @@ def _check_invariance(space: Space, e, draw, thetas, mc: MCConfig) -> None:
 def quality_at(
     e, d: Distribution, theta, delta, mc: MCConfig, *, closed_interval: bool = False
 ) -> tuple[float, float]:
-    """Monte Carlo estimate (q, ci_half_width) of the quality at one shift; e.n samples a trial."""
+    """Monte Carlo estimate (q, ci_half_width) of the quality at one shift; e.n samples a trial.
+
+    An atomic law is enumerated instead (see exact_quality_discrete), as
+    quality_inf does, and its q comes with ci_half_width 0.0.
+    """
+    if isinstance(d, FiniteAtoms):
+        return exact_quality_discrete(e, d, theta, delta, closed_interval=closed_interval), 0.0
     return _mc_counts(_noise(d, e.n), [_counter(LINE, e, theta, delta, closed_interval)], mc)[0]
 
 
@@ -276,7 +282,7 @@ def exact_quality_discrete(e, d: FiniteAtoms, theta, delta, *, closed_interval: 
     scaled(D) is built once per call, and its guess, in lattice units, hits
     when D*(theta - delta) < g < D*(theta + delta) (<= under
     closed_interval), both ends ints. A part without scaled
-    (invariant_extension, a float constant, a batch-only rule) sees the
+    (invariant_extension, a batch-only rule) sees the
     Fraction points theta + z and the ends theta -+ delta. So every
     decision on an exact guess, and with it the quality of a shift
     equivariant rule, is the same at every shift, however large.

@@ -108,7 +108,6 @@ def test_float_shift_grid_next_to_rational_atoms_is_read_exactly(tmp_path):
         "delta": "1/4",
         "theta_grid": [0.1, 0.2],
     }
-    assert parse_config(json.dumps(doc)).theta_grid == (Fraction(1, 10), Fraction(1, 5))
     floats = _report(tmp_path, "floats", ["quality"], doc)
     assert floats == _report(tmp_path, "texts", ["quality"], {**doc, "theta_grid": ["1/10", "1/5"]})
     assert floats.splitlines()[1:] == [b"0/1,1/2,0.0,true,true", b"1/10,1/2,0.0,true,false", b"1/5,1/2,0.0,true,false"]

@@ -435,7 +435,8 @@ def test_scaled_recovery_refuses_samples_off_the_atoms(example_atoms):
 
 
 def test_only_rules_with_exact_constants_carry_scaled(example_atoms):
-    # An atom law is exact whatever its spelling, so every rule built on it carries scaled.
+    # An atom law is exact whatever its spelling, and so are a float delta, lo or constant value,
+    # so every rule built on them carries scaled. A float law's mean does not.
     float_atoms = FiniteAtoms(atoms=((0.0, 0.5), (1.0, 0.5)))
     float_masses = FiniteAtoms(atoms=((Fraction(0), 0.5), (Fraction(1), 0.5)))
     with_scaled = [
@@ -448,12 +449,13 @@ def test_only_rules_with_exact_constants_carry_scaled(example_atoms):
         mean_estimator(float_masses, 2),
         discrete_mle_estimator(float_atoms, 0.25, 1),
         discrete_mle_estimator(float_atoms, 0.25, 2),
+        min_shift_estimator(0.25, 2),
+        min_shift_estimator(0.25, 2, lo=-0.5),
+        constant_estimator(0.5, 1),
     ]
     assert all(e.scaled is not None for e in with_scaled)
     without = [
         mean_estimator(Gaussian(0.0, 1.0), 2),
-        min_shift_estimator(0.25, 2),
-        constant_estimator(0.5, 1),
         invariant_extension(lambda x0: 0, 1),
         window_mle_estimator(Gaussian(0.0, 1.0), 0.5, 1),
         mixture([(with_scaled[0], 0.5), (with_scaled[5], 0.5)]),

@@ -189,7 +189,7 @@ def test_mc_agrees_with_exact_on_random_atoms():
         e = discrete_mle_estimator(d, delta)
         want = exact_quality_discrete(e, d, Fraction(0), delta)
         # The sampling path draws the atoms as floats and scores the rule's float batch.
-        got, ci = quality_at(e, d, 0.0, delta, mc)
+        (got, ci), = _mc_grid(LINE, e, d, [0.0], delta, mc)
         assert abs(got - float(want)) <= 3 * ci + 1e-9
 
 
@@ -305,11 +305,14 @@ def test_window_on_a_bounded_law_holds_at_a_huge_shift(n, q):
 
 def test_discrete_mle_on_float_atoms_holds_at_large_shifts():
     # The floats are read as the decimals 0, 1/10 and 2/5 (and delta as 1/20), so the rule recovers
-    # the shift exactly at every shift.
+    # the shift exactly at every shift. It needs exact samples, which Monte Carlo's float draws are
+    # not, so quality_at enumerates an atom law too.
     d = FiniteAtoms(atoms=((0.0, 0.25), (0.1, 0.25), (0.4, 0.5)))
     e = discrete_mle_estimator(d, 0.05, 2)
+    mc = MCConfig(trials=1000, seed=1)
     for theta in (0.0, 1e7, 1e8, 1e9, -1e12):
         assert repr(exact_quality_discrete(e, d, theta, 0.05)) == "Fraction(7, 8)"
+        assert quality_at(e, d, theta, 0.05, mc) == (Fraction(7, 8), 0.0)
 
 
 def test_quality_inf_uses_exact_path_on_atoms(example_atoms):
@@ -380,8 +383,9 @@ def test_randomized_estimator_mc_quality(example_atoms, mc_mid):
     good = discrete_mle_estimator(float_d, 0.75)
     bad = constant_estimator(-1000.0, 1)
     m = mixture([(good, 0.5), (bad, 0.5)])
-    q, ci = quality_at(m, float_d, 0.0, 0.75, mc_mid)
+    (q, ci), = _mc_grid(LINE, m, float_d, [0.0], 0.75, mc_mid)
     assert abs(q - 0.3) <= 3 * ci + 1e-9
+    assert quality_at(m, float_d, 0.0, 0.75, mc_mid) == (0.3, 0.0)
 
 
 def _ordered_reference(e, d, theta, delta, n, closed):
@@ -642,8 +646,7 @@ def test_float_quality_does_not_depend_on_the_shift(rule, marks, weights, tenths
     # Locations and delta on a grid of tenths put many true distances exactly
     # on the threshold. The floats are read as the decimals they print as, the
     # last mass as the Fraction that makes them sum to 1, so every decision is
-    # exact and the quality is the same at every shift, however large. min_shift
-    # is built on the decimal delta, as a config builds it next to atoms.
+    # exact and the quality is the same at every shift, however large.
     r = len(marks)
     total = sum(weights[:r])
     masses = [w / total for w in weights[: r - 1]]
@@ -651,7 +654,7 @@ def test_float_quality_does_not_depend_on_the_shift(rule, marks, weights, tenths
     d = FiniteAtoms(atoms=tuple((z / 10, m) for z, m in zip(sorted(marks), masses)))
     delta = tenths / 10
     if rule == "min_shift":
-        e = min_shift_estimator(Fraction(repr(delta)), n)
+        e = min_shift_estimator(delta, n)
     elif rule == "mean":
         e = mean_estimator(d, n)
     else:
@@ -699,3 +702,22 @@ def test_decimal_laws_give_the_same_q_at_every_shift(tmp_path, law, delta, estim
     assert [Fraction(r["theta"]) for r in rows] == [Fraction(repr(float(t))) for t in SHIFTS]
     assert len({r["q"] for r in rows}) == 1 and all(r["exact"] == "true" for r in rows)
     assert ("/" in rows[0]["q"]) == (estimator["kind"] != "mixture")
+
+
+@pytest.mark.parametrize(
+    "value", [1000000000000000.1, "1000000000000000.1", "10000000000000001/10"], ids=["number", "decimal", "p/q"]
+)
+def test_a_constant_next_to_atoms_reads_its_value_exactly(tmp_path, value):
+    # The float 1000000000000000.1 is 1000000000000000.125, an eighth from the shift; read as the
+    # decimal it prints as, its guess is a tenth from it, inside delta, as the other spellings are.
+    doc = {
+        "distribution": {"family": "atoms", "points": [[0, 1]]},
+        "estimator": {"kind": "constant", "value": value},
+        "delta": 0.11,
+        "theta_grid": [1e15],
+    }
+    config, out = tmp_path / "c.json", tmp_path / "q.csv"
+    config.write_text(json.dumps(doc))
+    assert main(["quality", "--config", str(config), "--out", str(out), "--format", "csv"]) == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert (row["theta"], row["q"]) == ("1000000000000000/1", "1/1")
