@@ -416,8 +416,8 @@ def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: b
     The average of the exact quality over shifts in the coefficient sumset S
     of the atom locations Z cannot exceed the one-sample window bound scaled
     by |S + Z| / |S|. That ceiling holds for rules that see one sample, so a
-    rule with e.n != 1 is refused. delta is read as an exact number (see
-    util.exact_number), as the law is.
+    rule with e.n != 1 is refused. delta is read as an exact number by the
+    one-sample window row (see _atom_bounds), whose delta the check then uses.
 
     The check runs the way the averaging argument does: S and S + Z are
     built once in integers over the lcm of the location denominators, the
@@ -433,7 +433,8 @@ def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: b
         raise TypeError("the averaging check needs a finite atomic law")
     if e.n != 1:
         raise ValueError(f"the averaging check bounds one-sample rules; {e.label} takes n={e.n}")
-    delta = exact_number(delta)
+    window = window_bound_one_sample(d, delta, closed_interval=closed_interval)
+    window_value, delta = window.value, window.delta
     locs = list(d.locations)
     scaled_shifts, scale = _lattice_sumset(locs, k)
     points = lattice_ints(locs, scale)
@@ -441,7 +442,6 @@ def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: b
     size, grown = len(scaled_shifts), len(observed)
     index = {s: i for i, s in enumerate(scaled_shifts)}
     total = _observed_total(e, d, delta, closed_interval, index, observed, scale)
-    window_value = window_bound_one_sample(d, delta, closed_interval=closed_interval).value
     if is_exact(total, window_value):
         average = Fraction(total, size)
         bound = window_value * Fraction(grown, size)

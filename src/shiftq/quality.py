@@ -384,10 +384,10 @@ def quality_inf(
 ) -> QualityReport:
     """Worst-case quality over a shift grid, each shift seen through e.n samples.
 
-    An atomic law is enumerated shift by shift, with delta and every shift
-    read as exact numbers (see util.exact_number), and the report keeps
-    them so; any other law is scored by Monte Carlo, every shift on the same
-    noise. Shift-equivariant estimators
+    An atomic law is enumerated shift by shift (see exact_quality_discrete),
+    with every shift read as an exact number (see util.exact_number), and
+    the rows keep them so; any other law is scored by Monte Carlo, every
+    shift on the same noise. The report keeps delta as given. Shift-equivariant estimators
     report the value at shift zero, which is then every row's value; their
     claim is first checked row by row at every shift of the grid (see
     _check_invariance), and a rule that fails raises InvarianceError. Other
@@ -399,7 +399,7 @@ def quality_inf(
         raise ValueError("theta_grid must be nonempty")
     atoms = isinstance(d, FiniteAtoms)
     if atoms:
-        delta, thetas = exact_number(delta), [exact_number(t) for t in thetas]
+        thetas = [exact_number(t) for t in thetas]
     invariant = e.invariance_claim == SHIFT_INVARIANT
     if invariant and not any(t == 0 for t in thetas):
         thetas.insert(0, 0)  # an int, so an atom law stays exact at this shift

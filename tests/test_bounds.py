@@ -414,6 +414,23 @@ def test_sumset_average_bound_on_the_optimal_estimator(example_atoms):
             sumset_average_bound(discrete_mle_estimator(d, dl, 2), d, dl, 6)
 
 
+@pytest.mark.parametrize("closed", [False, True])
+def test_a_float_delta_next_to_atoms_is_read_as_its_decimal(closed):
+    # An API float 0.55 is 11/20 in every atom bound: the reports equal the decimal spelling's, Fractions included.
+    spelled = ((-0.75, 0.2), (0.3, 0.45), (2.1, 0.35))
+    floats = FiniteAtoms(atoms=spelled)
+    decimals = FiniteAtoms(atoms=tuple((Fraction(repr(z)), Fraction(repr(m))) for z, m in spelled))
+    delta = Fraction(11, 20)
+    window = window_bound_one_sample(floats, 0.55, closed_interval=closed)
+    assert window == window_bound_one_sample(decimals, delta, closed_interval=closed)
+    assert type(window.delta) is Fraction
+    if not closed:
+        assert packing_bound_discrete(floats, 0.55) == packing_bound_discrete(decimals, delta)
+    for e in (discrete_mle_estimator(floats, 0.55, closed_interval=closed), constant_estimator(0.3, n=1)):
+        out = sumset_average_bound(e, floats, 0.55, 3, closed_interval=closed)
+        assert repr(out) == repr(sumset_average_bound(e, decimals, delta, 3, closed_interval=closed))
+
+
 def test_sumset_average_bound_on_random_rules(example_atoms):
     rng = np.random.default_rng(31)
     delta = Fraction(3, 4)

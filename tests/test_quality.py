@@ -315,6 +315,18 @@ def test_discrete_mle_on_float_atoms_holds_at_large_shifts():
         assert quality_at(e, d, theta, 0.05, mc) == (Fraction(7, 8), 0.0)
 
 
+def test_quality_inf_reads_float_shifts_and_delta_on_atoms_as_their_decimals():
+    # The rows equal those of the decimal spelling, exact and at the decimal shifts; the report keeps delta as given.
+    floats = FiniteAtoms(atoms=((0.0, 0.25), (0.1, 0.25), (0.4, 0.5)))
+    e = discrete_mle_estimator(floats, 0.05, 2)
+    mc = MCConfig(trials=1000, seed=1)
+    given_floats = quality_inf(e, floats, 0.05, (0.1, 1e8), mc)
+    given_decimals = quality_inf(e, floats, Fraction(1, 20), (Fraction(1, 10), 10**8), mc)
+    assert repr(given_floats.per_theta) == repr(given_decimals.per_theta)
+    assert [row.theta for row in given_floats.per_theta] == [0, Fraction(1, 10), 10**8]
+    assert given_floats.delta == 0.05 and given_decimals.delta == Fraction(1, 20)
+
+
 def test_quality_inf_uses_exact_path_on_atoms(example_atoms):
     e = discrete_mle_estimator(example_atoms, Fraction(3, 4))
     mc = MCConfig(trials=1000, seed=1)
