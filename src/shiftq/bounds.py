@@ -38,7 +38,6 @@ from .util import (
     EnumerationLimitError,
     common_denominator,
     exact_number,
-    is_exact,
     lattice_ints,
     np,
     within_threshold,
@@ -356,35 +355,34 @@ def _lattice_window(p: int, q: int, a: int, b: int, closed: bool) -> tuple[int, 
     return (centre - reach) // den + 1, -((-centre - reach) // den) - 1
 
 
-def _observed_total(e, d: FiniteAtoms, delta, closed: bool, index: dict, observed: list, scale: int):
+def _observed_total(e, d: FiniteAtoms, delta, closed: bool, shifts: set, observed: list, scale: int):
     """Exact one-sample quality summed over the shifts of S, from one guess per observation.
 
-    index maps scale * theta to theta's position in S, and observed is
-    scale * (S + Z) as sorted ints. The guess g at an observation x credits
-    the mass of atom z to theta = x - z when theta is in S and lies within
-    delta of g. A part that carries scaled is built once as
-    part.scaled(scale) and evaluated on the observed ints, so its guess is
-    already in lattice units; any other part sees x / scale as a Fraction
-    (as an int when every location is one) and its guess is multiplied by
-    scale. An exact guess makes the test an integer range on scale * theta,
-    with delta * scale = a / b read once per call; any other guess keeps
-    the within_threshold decision of exact_quality_discrete, against theta
-    made a Fraction (an int when every location is one) for that test only.
+    shifts is scale * S and observed is scale * (S + Z), both as ints. The
+    guess g at an observation x credits the mass of atom z to theta = x - z
+    when theta is in S and lies within delta of g. A part that carries
+    scaled is built once as part.scaled(scale) and evaluated on the
+    observed ints, so its guess is already in lattice units; any other part
+    sees x / scale as a Fraction (as an int when every location is one) and
+    its guess is multiplied by scale. An exact guess makes the test an
+    integer range on scale * theta, with delta * scale = a / b read once per
+    call; any other guess keeps the within_threshold decision of
+    exact_quality_discrete, against theta made a Fraction (an int when every
+    location is one) for that test only.
 
     Masses are held as integer numerators over M, the lcm of their
-    denominators, so a credit is an int addition. A plain rule divides its
-    hit total once, by M. A mixture divides each shift's hits of each part by
-    M, which is that part's exact quality there, and combines the parts as
-    exact_quality_discrete does, so float weights keep their bits.
+    denominators, so a credit is an int addition and each part adds one int
+    total over all the shifts. The parts' totals are combined as
+    sum(w * total) / M, exact since the weights are (see util.exact_weights).
     """
     mass_scale = common_denominator(d.masses)
     atoms = list(zip(lattice_ints(d.locations, scale), lattice_ints(d.masses, mass_scale)))
     as_int = all(type(z) is int for z in d.locations)
     delta_scaled = Fraction(delta * scale)
     a, b = delta_scaled.numerator, delta_scaled.denominator
-    qualities = [0] * len(index)
+    quality = 0
     for part, w in e.parts:
-        q = [0] * len(index)
+        hits = 0
         on_lattice = part.scaled is not None
         rule = part.scaled(scale) if on_lattice else part
         unit = 1 if on_lattice else scale  # lattice units per unit of the guess
@@ -394,20 +392,17 @@ def _observed_total(e, d: FiniteAtoms, delta, closed: bool, index: dict, observe
                 lo, hi = _lattice_window(g.numerator * unit, g.denominator, a, b, closed)
                 for z, m in atoms:
                     theta = x - z
-                    if lo <= theta <= hi and theta in index:
-                        q[index[theta]] += m
+                    if lo <= theta <= hi and theta in shifts:
+                        hits += m
             else:
                 for z, m in atoms:
-                    i = index.get(x - z)
-                    if i is None:
+                    if x - z not in shifts:
                         continue
                     theta = x - z if as_int else Fraction(x - z, scale)
                     if within_threshold(abs(g - theta), delta, closed):
-                        q[i] += m
-        if part is e:
-            return Fraction(sum(q), mass_scale)
-        qualities = [t + w * Fraction(v, mass_scale) for t, v in zip(qualities, q)]
-    return sum(qualities)
+                        hits += m
+        quality += w * hits
+    return Fraction(quality, mass_scale)
 
 
 def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: bool = False) -> SumsetAverageBound:
@@ -423,11 +418,10 @@ def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: b
     built once in integers over the lcm of the location denominators, the
     rule is evaluated once per observation x in S + Z, and its guess credits
     each shift x - z in S that it lands within delta of. Masses are held as
-    integer numerators over M, the lcm of their denominators, and each part
-    of the rule divides its hits once by M (see _observed_total). So the
-    average is the rational total / |S|, a Fraction even when the total is
-    an int, and is decided exactly; only a mixture with float weights gives
-    a float total, which is allowed 1e-12 slack.
+    integer numerators over M, the lcm of their denominators, and a
+    mixture's weights are exact, so the total is divided once by M (see
+    _observed_total). The average is the rational total / |S| and the check
+    is decided exactly.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("the averaging check needs a finite atomic law")
@@ -440,14 +434,7 @@ def sumset_average_bound(e, d: FiniteAtoms, delta, k: int, *, closed_interval: b
     points = lattice_ints(locs, scale)
     observed = sorted({s + z for s in scaled_shifts for z in points})
     size, grown = len(scaled_shifts), len(observed)
-    index = {s: i for i, s in enumerate(scaled_shifts)}
-    total = _observed_total(e, d, delta, closed_interval, index, observed, scale)
-    if is_exact(total, window_value):
-        average = Fraction(total, size)
-        bound = window_value * Fraction(grown, size)
-        holds = average <= bound
-    else:
-        average = float(total) / size
-        bound = float(window_value) * grown / size
-        holds = average <= bound + 1e-12
-    return SumsetAverageBound(average_quality=average, bound=bound, holds=holds)
+    total = _observed_total(e, d, delta, closed_interval, set(scaled_shifts), observed, scale)
+    average = total / size
+    bound = window_value * Fraction(grown, size)
+    return SumsetAverageBound(average_quality=average, bound=bound, holds=average <= bound)

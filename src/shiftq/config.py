@@ -7,7 +7,8 @@ before any computation starts. Numbers may be given as 'p/q' strings to opt
 in to exact rational arithmetic where the computation supports it. An atom
 law is always exact: its JSON numbers and delta next to it are read as the
 decimals they print as (see util.exact_number), and the shifts are read so
-where the law is enumerated.
+where the law is enumerated. Mixture weights are always read so, and must
+sum to exactly 1 (see util.exact_weights).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import importlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -30,7 +31,7 @@ from .distributions import (
     Uniform,
     uniform_circle_density,
 )
-from .util import exact_number, number_doc, parse_number
+from .util import exact_number, exact_weights, number_doc, parse_number
 
 __all__ = [
     "COMMANDS",
@@ -47,12 +48,6 @@ __all__ = [
     "serialize_config",
 ]
 
-# Top-level keys of a config document. A key that no parser here names is an
-# error at every level, so a misspelled key cannot silently keep its default.
-_TOP_KEYS = (
-    "command", "distribution", "density", "estimator", "delta", "n", "theta_grid", "k",
-    "radius", "anchor_grid", "mc", "closed_interval", "output",
-)
 # Families whose JSON keys are their constructor's number fields.
 _NUMBER_FAMILIES = {
     "gaussian": (Gaussian, ("mean", "sigma")),
@@ -103,7 +98,7 @@ class EstimatorSpec:
 
     kind: str
     value: object = None
-    parts: tuple[tuple[float, "EstimatorSpec"], ...] = ()
+    parts: tuple[tuple[object, "EstimatorSpec"], ...] = ()  # (weight as written, spec) pairs of a mixture
 
 
 @dataclass(frozen=True)
@@ -127,6 +122,11 @@ class ExperimentConfig:
     mc: MCConfig = field(default_factory=MCConfig)
     closed_interval: bool = False
     output: OutputSpec = field(default_factory=OutputSpec)
+
+
+# Top-level keys of a config document. A key that no parser here names is an
+# error at every level, so a misspelled key cannot silently keep its default.
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 @dataclass(frozen=True)
@@ -428,12 +428,13 @@ def _build_estimator_spec(spec, path: str, errs: _Collector, kinds) -> Estimator
                 continue
             inner = _build_estimator_spec(inner, f"{path}.parts[{i}].estimator", errs, kinds)
             if weight is not None and inner is not None:
-                built.append((float(weight), inner))
+                built.append((weight, inner))
         if len(built) != len(parts):
             return None
-        total = sum(w for w, _ in built)
-        if abs(total - 1.0) > 1e-12:
-            errs.add(f"{path}.parts", f"mixture weights sum to {total:.12g}, expected 1")
+        try:
+            exact_weights(w for w, _ in built)
+        except ValueError as exc:
+            errs.add(f"{path}.parts", str(exc))
             return None
         return EstimatorSpec(kind=kind, parts=tuple(built))
     entry = kinds[kind]
@@ -605,7 +606,7 @@ def _estimator_doc(spec: EstimatorSpec, kinds: dict[str, EstimatorKind]) -> dict
     doc = {"kind": spec.kind}
     if spec.kind == "mixture":
         doc["parts"] = [
-            {"weight": w, "estimator": _estimator_doc(inner, kinds)} for w, inner in spec.parts
+            {"weight": number_doc(w), "estimator": _estimator_doc(inner, kinds)} for w, inner in spec.parts
         ]
     elif kinds[spec.kind].param is not None:
         doc[kinds[spec.kind].param] = number_doc(spec.value)

@@ -27,7 +27,9 @@ from functools import reduce
 from typing import Callable, Sequence
 
 from .distributions import ContinuousDistribution, Distribution, FiniteAtoms, Gaussian
-from .util import BISECT_TOL, ConvergenceError, exact_number, is_exact, np, sum_columns, within_threshold
+from .util import (
+    BISECT_TOL, ConvergenceError, exact_number, exact_weights, is_exact, np, sum_columns, within_threshold,
+)
 
 __all__ = [
     "Estimator",
@@ -122,26 +124,24 @@ class RandomizedEstimator(Estimator):
     """A finite mixture of estimators; evaluation first draws a component.
 
     Every component sees the mixture's n and is a deterministic rule, not a
-    mixture itself; invariance_claim is set from the components. Each row's
-    component is drawn by split from the generator it is given, which is
-    required. evaluate_batch scores each part on its own rows, and the Monte
-    Carlo harness splits a chunk once and scores every shift on the same
-    blocks (see quality._mc_counts).
+    mixture itself; invariance_claim is set from the components. The weights
+    are held exactly and sum to exactly 1 (see util.exact_weights). Each
+    row's component is drawn by split from the generator it is given, which
+    is required. evaluate_batch scores each part on its own rows, and the
+    Monte Carlo harness splits a chunk once and scores every shift on the
+    same blocks (see quality._mc_counts).
     """
 
     label: str = "mixture"
-    components: tuple[tuple[Estimator, float], ...] = ()
+    components: tuple[tuple[Estimator, object], ...] = ()
 
     def __post_init__(self):
         if not self.components:
             raise ValueError("mixture needs at least one component")
         if any(isinstance(e, RandomizedEstimator) for e, _ in self.components):
             raise ValueError("a mixture component cannot itself be a mixture; list its parts, weights multiplied")
-        weights = [w for _, w in self.components]
-        if any(not (w > 0) for w in weights):
-            raise ValueError("mixture weights must be positive")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
+        weights = exact_weights(w for _, w in self.components)
+        object.__setattr__(self, "components", tuple(zip((e for e, _ in self.components), weights)))
         super().__post_init__()
         if any(e.n != self.n for e, _ in self.components):
             raise ValueError("mixture components disagree on sample count")
@@ -155,21 +155,23 @@ class RandomizedEstimator(Estimator):
     def split(self, x: np.ndarray, rng: np.random.Generator | None = None) -> tuple:
         """One rng.random(m) draw picks each row's component; one triple per component drawn.
 
-        A row takes the first component whose cumulative weight exceeds its
-        draw, the last one if none does (the float sum of the weights may end
-        below 1). The count of cumulative weights at or below the draw gives
-        that index without a search: the weights are positive, so the sums
-        never decrease, and the count equals searchsorted(side="right")
-        clamped to the last index. Each component's rows are an index list
-        in their original order, and its block is gathered by it, the same
-        block a boolean mask would select, so every estimate keeps its bits.
-        A component that no row draws gets no triple.
+        The cut points are the float sums of float(w), and float(w) is the
+        float a weight was written as. A row takes the first component whose
+        cumulative weight exceeds its draw, the last one if none does (the
+        float sum of the weights may end below 1). The count of cumulative
+        weights at or below the draw gives that index without a search: the
+        weights are positive, so the sums never decrease, and the count
+        equals searchsorted(side="right") clamped to the last index. Each
+        component's rows are an index list in their original order, and its
+        block is gathered by it, the same block a boolean mask would select,
+        so every estimate keeps its bits. A component that no row draws gets
+        no triple.
         """
         if rng is None:
             raise ValueError(f"{self.label} draws a component for each row and needs a generator")
         u = rng.random(x.shape[0])
         idx = np.zeros(x.shape[0], dtype=np.intp)
-        for c in np.cumsum([w for _, w in self.components])[:-1]:
+        for c in np.cumsum([float(w) for _, w in self.components])[:-1]:
             idx += u >= c
         blocks = []
         for j, (comp, _) in enumerate(self.components):
@@ -625,7 +627,7 @@ def constant_estimator(value, n: int) -> Estimator:
 
 
 def mixture(components: Sequence[tuple[Estimator, float]]) -> RandomizedEstimator:
-    """Weighted randomization over estimators, labelled "mixture"; weights must sum to 1."""
+    """Weighted randomization over estimators, labelled "mixture"; weights as util.exact_weights reads them."""
     components = tuple(components)
     n = components[0][0].n if components else 1  # RandomizedEstimator refuses an empty list
     return RandomizedEstimator(components=components, n=n)

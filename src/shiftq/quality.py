@@ -47,7 +47,6 @@ from .util import (
     InvarianceError,
     common_denominator,
     exact_number,
-    is_exact,
     lattice_ints,
     np,
     within_threshold,
@@ -76,7 +75,7 @@ _EXACT_ENUM_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class ThetaQuality:
-    """Quality at one shift; theta and q are Fractions when both are exact."""
+    """Quality at one shift; theta and q are Fractions on an atomic law, which is enumerated exactly."""
 
     theta: float | Fraction
     q: float | Fraction
@@ -180,8 +179,7 @@ class HitCounter:
     and scores each part on its own rows: distance(part(act(block, theta)),
     theta) within delta. act, distance and the threshold test are
     elementwise, so moving a part's gathered rows gives the same bits as
-    gathering them from the moved block. Called as counter(noise, rng), it
-    splits the block itself.
+    gathering them from the moved block.
     """
 
     space: Space
@@ -197,9 +195,6 @@ class HitCounter:
             near = within_threshold_array(self.space.distance(est, self.theta), self.delta, self.closed)
             total += int(np.count_nonzero(near))
         return total
-
-    def __call__(self, noise, rng=None) -> int:
-        return self.hits(self.rule.split(noise, rng))
 
 
 def _counter(space: Space, e, theta, delta, closed: bool = False) -> HitCounter:
@@ -293,7 +288,8 @@ def exact_quality_discrete(e, d: FiniteAtoms, theta, delta, *, closed_interval: 
     a Fraction (an int if every mass is an int). A float guess goes through
     within_threshold and its BOUNDARY_TOL band.
 
-    A rule's quality is the weighted sum of its parts' qualities.
+    A rule's quality is the weighted sum of its parts' qualities. A
+    mixture's weights are exact (see util.exact_weights), so the sum is too.
     """
     if not isinstance(d, FiniteAtoms):
         raise TypeError("exact evaluation needs a finite atomic law")
@@ -356,13 +352,6 @@ def _orderings(idx) -> int:
     return ways
 
 
-def _exact_pair(theta, q) -> tuple:
-    """(theta, q) as Fractions when both are exact, else as floats."""
-    if is_exact(theta, q):
-        return Fraction(theta), Fraction(q)
-    return float(theta), float(q)
-
-
 def default_theta_grid(delta, n: int) -> tuple:
     """41 shifts spread over +-10*delta*n plus the averaging points 2*delta*i, i = 1..10.
 
@@ -386,13 +375,13 @@ def quality_inf(
 
     An atomic law is enumerated shift by shift (see exact_quality_discrete),
     with every shift read as an exact number (see util.exact_number), and
-    the rows keep them so; any other law is scored by Monte Carlo, every
-    shift on the same noise. The report keeps delta as given. Shift-equivariant estimators
-    report the value at shift zero, which is then every row's value; their
-    claim is first checked row by row at every shift of the grid (see
-    _check_invariance), and a rule that fails raises InvarianceError. Other
-    estimators report the grid minimum, which is an upper bound on the true
-    infimum.
+    each row holds its shift and q as Fractions; any other law is scored by
+    Monte Carlo, every shift on the same noise. The report keeps delta as
+    given. Shift-equivariant estimators report the value at shift zero,
+    which is then every row's value; their claim is first checked row by row
+    at every shift of the grid (see _check_invariance), and a rule that
+    fails raises InvarianceError. Other estimators report the grid minimum,
+    which is an upper bound on the true infimum.
     """
     thetas = list(theta_grid)
     if not thetas:
@@ -405,14 +394,8 @@ def quality_inf(
         thetas.insert(0, 0)  # an int, so an atom law stays exact at this shift
 
     if atoms:
-        entries = [
-            ThetaQuality(
-                *_exact_pair(t, exact_quality_discrete(e, d, t, delta, closed_interval=closed_interval)),
-                0.0,
-                True,
-            )
-            for t in thetas
-        ]
+        qs = [exact_quality_discrete(e, d, t, delta, closed_interval=closed_interval) for t in thetas]
+        entries = [ThetaQuality(Fraction(t), Fraction(q), 0.0, True) for t, q in zip(thetas, qs)]
     else:
         rows = _mc_grid(LINE, e, d, thetas, delta, mc, closed_interval)
         entries = [ThetaQuality(float(t), q, ci, False) for t, (q, ci) in zip(thetas, rows)]

@@ -94,6 +94,20 @@ def exact_number(value):
     return Fraction(repr(value))
 
 
+def exact_weights(weights) -> tuple:
+    """Mixture weights as exact numbers (see exact_number); ValueError unless each is positive and they sum to 1.
+
+    So 0.375 is 3/8, and three float thirds sum to 9999999999999999/10000000000000000.
+    """
+    weights = tuple(map(exact_number, weights))
+    if not all(w > 0 for w in weights):
+        raise ValueError("mixture weights must be positive")
+    total = Fraction(sum(weights))
+    if total != 1:
+        raise ValueError(f"mixture weights sum to {number_repr(total)}, expected 1")
+    return weights
+
+
 def parse_number(value):
     """Return value unchanged if numeric; parse strings ('3/4', '0.25') exactly.
 

@@ -265,7 +265,7 @@ def test_a7c_results_are_bit_identical_across_parallelism():
     starts = range(0, mc.trials, CHUNK_TRIALS)
 
     def chunk_hits(c):
-        return count(draw(_chunk_rng(mc.seed, c), min(CHUNK_TRIALS, mc.trials - starts[c])), None)
+        return count.hits(e.split(draw(_chunk_rng(mc.seed, c), min(CHUNK_TRIALS, mc.trials - starts[c]))))
 
     expected = quality_at(e, d, 1.5, 0.2, mc)
     for workers in (1, 2, 8):

@@ -30,7 +30,7 @@ from shiftq import (
     window_mle_estimator,
 )
 from shiftq.estimators import Estimator, mixture
-from shiftq.util import EnumerationLimitError, is_exact
+from shiftq.util import EnumerationLimitError
 from tests.conftest import random_rational_atoms
 
 UNIT_WINDOW_MASS = 0.6826894921370859
@@ -242,13 +242,9 @@ def _reference_average_bound(e, d, delta, k, closed):
     total = sum(exact_quality_discrete(e, d, t, delta, closed_interval=closed) for t in shifts)
     window = window_bound_one_sample(d, delta, closed_interval=closed).value
     grown = len({t + z for t in shifts for z in d.locations})
-    if is_exact(total, window):
-        average = Fraction(total, len(shifts))
-        bound = window * Fraction(grown, len(shifts))
-        return average, bound, average <= bound
-    average = float(total) / len(shifts)
-    bound = float(window) * grown / len(shifts)
-    return average, bound, average <= bound + 1e-12
+    average = Fraction(total, len(shifts))
+    bound = window * Fraction(grown, len(shifts))
+    return average, bound, average <= bound
 
 
 @st.composite

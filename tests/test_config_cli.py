@@ -185,6 +185,59 @@ def test_a_nested_mixture_is_refused_at_parse_time(tmp_path, capsys, distributio
     assert "config error at estimator.parts[1].estimator.kind" in err and "needs a generator" not in err
 
 
+def _parts(weights):
+    return [{"weight": w, "estimator": {"kind": "constant", "value": v}} for v, w in enumerate(weights)]
+
+
+def test_non_positive_mixture_weights_are_refused_at_parse_time():
+    # They sum to 1, so only the positivity check sees them.
+    doc = {"command": "quality", "distribution": {"family": "gaussian"},
+           "estimator": {"kind": "mixture", "parts": _parts([1.5, -0.5])}, "delta": 0.5}
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert info.value.errors == [("estimator.parts", "mixture weights must be positive")]
+
+
+def test_mixture_weights_must_sum_to_exactly_one(tmp_path, capsys):
+    # Three float thirds are read as the decimal 0.3333333333333333 each; "1/3" is a third.
+    doc = {"distribution": {"family": "atoms", "points": [[0, 1]]},
+           "estimator": {"kind": "mixture", "parts": _parts([1 / 3] * 3)}, "delta": "1/2", "theta_grid": [0]}
+    assert main(["quality", "--config", write(tmp_path, "floats.json", json.dumps(doc))]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error at estimator.parts: mixture weights sum to 9999999999999999/10000000000000000, expected 1"
+    )
+    doc["estimator"]["parts"] = _parts(["1/3"] * 3)
+    out = str(tmp_path / "q.json")
+    assert main(["quality", "--config", write(tmp_path, "thirds.json", json.dumps(doc)), "--out", out]) == 0
+    assert json.load(open(out))["per_theta"][0]["q"] == "1/3"
+
+
+FLOAT_MIXTURE_ON_ATOMS = {
+    "distribution": {"family": "atoms", "points": [[0, 0.25], [1, 0.35], [10, 0.4]]},
+    "estimator": {"kind": "mixture", "parts": [
+        {"weight": 0.375, "estimator": {"kind": "discrete_mle"}},
+        {"weight": 0.625, "estimator": {"kind": "constant", "value": 0}},
+    ]},
+    "delta": 0.75,
+    "theta_grid": [0, 1, 0.5],
+    "k": 3,
+}
+
+
+def test_a_float_weight_mixture_on_atoms_is_scored_exactly(tmp_path):
+    # The weights are 3/8 and 5/8, so the rows and the averaging check stay rational.
+    cfg = write(tmp_path, "mix.json", json.dumps(FLOAT_MIXTURE_ON_ATOMS))
+    q_out, l_out = str(tmp_path / "q.json"), str(tmp_path / "l.json")
+    assert main(["quality", "--config", cfg, "--out", q_out]) == 0
+    rows = json.load(open(q_out))["per_theta"]
+    assert [(r["theta"], r["q"], r["exact"]) for r in rows] == [
+        ("0/1", "17/20", True), ("1/1", "9/40", True), ("1/2", "17/20", True)
+    ]
+    assert main(["lemma-check", "--config", cfg, "--out", l_out]) == 0
+    report = json.load(open(l_out))
+    assert (report["average_quality"], report["bound"], report["holds"]) == ("53/180", "1/1", True)
+
+
 KIND_PARAMS = {"value": "1/3", "bias": 0.2, "strength": "1/2"}
 
 

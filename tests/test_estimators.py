@@ -592,7 +592,7 @@ def _searchsorted_mixture(m, x, rng):
     """The mixture kernel as it stood before index lists: a search for each draw, then boolean masks."""
     x = np.asarray(x, dtype=float)
     u = rng.random(x.shape[0])
-    cum = np.cumsum([w for _, w in m.components])
+    cum = np.cumsum([float(w) for _, w in m.components])
     idx = np.minimum(np.searchsorted(cum, u, side="right"), len(m.components) - 1)
     out = np.empty(x.shape[0])
     for j, (comp, _) in enumerate(m.components):
@@ -639,7 +639,7 @@ def test_mixture_kernel_keeps_the_bits_of_the_search_and_mask_kernel(name):
     assert got.view(np.int64).tolist() == _searchsorted_mixture(m, x, ref_rng).view(np.int64).tolist()
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # one rng.random(m) draw
     # Draws on, and one float step either side of, every cumulative weight, and the extremes.
-    cum = [float(c) for c in np.cumsum([w for _, w in m.components])]
+    cum = [float(c) for c in np.cumsum([float(w) for _, w in m.components])]
     edges = [0.0, float(np.nextafter(1.0, 0.0))]
     edges += [float(np.nextafter(c, side)) for c in cum for side in (-np.inf, np.inf)] + cum
     draws = _Draws(edges)

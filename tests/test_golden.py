@@ -23,6 +23,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [
     ("quality_mean", "quality", "csv"),
     ("quality_mixture", "quality", "json"),
+    ("quality_mixture_atoms", "quality", "json"),
     ("quality_window_piecewise", "quality", "csv"),
     ("circle_avg", "circle-avg", "json"),
     ("circle_avg_normalised", "circle-avg", "json"),

@@ -119,7 +119,7 @@ def test_mc_determinism_across_parallelism():
     mc = MCConfig(trials=sum(sizes), seed=99)
     q, _ = quality_at(e, d, 1.5, 0.2, mc)
     draw, count = _noise(d, 3), _counter(LINE, e, 1.5, 0.2, False)
-    hits = [count(draw(_chunk_rng(99, c), sizes[c]), None) for c in reversed(range(3))]
+    hits = [count.hits(e.split(draw(_chunk_rng(99, c), sizes[c]))) for c in reversed(range(3))]
     assert 0 < min(hits) and q == sum(hits) / mc.trials
 
 
@@ -397,7 +397,7 @@ def test_randomized_estimator_mc_quality(example_atoms, mc_mid):
     m = mixture([(good, 0.5), (bad, 0.5)])
     (q, ci), = _mc_grid(LINE, m, float_d, [0.0], 0.75, mc_mid)
     assert abs(q - 0.3) <= 3 * ci + 1e-9
-    assert quality_at(m, float_d, 0.0, 0.75, mc_mid) == (0.3, 0.0)
+    assert quality_at(m, float_d, 0.0, 0.75, mc_mid) == (Fraction(3, 10), 0.0)
 
 
 def _ordered_reference(e, d, theta, delta, n, closed):
@@ -704,7 +704,7 @@ SHIFTS = [0, 0.1, -0.3, 1e8] + [10.0**k for k in range(16)]
 )
 def test_decimal_laws_give_the_same_q_at_every_shift(tmp_path, law, delta, estimator, n):
     # Every invariant line rule on a law written in JSON decimals, through the quality command:
-    # the same q at 0 and at 10^k for k <= 15, exact unless float mixture weights make it a float.
+    # the same q at 0 and at 10^k for k <= 15, exact, a mixture's float weights read as their decimals.
     # window_mle refuses atoms, and constant claims no invariance.
     doc = {"distribution": law, "estimator": estimator, "delta": delta, "n": n, "theta_grid": SHIFTS}
     config, out = tmp_path / "c.json", tmp_path / "q.csv"
@@ -713,7 +713,7 @@ def test_decimal_laws_give_the_same_q_at_every_shift(tmp_path, law, delta, estim
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [Fraction(r["theta"]) for r in rows] == [Fraction(repr(float(t))) for t in SHIFTS]
     assert len({r["q"] for r in rows}) == 1 and all(r["exact"] == "true" for r in rows)
-    assert ("/" in rows[0]["q"]) == (estimator["kind"] != "mixture")
+    assert "/" in rows[0]["q"]
 
 
 @pytest.mark.parametrize(
