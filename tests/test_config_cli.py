@@ -207,6 +207,8 @@ def test_mixture_weights_must_sum_to_exactly_one(tmp_path, capsys):
         "config error at estimator.parts: mixture weights sum to 9999999999999999/10000000000000000, expected 1"
     )
     doc["estimator"]["parts"] = _parts(["1/3"] * 3)
+    cfg = parse_config(json.dumps(doc))
+    assert parse_config(json.dumps(serialize_config(cfg))) == cfg  # the thirds are written as "1/3"
     out = str(tmp_path / "q.json")
     assert main(["quality", "--config", write(tmp_path, "thirds.json", json.dumps(doc)), "--out", out]) == 0
     assert json.load(open(out))["per_theta"][0]["q"] == "1/3"
